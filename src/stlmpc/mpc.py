@@ -11,7 +11,7 @@ marked accordingly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -194,6 +194,7 @@ def run(system: LtiSystem, phi: Formula, table: PredicateTable, config: RunConfi
     K = config.sim_steps
     n, m = system.n, system.m
     idle = np.broadcast_to(np.asarray(config.idle_input, dtype=float), (m,)).astype(float)
+    lo, hi = config.control.bounds(m)
     noise_samples = noise.samples(K, n)
 
     states = np.zeros((K + 1, n))
@@ -248,8 +249,8 @@ def run(system: LtiSystem, phi: Formula, table: PredicateTable, config: RunConfi
                     raise ControlError(f"no usable solution at step {k0}")
             objectives[k0] = best.objective
             statuses.append(status)
-            u = np.clip(best.first_input, *_bounds_for_clip(config.control, m))
-            plan = np.clip(best.inputs, *_bounds_for_clip(config.control, m))
+            u = np.clip(best.first_input, lo, hi)
+            plan = np.clip(best.inputs, lo, hi)
             plan_start = k0
         inputs[k0] = u
         noises[k0] = noise_samples[k0]
@@ -258,16 +259,9 @@ def run(system: LtiSystem, phi: Formula, table: PredicateTable, config: RunConfi
 
     sig = Signal(states, grid)
     readout = _readouts(sig, phi, table, schedule, grid, h_d)
-    p_x = float(np.mean(np.sum(states ** 2, axis=1)))
-    p_v = float(np.mean(np.sum(noises[:-1] ** 2, axis=1))) if K else 0.0
-    realized_snr = math.inf if p_v == 0.0 else 10.0 * math.log10(p_x / p_v)
-    return Trace(states=states, inputs=inputs, noises=noises, statuses=tuple(statuses),
-                 objectives=objectives, grid=grid, snr_db=realized_snr, readout=readout)
-
-
-def _bounds_for_clip(control: ControlConfig, m: int):
-    lo, hi = control.bounds(m)
-    return lo, hi
+    trace = Trace(states=states, inputs=inputs, noises=noises, statuses=tuple(statuses),
+                  objectives=objectives, grid=grid, snr_db=math.nan, readout=readout)
+    return replace(trace, snr_db=snr_db(trace))
 
 
 def _readouts(sig: Signal, phi: Formula, table: PredicateTable,

@@ -324,15 +324,14 @@ def _fmt_num(v: float) -> str:
 
 
 def _pred_text(pred_id: int, table: PredicateTable) -> str:
-    row, off = table.row(pred_id)
-    nz = np.nonzero(row)[0]
-    if len(nz) != 1 or abs(row[nz[0]]) != 1.0:
+    axis = table.unit_axis(pred_id)
+    if axis is None:
         raise ValueError(
             f"predicate {table.names[pred_id]!r} is not axis-aligned and has no concrete syntax")
-    i = nz[0] + 1
-    if row[nz[0]] > 0:
-        return f"x{i} >= {_fmt_num(-off)}"
-    return f"x{i} <= {_fmt_num(off)}"
+    row, off = table.row(pred_id)
+    if row[axis] > 0:
+        return f"x{axis + 1} >= {_fmt_num(-off)}"
+    return f"x{axis + 1} <= {_fmt_num(off)}"
 
 
 def pretty_print(f: Formula, table: PredicateTable) -> str:

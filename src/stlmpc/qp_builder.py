@@ -13,6 +13,14 @@ penalty, subject to
 Disjunctions produce one problem per branch; the caller solves all branches
 and applies the input of the best one.  Decision vectors are laid out as
 ``[epigraph | stacked inputs | slack]``.
+
+Both builders share one path: ``_predict`` validates the inputs and writes
+every predicate at every step of the window as an affine function of the
+stacked inputs, ``_sat_points`` lists the (step, predicate) pairs the
+conjuncts weigh, ``_stl_rows`` turns them into satisfaction rows and
+``_input_rows`` adds the box, budget, extra and penalty terms.  The
+worst-case baseline (:func:`build_sr_baseline`) differs from a one-branch
+problem only in its single epigraph variable and its cost.
 """
 
 from __future__ import annotations
@@ -380,23 +388,17 @@ def _psi_weights(psi: Formula, op_index: int | None, anchor: int,
     return weights
 
 
-def _psi_constraints(psi: Formula, op_index: int | None, anchor: int,
-                     schedule: Schedule | None, grid: SamplingGrid) -> list[tuple[int, int]]:
-    """(time, predicate) pairs that must be non-negative for this conjunct."""
-    if isinstance(psi, (Eventually, Until)) and schedule is None:
-        raise ValueError("eventually/until operators need a witness schedule")
-    if isinstance(psi, Always):
-        p = _atom_pred(psi.child, "always-operand")
-        return [(anchor + k, p) for k in omega(psi.a, psi.b, grid)]
-    if isinstance(psi, Eventually):
-        p = _atom_pred(psi.child, "eventually-operand")
-        return [(schedule.k1_at(op_index, anchor), p)]
-    if isinstance(psi, Until):
-        p1 = _atom_pred(psi.left, "until left operand")
-        p2 = _atom_pred(psi.right, "until right operand")
-        k1 = schedule.k1_at(op_index, anchor)
-        return [(k, p1) for k in range(anchor, k1 + 1)] + [(k1, p2)]
-    raise FragmentError(f"conjuncts must be temporal operators, got {type(psi).__name__}")
+def _sat_points(branch, anchors, schedule, grid) -> list[tuple[int, int]]:
+    """(step, predicate) pairs that satisfaction requires to be non-negative.
+
+    These are the columns every conjunct weighs at every anchor, deduplicated
+    in first-seen order; each one becomes one satisfaction row.
+    """
+    seen: dict[tuple[int, int], None] = {}
+    for psi, op_index in branch:
+        for anchor in anchors:
+            seen.update(dict.fromkeys(_psi_weights(psi, op_index, anchor, schedule, grid)))
+    return list(seen)
 
 
 def _e_matrix(conjunct, anchors, layout: _Layout, schedule, grid) -> np.ndarray:
@@ -422,17 +424,10 @@ def build_R(theta: Formula, schedule: Schedule | None, N: int, k_l: int, k_h: in
         raise FragmentError("build_R expects a conjunction; compile disjunction branches separately")
     h_d = discrete_length(theta, grid)
     layout = _Layout(k_l, k_l + N + h_d - 1, table.size)
-    seen: dict[tuple[int, int], None] = {}
-    for psi, op_index in branches[0]:
-        for anchor in range(k_l, k_h + 1):
-            for point in _psi_constraints(psi, op_index, anchor, schedule, grid):
-                seen.setdefault(point, None)
-    R = np.zeros((len(seen), layout.n_cols))
-    meta = []
-    for i, (k, p) in enumerate(seen):
-        R[i, layout.col(k, p)] = 1.0
-        meta.append((p, k))
-    return R, meta
+    points = _sat_points(branches[0], range(k_l, k_h + 1), schedule, grid)
+    R = np.zeros((len(points), layout.n_cols))
+    R[np.arange(len(points)), [layout.col(k, p) for k, p in points]] = 1.0
+    return R, [(p, k) for k, p in points]
 
 
 # ---------------------------------------------------------------------------
@@ -498,17 +493,30 @@ def _anchor_range(phi: Formula, k0: int, N: int, h_d: int, grid: SamplingGrid) -
     return k_l, k_h
 
 
-def build_problem(phi: Formula, system, table: PredicateTable, config: ControlConfig,
-                  k0: int = 0, state_history: np.ndarray | None = None,
-                  input_history: np.ndarray | None = None,
-                  schedule: Schedule | None = None) -> list[QpProblem]:
-    """Compile the formula into one problem per disjunction branch.
+@dataclass(frozen=True)
+class _Prediction:
+    """Set-up shared by both builders for one step k0.
 
-    ``system`` provides A, B, x0 and the sampling grid; ``state_history``
-    holds the recorded states x(0..k0) (defaults to the initial state at
-    k0 = 0) and fixes the past segment of the stacked predicate vector.
-    The formula must be negation-free (positive normal form).
+    ``z_const + z_coeff @ u_st`` predicts the stacked predicate vector over
+    the columns of ``cols``: recorded constants up to k0, affine in the
+    stacked inputs after it.
     """
+
+    theta: Formula
+    k0: int
+    N: int
+    m: int
+    lo: np.ndarray
+    hi: np.ndarray
+    M: np.ndarray
+    anchors: range
+    cols: _Layout
+    z_const: np.ndarray
+    z_coeff: np.ndarray
+
+
+def _predict(phi: Formula, system, table: PredicateTable, config: ControlConfig, k0: int,
+             state_history: np.ndarray | None) -> _Prediction:
     grid = system.grid
     validate_windows(phi, grid)
     theta = unwrap(phi)
@@ -526,56 +534,115 @@ def build_problem(phi: Formula, system, table: PredicateTable, config: ControlCo
         raise ValueError(f"state_history must hold x(0..{k0}), got {state_history.shape[0]} rows")
     x_now = state_history[k0]
 
-    windows = collect_event_ops(theta)
-    if windows and schedule is None:
-        schedule = compute_schedule(windows, grid)
-
     m = np.atleast_2d(np.asarray(system.B, dtype=float)).shape[1]
     dyn = stack_dynamics(system.A, system.B, table.C, table.c, N)
     lo, hi = config.bounds(m)
     M = config.penalty(m)
 
     k_l, k_h = _anchor_range(phi, k0, N, h_d, grid)
-    anchors = range(k_l, k_h + 1)
-    t_lo = min(k_l, k0)
-    layout_cols = _Layout(t_lo, k0 + N, table.size)
+    cols = _Layout(min(k_l, k0), k0 + N, table.size)
 
-    # Affine model of the stacked predicate vector over [t_lo, k0 + N]:
-    # past/current entries are recorded constants, future entries depend on u_st.
-    n_u = N * m
-    z_const = np.zeros(layout_cols.n_cols)
-    z_coeff = np.zeros((layout_cols.n_cols, n_u))
-    for k in range(t_lo, k0 + 1):
-        z_const[layout_cols.col(k, 0):layout_cols.col(k, 0) + table.size] = table.z(state_history[k])
+    # past/current entries are recorded constants, future entries depend on u_st
+    z_const = np.zeros(cols.n_cols)
+    z_coeff = np.zeros((cols.n_cols, N * m))
+    for k in range(cols.t_lo, k0 + 1):
+        z_const[cols.col(k, 0):cols.col(k, 0) + table.size] = table.z(state_history[k])
     future = dyn.H1 @ x_now + dyn.offset
     for k in range(k0 + 1, k0 + N + 1):
-        base = layout_cols.col(k, 0)
+        base = cols.col(k, 0)
         h_row = (k - k0 - 1) * table.size
         z_const[base:base + table.size] = future[h_row:h_row + table.size]
         z_coeff[base:base + table.size] = dyn.H2[h_row:h_row + table.size]
-
-    problems = []
-    for branch_ix, branch in enumerate(_dnf(theta)):
-        problems.append(_assemble_branch(
-            branch, branch_ix, anchors, layout_cols, z_const, z_coeff, schedule, grid,
-            table, config, k0, N, m, lo, hi, M, input_history))
-    return problems
+    return _Prediction(theta, k0, N, m, lo, hi, M, range(k_l, k_h + 1), cols, z_const, z_coeff)
 
 
-def _assemble_branch(branch, branch_ix, anchors, layout_cols, z_const, z_coeff,
-                     schedule, grid, table, config, k0, N, m, lo, hi, M,
+def _stl_rows(pred: _Prediction, points: list[tuple[int, int]], layout: VariableLayout):
+    """Rows -z_coeff[col] @ u_st <= z_const[col], one per (step, predicate) point.
+
+    Returns (A, b, stl_row_info); the epigraph and slack columns are zero.
+    """
+    ix = [pred.cols.col(k, p) for k, p in points]
+    A = np.zeros((len(points), layout.total))
+    A[:, layout.u_slice] = -pred.z_coeff[ix]
+    return A, pred.z_const[ix], {i: (p, k) for i, (k, p) in enumerate(points)}
+
+
+def _input_rows(pred: _Prediction, config: ControlConfig, layout: VariableLayout,
+                input_history: np.ndarray | None):
+    """Box, budget and extra rows over the inputs, and the input penalty.
+
+    Returns (A, b, kinds, quad) with every block placed at ``layout.u_slice``.
+    """
+    N, m, k0 = pred.N, pred.m, pred.k0
+    n_u, n_y, u = layout.n_u, layout.total, layout.u_slice
+
+    # per step, an upper then a lower row for every input with a finite limit
+    limits = np.array([(j, sign, bound) for j in range(m)
+                       for sign, bound in ((1.0, pred.hi[j]), (-1.0, -pred.lo[j]))
+                       if np.isfinite(bound)]).reshape(-1, 3)
+    box_cols = (np.arange(N)[:, None] * m + limits[:, 0].astype(int)).reshape(-1)
+    A_box = np.zeros((box_cols.size, n_y))
+    A_box[np.arange(box_cols.size), layout.n_epigraph + box_cols] = np.tile(limits[:, 1], N)
+
+    extra: list[tuple[np.ndarray, float]] = []
+    # input budget over absolute steps [0, budget_end]
+    if config.budget_total is not None:
+        end = config.budget_end if config.budget_end is not None else k0 + N - 1
+        spent = 0.0
+        if input_history is not None and k0 > 0:
+            hist = np.atleast_2d(np.asarray(input_history, dtype=float))[:k0]
+            spent = float(hist[:min(k0, end + 1)].sum())
+        coeffs = np.zeros(n_u)
+        coeffs[:min(N, max(0, end - k0 + 1)) * m] = 1.0
+        extra.append((coeffs, float(config.budget_total) - spent))
+    for coeffs, bound in config.extra_ineqs:
+        coeffs = np.asarray(coeffs, dtype=float).reshape(-1)
+        if coeffs.shape[0] != n_u:
+            raise ValueError(f"extra constraint has {coeffs.shape[0]} coefficients, expected {n_u}")
+        extra.append((coeffs, float(bound)))
+    A_extra = np.zeros((len(extra), n_y))
+    for r, (coeffs, _) in enumerate(extra):
+        A_extra[r, u] = coeffs
+
+    quad = np.zeros((n_y, n_y))
+    if np.any(pred.M):
+        quad[u, u] = np.kron(np.eye(N), pred.M)
+    return (np.vstack([A_box, A_extra]),
+            np.concatenate([np.tile(limits[:, 2], N), [b for _, b in extra]]),
+            ["box"] * box_cols.size + ["extra"] * len(extra), quad)
+
+
+def build_problem(phi: Formula, system, table: PredicateTable, config: ControlConfig,
+                  k0: int = 0, state_history: np.ndarray | None = None,
+                  input_history: np.ndarray | None = None,
+                  schedule: Schedule | None = None) -> list[QpProblem]:
+    """Compile the formula into one problem per disjunction branch.
+
+    ``system`` provides A, B, x0 and the sampling grid; ``state_history``
+    holds the recorded states x(0..k0) (defaults to the initial state at
+    k0 = 0) and fixes the past segment of the stacked predicate vector.
+    The formula must be negation-free (positive normal form).
+    """
+    pred = _predict(phi, system, table, config, k0, state_history)
+    windows = collect_event_ops(pred.theta)
+    if windows and schedule is None:
+        schedule = compute_schedule(windows, system.grid)
+    return [_assemble_branch(branch, branch_ix, pred, schedule, system.grid, table, config,
+                             input_history)
+            for branch_ix, branch in enumerate(_dnf(pred.theta))]
+
+
+def _assemble_branch(branch, branch_ix, pred: _Prediction, schedule, grid, table, config,
                      input_history) -> QpProblem:
-    n_anchor = len(anchors)
+    n_anchor = len(pred.anchors)
     multi = len(branch) > 1
-    layout = VariableLayout(n_anchor if multi else 0, N, m)
-    n_u = layout.n_u
-    n_y = layout.total
-    u_off = layout.n_epigraph
+    layout = VariableLayout(n_anchor if multi else 0, pred.N, pred.m)
+    u = layout.u_slice
 
-    E_per_conjunct = [_e_matrix(cj, anchors, layout_cols, schedule, grid) for cj in branch]
+    E_per_conjunct = [_e_matrix(cj, pred.anchors, pred.cols, schedule, grid) for cj in branch]
     E_total = sum(E_per_conjunct)
 
-    lin = np.zeros(n_y)
+    lin = np.zeros(layout.total)
     const = 0.0
     cost_pred_mass = np.zeros(table.size)
     epigraph_pred_mass = None
@@ -583,109 +650,47 @@ def _assemble_branch(branch, branch_ix, anchors, layout_cols, z_const, z_coeff,
         lin[:n_anchor] = 1.0
     else:
         w = E_total.sum(axis=0)
-        lin[u_off:u_off + n_u] = w @ z_coeff
-        const += float(w @ z_const)
+        lin[u] = w @ pred.z_coeff
+        const += float(w @ pred.z_const)
         for p in range(table.size):
             cost_pred_mass[p] = float(w[p::table.size].sum())
 
-    rows: list[np.ndarray] = []
-    bs: list[float] = []
-    kinds: list[str] = []
-    stl_row_info: dict[int, tuple[int, int]] = {}
-
-    # satisfaction rows, deduplicated across conjuncts and anchors
-    seen: dict[tuple[int, int], None] = {}
-    for psi, op_index in branch:
-        for anchor in anchors:
-            for point in _psi_constraints(psi, op_index, anchor, schedule, grid):
-                seen.setdefault(point, None)
-    for (k, p) in seen:
-        col = layout_cols.col(k, p)
-        row = np.zeros(n_y)
-        row[u_off:u_off + n_u] = -z_coeff[col]
-        stl_row_info[len(rows)] = (p, k)
-        rows.append(row)
-        # the margin is planning headroom; recorded steps only need z >= 0
-        margin = config.constraint_margin if k > k0 else 0.0
-        bs.append(float(z_const[col]) - margin)
-        kinds.append("stl")
+    points = _sat_points(branch, pred.anchors, schedule, grid)
+    A_stl, b_stl, stl_row_info = _stl_rows(pred, points, layout)
+    # the margin is planning headroom; recorded steps only need z >= 0
+    b_stl = b_stl - np.array([config.constraint_margin if k > pred.k0 else 0.0
+                              for k, _ in points])
 
     # epigraph rows: u_x[i] <= (E_j z)(i) for every conjunct j
+    A_epi = np.zeros((len(branch) * n_anchor if multi else 0, layout.total))
+    b_epi = np.zeros(A_epi.shape[0])
     if multi:
-        epigraph_pred_mass = np.zeros((len(branch) * n_anchor, table.size))
+        epigraph_pred_mass = np.zeros((A_epi.shape[0], table.size))
         r = 0
         for E_j in E_per_conjunct:
             for i in range(n_anchor):
-                row = np.zeros(n_y)
-                row[i] = 1.0
-                row[u_off:u_off + n_u] = -(E_j[i] @ z_coeff)
-                rows.append(row)
-                bs.append(float(E_j[i] @ z_const))
-                kinds.append("epigraph")
+                A_epi[r, i] = 1.0
+                A_epi[r, u] = -(E_j[i] @ pred.z_coeff)
+                b_epi[r] = E_j[i] @ pred.z_const
                 for p in range(table.size):
                     epigraph_pred_mass[r, p] = float(E_j[i, p::table.size].sum())
                 r += 1
 
-    # input box bounds
-    for step in range(N):
-        for j in range(m):
-            if np.isfinite(hi[j]):
-                row = np.zeros(n_y)
-                row[u_off + step * m + j] = 1.0
-                rows.append(row)
-                bs.append(float(hi[j]))
-                kinds.append("box")
-            if np.isfinite(lo[j]):
-                row = np.zeros(n_y)
-                row[u_off + step * m + j] = -1.0
-                rows.append(row)
-                bs.append(float(-lo[j]))
-                kinds.append("box")
-
-    # input budget over absolute steps [0, budget_end]
-    if config.budget_total is not None:
-        end = config.budget_end if config.budget_end is not None else k0 + N - 1
-        spent = 0.0
-        if input_history is not None and k0 > 0:
-            hist = np.atleast_2d(np.asarray(input_history, dtype=float))[:k0]
-            upto = min(k0, end + 1)
-            spent = float(hist[:upto].sum())
-        row = np.zeros(n_y)
-        for step in range(N):
-            if k0 + step <= end:
-                row[u_off + step * m:u_off + (step + 1) * m] = 1.0
-        rows.append(row)
-        bs.append(float(config.budget_total) - spent)
-        kinds.append("extra")
-
-    for coeffs, bound in config.extra_ineqs:
-        coeffs = np.asarray(coeffs, dtype=float).reshape(-1)
-        if coeffs.shape[0] != n_u:
-            raise ValueError(f"extra constraint has {coeffs.shape[0]} coefficients, expected {n_u}")
-        row = np.zeros(n_y)
-        row[u_off:u_off + n_u] = coeffs
-        rows.append(row)
-        bs.append(float(bound))
-        kinds.append("extra")
-
-    quad = np.zeros((n_y, n_y))
-    if np.any(M):
-        quad[u_off:u_off + n_u, u_off:u_off + n_u] = np.kron(np.eye(N), M)
-
+    A_in, b_in, in_kinds, quad = _input_rows(pred, config, layout, input_history)
     debug = {
         "E": E_total,
         "E_per_conjunct": E_per_conjunct,
-        "anchors": tuple(anchors),
-        "z_const": z_const,
-        "z_coeff": z_coeff,
-        "t_lo": layout_cols.t_lo,
+        "anchors": tuple(pred.anchors),
+        "z_const": pred.z_const,
+        "z_coeff": pred.z_coeff,
+        "t_lo": pred.cols.t_lo,
     }
     return QpProblem(
         quad=quad, lin=lin, const=const,
-        A_ub=np.vstack(rows) if rows else np.zeros((0, n_y)),
-        b_ub=np.asarray(bs, dtype=float),
-        layout=layout, row_kinds=tuple(kinds), stl_row_info=stl_row_info,
-        n_predicates=table.size, cost_pred_mass=cost_pred_mass,
+        A_ub=np.vstack([A_stl, A_epi, A_in]), b_ub=np.concatenate([b_stl, b_epi, b_in]),
+        layout=layout,
+        row_kinds=tuple(["stl"] * len(points) + ["epigraph"] * A_epi.shape[0] + in_kinds),
+        stl_row_info=stl_row_info, n_predicates=table.size, cost_pred_mass=cost_pred_mass,
         epigraph_pred_mass=epigraph_pred_mass, branch=branch_ix, debug=debug)
 
 
@@ -734,16 +739,11 @@ def build_sr_baseline(phi: Formula, system, table: PredicateTable, config: Contr
     """Worst-case baseline: maximize the minimum predicate margin.
 
     Only conjunctions of always-operators over axis-aligned unit-normal
-    predicates are supported; a single epigraph variable bounds every
-    influential margin from below and is maximized.
+    predicates are supported.  The problem is compiled like a one-branch
+    :func:`build_problem` with the same prediction, satisfaction points and
+    input rows, but with a single epigraph variable t as its cost: every
+    satisfaction row reads t <= z_p(k), without constraint margin.
     """
-    grid = system.grid
-    validate_windows(phi, grid)
-    theta = unwrap(phi)
-    h_d = discrete_length(theta, grid)
-    N = config.horizon
-    if N < h_d:
-        raise ValueError(f"prediction horizon N={N} is shorter than the formula length {h_d}")
 
     def conjuncts(g: Formula):
         if isinstance(g, And):
@@ -756,103 +756,29 @@ def build_sr_baseline(phi: Formula, system, table: PredicateTable, config: Contr
         raise FragmentError(
             "the worst-case baseline supports conjunctions of always-operators over predicates")
 
-    gs = conjuncts(theta)
+    gs = conjuncts(unwrap(phi))
     for g in gs:
-        row, _ = table.row(g.child.pred_id)
-        nz = np.nonzero(row)[0]
-        if len(nz) != 1 or abs(row[nz[0]]) != 1.0:
+        if table.unit_axis(g.child.pred_id) is None:
             raise FragmentError(
                 f"predicate {table.names[g.child.pred_id]!r} is not axis-aligned with unit normal")
 
-    if state_history is None:
-        if k0 != 0:
-            raise ValueError("state_history is required when k0 > 0")
-        state_history = np.atleast_2d(np.asarray(system.x0, dtype=float))
-    state_history = np.atleast_2d(np.asarray(state_history, dtype=float))
-    x_now = state_history[k0]
+    pred = _predict(phi, system, table, config, k0, state_history)
+    layout = VariableLayout(1, pred.N, pred.m)
+    points = _sat_points([(g, None) for g in gs], pred.anchors, None, system.grid)
+    A_stl, b_stl, stl_row_info = _stl_rows(pred, points, layout)
+    A_stl[:, 0] = 1.0
+    # rows at recorded steps have no input terms; writing +0 there rather
+    # than -0 keeps the baseline's dump_problem text stable
+    A_stl[[i for i, (k, _) in enumerate(points) if k <= k0], layout.u_slice] = 0.0
+    A_in, b_in, in_kinds, quad = _input_rows(pred, config, layout, input_history)
 
-    m = np.atleast_2d(np.asarray(system.B, dtype=float)).shape[1]
-    dyn = stack_dynamics(system.A, system.B, table.C, table.c, N)
-    lo, hi = config.bounds(m)
-    M = config.penalty(m)
-    k_l, k_h = _anchor_range(phi, k0, N, h_d, grid)
-
-    layout = VariableLayout(1, N, m)
-    n_y = layout.total
-    rows: list[np.ndarray] = []
-    bs: list[float] = []
-    kinds: list[str] = []
-    stl_row_info: dict[int, tuple[int, int]] = {}
-
-    future = dyn.H1 @ x_now + dyn.offset
-    seen: dict[tuple[int, int], None] = {}
-    for g in gs:
-        p = g.child.pred_id
-        for anchor in range(k_l, k_h + 1):
-            for k in omega(g.a, g.b, grid):
-                seen.setdefault((anchor + k, p), None)
-    for (k, p) in seen:
-        row = np.zeros(n_y)
-        row[0] = 1.0  # t <= z_p(k)
-        if k <= k0:
-            zc = float(table.z(state_history[k])[p])
-        else:
-            h_row = (k - k0 - 1) * table.size + p
-            zc = float(future[h_row])
-            row[1:1 + layout.n_u] = -dyn.H2[h_row]
-        stl_row_info[len(rows)] = (p, k)
-        rows.append(row)
-        bs.append(zc)
-        kinds.append("stl")
-
-    for step in range(N):
-        for j in range(m):
-            if np.isfinite(hi[j]):
-                row = np.zeros(n_y)
-                row[1 + step * m + j] = 1.0
-                rows.append(row)
-                bs.append(float(hi[j]))
-                kinds.append("box")
-            if np.isfinite(lo[j]):
-                row = np.zeros(n_y)
-                row[1 + step * m + j] = -1.0
-                rows.append(row)
-                bs.append(float(-lo[j]))
-                kinds.append("box")
-
-    if config.budget_total is not None:
-        end = config.budget_end if config.budget_end is not None else k0 + N - 1
-        spent = 0.0
-        if input_history is not None and k0 > 0:
-            hist = np.atleast_2d(np.asarray(input_history, dtype=float))[:k0]
-            spent = float(hist[:min(k0, end + 1)].sum())
-        row = np.zeros(n_y)
-        for step in range(N):
-            if k0 + step <= end:
-                row[1 + step * m:1 + (step + 1) * m] = 1.0
-        rows.append(row)
-        bs.append(float(config.budget_total) - spent)
-        kinds.append("extra")
-
-    for coeffs, bound in config.extra_ineqs:
-        coeffs = np.asarray(coeffs, dtype=float).reshape(-1)
-        row = np.zeros(n_y)
-        row[1:1 + layout.n_u] = coeffs
-        rows.append(row)
-        bs.append(float(bound))
-        kinds.append("extra")
-
-    lin = np.zeros(n_y)
+    lin = np.zeros(layout.total)
     lin[0] = 1.0
-    quad = np.zeros((n_y, n_y))
-    if np.any(M):
-        quad[1:1 + layout.n_u, 1:1 + layout.n_u] = np.kron(np.eye(N), M)
-
     return QpProblem(
         quad=quad, lin=lin, const=0.0,
-        A_ub=np.vstack(rows), b_ub=np.asarray(bs, dtype=float),
-        layout=layout, row_kinds=tuple(kinds), stl_row_info=stl_row_info,
-        n_predicates=table.size, cost_pred_mass=np.zeros(table.size))
+        A_ub=np.vstack([A_stl, A_in]), b_ub=np.concatenate([b_stl, b_in]),
+        layout=layout, row_kinds=tuple(["stl"] * len(points) + in_kinds),
+        stl_row_info=stl_row_info, n_predicates=table.size, cost_pred_mass=np.zeros(table.size))
 
 
 def dump_problem(p: QpProblem) -> str:

@@ -174,7 +174,10 @@ def solve(problem: QpProblem, settings: SolverSettings | None = None) -> QpSolut
         ])
         return scipy.linalg.lu_factor(kkt, check_finite=False)
 
-    lu = factor(rho)
+    lu, piv = factor(rho)
+    # LAPACK's getrs directly: scipy.linalg.lu_solve calls the same routine
+    # but its per-call argument handling costs more than the solve itself
+    getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
     x = np.zeros(n)
     z = np.zeros(mrows)
     y = np.zeros(mrows)
@@ -191,7 +194,7 @@ def solve(problem: QpProblem, settings: SolverSettings | None = None) -> QpSolut
 
     for it in range(1, settings.max_iterations + 1):
         rhs = np.concatenate([sigma * x - qs, z - y / rho])
-        sol = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+        sol, _ = getrs(lu, piv, rhs, overwrite_b=True)
         x_tilde = sol[:n]
         nu = sol[n:]
         z_tilde = z + (nu - y) / rho

@@ -460,9 +460,7 @@ def robustness_degree_axis(sig: Signal, f: Formula, k: int, table: PredicateTabl
         pairs = gather(f, k)
 
     for pid in {p for p, _ in pairs}:
-        row, _ = table.row(pid)
-        nz = np.nonzero(row)[0]
-        if len(nz) != 1 or abs(row[nz[0]]) != 1.0:
+        if table.unit_axis(pid) is None:
             raise ValueError(f"predicate {table.names[pid]!r} is not axis-aligned with unit normal")
 
     z = sig.predicate_values(table)

@@ -143,6 +143,13 @@ class PredicateTable:
     def row(self, pred_id: int) -> tuple[np.ndarray, float]:
         return self._C[pred_id], float(self._c[pred_id])
 
+    def unit_axis(self, pred_id: int) -> int | None:
+        """State index i when the predicate reads +-x_i + c, else None."""
+        nz = np.nonzero(self._C[pred_id])[0]
+        if len(nz) == 1 and abs(self._C[pred_id, nz[0]]) == 1.0:
+            return int(nz[0])
+        return None
+
     def find(self, row: Sequence[float], offset: float) -> int | None:
         key = (tuple(float(v) for v in row), float(offset))
         for i in range(self.size):

@@ -453,6 +453,25 @@ class TestSrBaseline:
         with pytest.raises(FragmentError):
             build_sr_baseline(phi, system, table, ControlConfig(horizon=3))
 
+    def test_rejects_non_unit_normal(self):
+        system = LtiSystem(np.array([[0.5]]), np.array([[1.0]]), np.zeros(1), GRID1)
+        table = PredicateTable([[2.0]], [0.0])
+        phi = OneTime(Always(Pred(0), 1.0, 3.0), 0.0)
+        with pytest.raises(FragmentError, match="not axis-aligned"):
+            build_sr_baseline(phi, system, table, ControlConfig(horizon=3))
+
+    @pytest.mark.parametrize("k0, history_rows, extra_ineqs, message", [
+        (2, 5, (), r"state_history must hold x\(0\.\.2\), got 5 rows"),
+        (0, 1, ((np.ones(3), 1.0),), "extra constraint has 3 coefficients, expected 37"),
+    ], ids=["state_history", "extra_ineqs"])
+    def test_bad_inputs_raise_like_build_problem(self, k0, history_rows, extra_ineqs, message):
+        phi, table = _parse_pnf("event => (G[144,216](x1 >= 1) & G[372,444](x1 >= 1))")
+        config = ControlConfig(horizon=37, u_min=0, u_max=3, extra_ineqs=extra_ineqs)
+        history = np.zeros((history_rows, 2))
+        for build in (build_problem, build_sr_baseline):
+            with pytest.raises(ValueError, match=message):
+                build(phi, two_tank_system(), table, config, k0=k0, state_history=history)
+
 
 class TestDebugDump:
     def test_plain_text_matrices(self, tank):

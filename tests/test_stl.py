@@ -67,6 +67,15 @@ class TestParse:
         np.testing.assert_array_equal(table.C, [[0.0, -1.0]])
         np.testing.assert_array_equal(table.c, [5.0])
 
+    def test_unit_axis(self):
+        table = PredicateTable([[0.0, -1.0], [1.0, 0.0], [2.0, 0.0], [1.0, 1.0]],
+                               [5.0, 0.0, 0.0, 0.0])
+        assert [table.unit_axis(i) for i in range(4)] == [1, 0, None, None]
+        assert pretty_print(Pred(0), table) == "x2 <= 5"
+        for pid in (2, 3):
+            with pytest.raises(ValueError, match="not axis-aligned"):
+                pretty_print(Pred(pid), table)
+
     def test_until_precedence_binds_tighter_than_and(self):
         f, _ = parse("F[120,240](x1 >= 2) & (x1 <= 4) U[180,420] (x2 <= 2.5)", n_states=2)
         assert isinstance(f, And)
