@@ -70,10 +70,12 @@ from .semantics import (
 )
 from .stl import (
     Formula,
+    OneTime,
     PredicateTable,
     SamplingGrid,
     collect_event_ops,
     discrete_length,
+    event_index,
     to_pnf,
     unwrap,
     validate_windows,
@@ -318,10 +320,23 @@ def check_scenario(config_path: str | Path) -> int:
               f"baselines = {list(sched.baselines)}")
     else:
         print("witness schedule: not needed (no eventually/until operators)")
+    # compile the first step the closed loop solves: event-triggered formulas
+    # idle until the event step, so the state history is the idle-input rollout
+    plant, k0 = cfg.system, 0
+    if isinstance(cfg.formula, OneTime):
+        k0 = event_index(cfg.formula, grid)
+        print(f"first solved step: k = {k0} (event)")
+    idle = np.broadcast_to(np.asarray(cfg.run_config.idle_input, dtype=float), (plant.m,))
+    inputs = np.tile(idle, (k0, 1))
+    states = np.zeros((k0 + 1, plant.n))
+    states[0] = plant.x0
+    for k in range(k0):
+        states[k + 1] = plant.step(states[k], inputs[k], np.zeros(plant.n))
+    history = dict(k0=k0, state_history=states, input_history=inputs)
     if cfg.run_config.objective == "sr-baseline":
-        problems = [build_sr_baseline(cfg.formula, cfg.system, cfg.table, cfg.control)]
+        problems = [build_sr_baseline(cfg.formula, plant, cfg.table, cfg.control, **history)]
     else:
-        problems = build_problem(cfg.formula, cfg.system, cfg.table, cfg.control)
+        problems = build_problem(cfg.formula, plant, cfg.table, cfg.control, **history)
     for p in problems:
         kind = "LP" if not np.any(p.quad) else "QP"
         print(f"branch {p.branch}: {kind} with {p.n_vars} variables, {p.n_rows} inequalities")

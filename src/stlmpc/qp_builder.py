@@ -16,11 +16,20 @@ and applies the input of the best one.  Decision vectors are laid out as
 
 Both builders share one path: ``_predict`` validates the inputs and writes
 every predicate at every step of the window as an affine function of the
-stacked inputs, ``_sat_points`` lists the (step, predicate) pairs the
-conjuncts weigh, ``_stl_rows`` turns them into satisfaction rows and
-``_input_rows`` adds the box, budget, extra and penalty terms.  The
+stacked inputs, ``_psi_terms`` lists the weighted (step, predicate) terms of
+one conjunct at every anchor, ``_sat_points`` deduplicates them into the
+pairs satisfaction constrains, ``_stl_rows`` turns those into satisfaction
+rows and ``_input_rows`` adds the box, budget, extra and penalty terms.  The
 worst-case baseline (:func:`build_sr_baseline`) differs from a one-branch
 problem only in its single epigraph variable and its cost.
+
+Assembly is array-built: the block-Toeplitz input matrix is gathered from
+the stacked ``C A^k B`` blocks, each conjunct's terms come from one array
+pass over all anchors (witnesses from :func:`~stlmpc.scheduling.k1_many`)
+and are accumulated into its E matrix with ``np.add.at``, and the epigraph
+rows come from one stack of vector-matrix products.  Products stay per row
+(epigraph rows) or per state (recorded predicate values), since a single
+matrix product over all of them rounds differently.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .scheduling import Schedule, compute_schedule
+from .scheduling import Schedule, compute_schedule, k1_many
 from .stl import (
     Always,
     And,
@@ -219,10 +228,10 @@ def stack_dynamics(A: np.ndarray, B: np.ndarray, C: np.ndarray, c: np.ndarray,
         CAB.append(CA[k] @ B)
 
     H1 = np.vstack(CA)
-    H2 = np.zeros((N * n_mu, N * m))
-    for i in range(N):
-        for j in range(i + 1):
-            H2[i * n_mu:(i + 1) * n_mu, j * m:(j + 1) * m] = CAB[i - j]
+    # block (i, j) of the lower block-Toeplitz H2 is C A^{i-j} B; index N is a zero block
+    blocks = np.concatenate([np.stack(CAB), np.zeros((1, n_mu, m))])
+    lag = np.subtract.outer(np.arange(N), np.arange(N))
+    H2 = blocks[np.where(lag >= 0, lag, N)].transpose(0, 2, 1, 3).reshape(N * n_mu, N * m)
     offset = np.tile(c, N)
     return StackedDynamics(H1, H2, offset, N, m)
 
@@ -300,9 +309,12 @@ class _Layout:
     def n_cols(self) -> int:
         return (self.t_hi - self.t_lo + 1) * self.n_mu
 
-    def col(self, k: int, p: int) -> int:
-        if not (self.t_lo <= k <= self.t_hi):
-            raise ValueError(f"time {k} outside the predicate window [{self.t_lo}, {self.t_hi}]")
+    def cols(self, k: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Column of every (step k[i], predicate p[i]) pair."""
+        outside = np.flatnonzero((k < self.t_lo) | (k > self.t_hi))
+        if outside.size:
+            raise ValueError(f"time {k[outside[0]]} outside the predicate window "
+                             f"[{self.t_lo}, {self.t_hi}]")
         return (k - self.t_lo) * self.n_mu + p
 
 
@@ -354,60 +366,71 @@ def _dnf(theta: Formula):
     return walk(theta)
 
 
-def _psi_weights(psi: Formula, op_index: int | None, anchor: int,
-                 schedule: Schedule | None, grid: SamplingGrid) -> dict[tuple[int, int], float]:
-    """Scheduled-average robustness of one conjunct at one anchor, as column weights."""
-    weights: dict[tuple[int, int], float] = {}
+def _psi_terms(psi: Formula, op_index: int | None, anchors: range,
+               schedule: Schedule | None, grid: SamplingGrid):
+    """Scheduled-average robustness of one conjunct at every anchor, as weighted columns.
 
-    def add(k: int, p: int, w: float) -> None:
-        weights[(k, p)] = weights.get((k, p), 0.0) + w
-
+    Returns arrays (row, k, p, w): term t adds w[t] times predicate p[t] at
+    step k[t] to the robustness at anchor ``anchors[row[t]]``.  Terms run
+    anchor by anchor, each anchor's in the order the average sums them.
+    """
+    a = np.asarray(anchors, dtype=np.int64)
+    if not a.size:
+        return a, a, a, np.zeros(0)
     if isinstance(psi, (Eventually, Until)) and schedule is None:
         raise ValueError("eventually/until operators need a witness schedule")
 
     if isinstance(psi, Always):
         p = _atom_pred(psi.child, "always-operand")
-        base = omega(psi.a, psi.b, grid)
-        w = 1.0 / len(base)
-        for k in base:
-            add(anchor + k, p, w)
-    elif isinstance(psi, Eventually):
+        base = np.asarray(omega(psi.a, psi.b, grid))
+        k = (a[:, None] + base).reshape(-1)
+        return (np.repeat(np.arange(a.size), base.size), k, np.full(k.size, p),
+                np.full(k.size, 1.0 / base.size))
+    if isinstance(psi, Eventually):
         p = _atom_pred(psi.child, "eventually-operand")
-        k1 = schedule.k1_at(op_index, anchor)
-        add(k1, p, 1.0)
-    elif isinstance(psi, Until):
+        return (np.arange(a.size), k1_many(schedule, op_index, a), np.full(a.size, p),
+                np.ones(a.size))
+    if isinstance(psi, Until):
         p1 = _atom_pred(psi.left, "until left operand")
         p2 = _atom_pred(psi.right, "until right operand")
-        k1 = schedule.k1_at(op_index, anchor)
-        w = 0.5 / (k1 - anchor + 1)
-        for k in range(anchor, k1 + 1):
-            add(k, p1, w)
-        add(k1, p2, 0.5)
-    else:
-        raise FragmentError(f"conjuncts must be temporal operators, got {type(psi).__name__}")
-    return weights
+        k1 = k1_many(schedule, op_index, a)
+        # per anchor: the left operand at anchor..k1, then the right one at k1
+        span = k1 - a + 1
+        row = np.repeat(np.arange(a.size), span + 1)
+        j = np.arange(row.size) - np.repeat(np.cumsum(span + 1) - (span + 1), span + 1)
+        right = j == span[row]
+        return (row, np.where(right, k1[row], a[row] + j), np.where(right, p2, p1),
+                np.where(right, 0.5, 0.5 / span[row]))
+    raise FragmentError(f"conjuncts must be temporal operators, got {type(psi).__name__}")
 
 
-def _sat_points(branch, anchors, schedule, grid) -> list[tuple[int, int]]:
+def _sat_points(terms) -> tuple[np.ndarray, np.ndarray]:
     """(step, predicate) pairs that satisfaction requires to be non-negative.
 
-    These are the columns every conjunct weighs at every anchor, deduplicated
-    in first-seen order; each one becomes one satisfaction row.
+    These are the columns the conjuncts' terms weigh, deduplicated in
+    first-seen order; each one becomes one satisfaction row.  Returns the
+    steps and the predicates as two arrays.
     """
-    seen: dict[tuple[int, int], None] = {}
-    for psi, op_index in branch:
-        for anchor in anchors:
-            seen.update(dict.fromkeys(_psi_weights(psi, op_index, anchor, schedule, grid)))
-    return list(seen)
+    k = np.concatenate([t[1] for t in terms])
+    p = np.concatenate([t[2] for t in terms])
+    if not k.size:
+        return k, p
+    first = np.unique((k - k.min()) * (p.max() + 1) + p, return_index=True)[1]
+    first.sort()
+    return k[first], p[first]
 
 
-def _e_matrix(conjunct, anchors, layout: _Layout, schedule, grid) -> np.ndarray:
-    psi, op_index = conjunct
-    E = np.zeros((len(anchors), layout.n_cols))
-    for i, anchor in enumerate(anchors):
-        for (k, p), w in _psi_weights(psi, op_index, anchor, schedule, grid).items():
-            E[i, layout.col(k, p)] += w
+def _e_matrix(terms, n_anchor: int, layout: _Layout) -> np.ndarray:
+    row, k, p, w = terms
+    E = np.zeros((n_anchor, layout.n_cols))
+    np.add.at(E, (row, layout.cols(k, p)), w)
     return E
+
+
+def _pred_mass(E: np.ndarray, n_mu: int) -> np.ndarray:
+    """Per row of E, the summed weight on each predicate (columns p, p + n_mu, ...)."""
+    per_pred = E.reshape(E.shape[0], -1, n_mu).transpose(0, 2, 1)
+    return np.ascontiguousarray(per_pred).sum(axis=2)
 
 
 def build_R(theta: Formula, schedule: Schedule | None, N: int, k_l: int, k_h: int,
@@ -424,10 +447,12 @@ def build_R(theta: Formula, schedule: Schedule | None, N: int, k_l: int, k_h: in
         raise FragmentError("build_R expects a conjunction; compile disjunction branches separately")
     h_d = discrete_length(theta, grid)
     layout = _Layout(k_l, k_l + N + h_d - 1, table.size)
-    points = _sat_points(branches[0], range(k_l, k_h + 1), schedule, grid)
-    R = np.zeros((len(points), layout.n_cols))
-    R[np.arange(len(points)), [layout.col(k, p) for k, p in points]] = 1.0
-    return R, [(p, k) for k, p in points]
+    anchors = range(k_l, k_h + 1)
+    ks, ps = _sat_points([_psi_terms(psi, op_index, anchors, schedule, grid)
+                          for psi, op_index in branches[0]])
+    R = np.zeros((ks.size, layout.n_cols))
+    R[np.arange(ks.size), layout.cols(ks, ps)] = 1.0
+    return R, list(zip(ps.tolist(), ks.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -542,29 +567,29 @@ def _predict(phi: Formula, system, table: PredicateTable, config: ControlConfig,
     k_l, k_h = _anchor_range(phi, k0, N, h_d, grid)
     cols = _Layout(min(k_l, k0), k0 + N, table.size)
 
-    # past/current entries are recorded constants, future entries depend on u_st
-    z_const = np.zeros(cols.n_cols)
+    # past/current entries are recorded constants, future entries depend on u_st;
+    # the past block takes one C @ x(k) per recorded step, like table.z (a single
+    # matrix product over all steps would round differently)
+    n_past = (k0 + 1 - cols.t_lo) * table.size
+    z_const = np.empty(cols.n_cols)
+    z_const[:n_past] = (np.matmul(table.C, state_history[cols.t_lo:k0 + 1, :, None])[:, :, 0]
+                        + table.c).reshape(-1)
+    z_const[n_past:] = dyn.H1 @ x_now + dyn.offset
     z_coeff = np.zeros((cols.n_cols, N * m))
-    for k in range(cols.t_lo, k0 + 1):
-        z_const[cols.col(k, 0):cols.col(k, 0) + table.size] = table.z(state_history[k])
-    future = dyn.H1 @ x_now + dyn.offset
-    for k in range(k0 + 1, k0 + N + 1):
-        base = cols.col(k, 0)
-        h_row = (k - k0 - 1) * table.size
-        z_const[base:base + table.size] = future[h_row:h_row + table.size]
-        z_coeff[base:base + table.size] = dyn.H2[h_row:h_row + table.size]
+    z_coeff[n_past:] = dyn.H2
     return _Prediction(theta, k0, N, m, lo, hi, M, range(k_l, k_h + 1), cols, z_const, z_coeff)
 
 
-def _stl_rows(pred: _Prediction, points: list[tuple[int, int]], layout: VariableLayout):
+def _stl_rows(pred: _Prediction, points: tuple[np.ndarray, np.ndarray], layout: VariableLayout):
     """Rows -z_coeff[col] @ u_st <= z_const[col], one per (step, predicate) point.
 
     Returns (A, b, stl_row_info); the epigraph and slack columns are zero.
     """
-    ix = [pred.cols.col(k, p) for k, p in points]
-    A = np.zeros((len(points), layout.total))
+    ks, ps = points
+    ix = pred.cols.cols(ks, ps)
+    A = np.zeros((ks.size, layout.total))
     A[:, layout.u_slice] = -pred.z_coeff[ix]
-    return A, pred.z_const[ix], {i: (p, k) for i, (k, p) in enumerate(points)}
+    return A, pred.z_const[ix], dict(enumerate(zip(ps.tolist(), ks.tolist())))
 
 
 def _input_rows(pred: _Prediction, config: ControlConfig, layout: VariableLayout,
@@ -639,7 +664,11 @@ def _assemble_branch(branch, branch_ix, pred: _Prediction, schedule, grid, table
     layout = VariableLayout(n_anchor if multi else 0, pred.N, pred.m)
     u = layout.u_slice
 
-    E_per_conjunct = [_e_matrix(cj, pred.anchors, pred.cols, schedule, grid) for cj in branch]
+    terms = []
+    E_per_conjunct = []
+    for psi, op_index in branch:
+        terms.append(_psi_terms(psi, op_index, pred.anchors, schedule, grid))
+        E_per_conjunct.append(_e_matrix(terms[-1], n_anchor, pred.cols))
     E_total = sum(E_per_conjunct)
 
     lin = np.zeros(layout.total)
@@ -652,29 +681,24 @@ def _assemble_branch(branch, branch_ix, pred: _Prediction, schedule, grid, table
         w = E_total.sum(axis=0)
         lin[u] = w @ pred.z_coeff
         const += float(w @ pred.z_const)
-        for p in range(table.size):
-            cost_pred_mass[p] = float(w[p::table.size].sum())
+        cost_pred_mass = _pred_mass(w[None], table.size)[0]
 
-    points = _sat_points(branch, pred.anchors, schedule, grid)
+    points = _sat_points(terms)
     A_stl, b_stl, stl_row_info = _stl_rows(pred, points, layout)
     # the margin is planning headroom; recorded steps only need z >= 0
-    b_stl = b_stl - np.array([config.constraint_margin if k > pred.k0 else 0.0
-                              for k, _ in points])
+    b_stl = b_stl - np.where(points[0] > pred.k0, config.constraint_margin, 0.0)
 
-    # epigraph rows: u_x[i] <= (E_j z)(i) for every conjunct j
+    # epigraph rows: u_x[i] <= (E_j z)(i) for every conjunct j; the products are
+    # taken row by row (a stack of vector-matrix products), as one matrix
+    # product would round differently
     A_epi = np.zeros((len(branch) * n_anchor if multi else 0, layout.total))
     b_epi = np.zeros(A_epi.shape[0])
     if multi:
-        epigraph_pred_mass = np.zeros((A_epi.shape[0], table.size))
-        r = 0
-        for E_j in E_per_conjunct:
-            for i in range(n_anchor):
-                A_epi[r, i] = 1.0
-                A_epi[r, u] = -(E_j[i] @ pred.z_coeff)
-                b_epi[r] = E_j[i] @ pred.z_const
-                for p in range(table.size):
-                    epigraph_pred_mass[r, p] = float(E_j[i, p::table.size].sum())
-                r += 1
+        E_rows = np.concatenate(E_per_conjunct)[:, None, :]
+        A_epi[np.arange(A_epi.shape[0]), np.tile(np.arange(n_anchor), len(branch))] = 1.0
+        A_epi[:, u] = -np.matmul(E_rows, pred.z_coeff)[:, 0]
+        b_epi = np.matmul(E_rows, pred.z_const)[:, 0]
+        epigraph_pred_mass = _pred_mass(E_rows[:, 0], table.size)
 
     A_in, b_in, in_kinds, quad = _input_rows(pred, config, layout, input_history)
     debug = {
@@ -689,7 +713,7 @@ def _assemble_branch(branch, branch_ix, pred: _Prediction, schedule, grid, table
         quad=quad, lin=lin, const=const,
         A_ub=np.vstack([A_stl, A_epi, A_in]), b_ub=np.concatenate([b_stl, b_epi, b_in]),
         layout=layout,
-        row_kinds=tuple(["stl"] * len(points) + ["epigraph"] * A_epi.shape[0] + in_kinds),
+        row_kinds=tuple(["stl"] * A_stl.shape[0] + ["epigraph"] * A_epi.shape[0] + in_kinds),
         stl_row_info=stl_row_info, n_predicates=table.size, cost_pred_mass=cost_pred_mass,
         epigraph_pred_mass=epigraph_pred_mass, branch=branch_ix, debug=debug)
 
@@ -764,12 +788,12 @@ def build_sr_baseline(phi: Formula, system, table: PredicateTable, config: Contr
 
     pred = _predict(phi, system, table, config, k0, state_history)
     layout = VariableLayout(1, pred.N, pred.m)
-    points = _sat_points([(g, None) for g in gs], pred.anchors, None, system.grid)
+    points = _sat_points([_psi_terms(g, None, pred.anchors, None, system.grid) for g in gs])
     A_stl, b_stl, stl_row_info = _stl_rows(pred, points, layout)
     A_stl[:, 0] = 1.0
     # rows at recorded steps have no input terms; writing +0 there rather
     # than -0 keeps the baseline's dump_problem text stable
-    A_stl[[i for i, (k, _) in enumerate(points) if k <= k0], layout.u_slice] = 0.0
+    A_stl[points[0] <= k0, layout.u_slice] = 0.0
     A_in, b_in, in_kinds, quad = _input_rows(pred, config, layout, input_history)
 
     lin = np.zeros(layout.total)
@@ -777,7 +801,7 @@ def build_sr_baseline(phi: Formula, system, table: PredicateTable, config: Contr
     return QpProblem(
         quad=quad, lin=lin, const=0.0,
         A_ub=np.vstack([A_stl, A_in]), b_ub=np.concatenate([b_stl, b_in]),
-        layout=layout, row_kinds=tuple(["stl"] * len(points) + in_kinds),
+        layout=layout, row_kinds=tuple(["stl"] * A_stl.shape[0] + in_kinds),
         stl_row_info=stl_row_info, n_predicates=table.size, cost_pred_mass=np.zeros(table.size))
 
 

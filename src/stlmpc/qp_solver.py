@@ -14,12 +14,18 @@ divergence direction of the dual iterates.
 
 The implementation is deliberately dense: the intended problems have at most
 a few hundred variables, where one LU factorization of the KKT matrix per
-step-size update is cheap.
+step-size update is cheap.  With a fixed step size that is one
+factorization per solve, so the set-up around it is kept lean: the Ruiz
+equilibration skips every quadratic term when the problem is a linear
+program (a zero P stays zero under scaling), KKT matrices are written into
+one preallocated array, and the data norms the convergence, infeasibility
+and polishing checks use are taken once per solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -54,26 +60,35 @@ def _ruiz_equilibrate(P, q, A, b, iters: int = 10):
 
     The cost vector participates in the column norms: a variable that only
     appears in the objective (e.g. a heavily weighted slack) would otherwise
-    keep its raw scale and stall the first-order iteration.
+    keep its raw scale and stall the first-order iteration.  A zero P (every
+    linear program) stays zero under scaling, so its terms are skipped.
     """
     n = P.shape[0]
     mrows = A.shape[0]
     d = np.ones(n)
     e = np.ones(mrows)
-    Ps, qs, As, bs = P.copy(), q.copy(), A.copy(), b.copy()
+    # column-major: both norm reductions and the row scaling then run along
+    # contiguous memory (faster than row-major, same values)
+    Ps, qs, As, bs = P.copy(), q.copy(), np.array(A, order="F"), b.copy()
+    quadratic = np.any(P)
     for _ in range(iters):
-        col_norm = np.maximum(np.abs(Ps).max(axis=0, initial=0.0),
-                              np.abs(As).max(axis=0, initial=0.0))
+        abs_A = np.abs(As)
+        col_norm = abs_A.max(axis=0, initial=0.0)
+        if quadratic:
+            col_norm = np.maximum(np.abs(Ps).max(axis=0, initial=0.0), col_norm)
         col_norm = np.maximum(col_norm, np.abs(qs))
         col_norm[col_norm == 0] = 1.0
         dd = 1.0 / np.sqrt(col_norm)
-        row_norm = np.abs(As).max(axis=1, initial=0.0)
+        row_norm = abs_A.max(axis=1, initial=0.0)
         row_norm[row_norm == 0] = 1.0
         ee = 1.0 / np.sqrt(row_norm)
-        Ps = Ps * dd[:, None] * dd[None, :]
-        qs = qs * dd
-        As = As * ee[:, None] * dd[None, :]
-        bs = bs * ee
+        if quadratic:
+            Ps *= dd[:, None]
+            Ps *= dd[None, :]
+        qs *= dd
+        As *= ee[:, None]
+        As *= dd[None, :]
+        bs *= ee
         d *= dd
         e *= ee
     cost_scale = max(np.abs(Ps).max(initial=0.0), np.abs(qs).max(initial=0.0))
@@ -81,7 +96,32 @@ def _ruiz_equilibrate(P, q, A, b, iters: int = 10):
     return Ps * cost, qs * cost, As, bs, d, e, cost
 
 
-def _polish(P, q, A, b, x, y, feas_tol: float):
+def _kkt(P, reg: float, A, diag: float, off: float = 0.0) -> np.ndarray:
+    """KKT matrix [[P + reg I, A'], [A, diag I]] written into one array.
+
+    ``off`` fills the rest of the bottom-right block: the splitting matrix's
+    block -I / rho holds -0.0 there, the polishing matrix's zero block +0.0.
+    """
+    n, m = P.shape[0], A.shape[0]
+    kkt = np.empty((n + m, n + m))
+    np.add(P, reg * np.eye(n), out=kkt[:n, :n])
+    kkt[:n, n:] = A.T
+    kkt[n:, :n] = A
+    kkt[n:, n:] = off
+    np.fill_diagonal(kkt[n:, n:], diag)
+    return kkt
+
+
+class _Scales(NamedTuple):
+    """max(1, inf-norm) of each part of the unscaled problem, fixed for one solve."""
+
+    P: float
+    q: float
+    A: float
+    b: float
+
+
+def _polish(P, q, A, b, x, y, feas_tol: float, scales: _Scales):
     """Equality solve on the estimated active set; None when not verifiable.
 
     A verified result satisfies the full KKT system (stationarity, primal
@@ -89,22 +129,19 @@ def _polish(P, q, A, b, x, y, feas_tol: float):
     certifies global optimality of the convex problem.
     """
     n = P.shape[0]
-    scale = max(1.0, float(np.abs(b).max(initial=0.0)))
-    dual_scale = max(1.0, float(np.abs(q).max(initial=0.0)))
     # proximal anchor keeps directions the active rows leave free at the
     # splitting iterate, which matters on degenerate (non-vertex) optima
-    mu = 1e-9 * max(1.0, float(np.abs(P).max(initial=0.0)))
+    mu = 1e-9 * scales.P
     slack = b - A @ x if A.size else np.zeros(0)
     tried: set[tuple[int, ...]] = set()
-    for active_tol in (1e-7 * scale, 1e-5 * scale, 1e-9 * scale):
+    for active_tol in (1e-7 * scales.b, 1e-5 * scales.b, 1e-9 * scales.b):
         active = np.flatnonzero((slack <= active_tol) | (y > active_tol))
         key = tuple(active)
         if key in tried:
             continue
         tried.add(key)
         A_act = A[active]
-        kkt = np.block([[P + mu * np.eye(n), A_act.T],
-                        [A_act, np.zeros((len(active), len(active)))]])
+        kkt = _kkt(P, mu, A_act, 0.0)
         rhs = np.concatenate([-q + mu * x, b[active]])
         try:
             sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
@@ -118,8 +155,8 @@ def _polish(P, q, A, b, x, y, feas_tol: float):
         viol = float(resid.max(initial=0.0))
         stationarity = float(np.abs(P @ x_hat + q + A.T @ y_hat).max(initial=0.0))
         complementarity = float(np.abs(y_hat * resid).max(initial=0.0))
-        if (viol <= feas_tol and stationarity <= 1e-7 * dual_scale
-                and complementarity <= 1e-7 * dual_scale * scale):
+        if (viol <= feas_tol and stationarity <= 1e-7 * scales.q
+                and complementarity <= 1e-7 * scales.q * scales.b):
             return x_hat, y_hat
     return None
 
@@ -167,14 +204,8 @@ def solve(problem: QpProblem, settings: SolverSettings | None = None) -> QpSolut
     rho = settings.rho
     alpha = settings.alpha
 
-    def factor(rho_val: float):
-        kkt = np.block([
-            [Ps + sigma * np.eye(n), As.T],
-            [As, -np.eye(mrows) / rho_val],
-        ])
-        return scipy.linalg.lu_factor(kkt, check_finite=False)
-
-    lu, piv = factor(rho)
+    lu, piv = scipy.linalg.lu_factor(_kkt(Ps, sigma, As, -1.0 / rho, off=-0.0),
+                                     check_finite=False)
     # LAPACK's getrs directly: scipy.linalg.lu_solve calls the same routine
     # but its per-call argument handling costs more than the solve itself
     getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
@@ -184,13 +215,12 @@ def solve(problem: QpProblem, settings: SolverSettings | None = None) -> QpSolut
     y_unscaled_prev = np.zeros(mrows)
     x_unscaled_prev = np.zeros(n)
     last_polish = -10**9
-    b_scale = max(1.0, float(np.abs(b).max(initial=0.0)))
+    q_max = float(np.abs(q).max(initial=0.0))
+    scales = _Scales(*(max(1.0, float(np.abs(v).max(initial=0.0))) for v in (P, q, A, b)))
 
     status = "iteration-limit"
     iters_done = settings.max_iterations
     r_prim = r_dual = np.nan
-
-    q_norm = max(1.0, float(np.abs(q).max(initial=0.0)))
 
     for it in range(1, settings.max_iterations + 1):
         rhs = np.concatenate([sigma * x - qs, z - y / rho])
@@ -217,15 +247,14 @@ def solve(problem: QpProblem, settings: SolverSettings | None = None) -> QpSolut
             eps_prim = settings.abs_tol + settings.rel_tol * max(
                 np.abs(Ax).max(initial=0.0), np.abs(z_u).max(initial=0.0))
             eps_dual = settings.abs_tol + settings.rel_tol * max(
-                np.abs(P @ x_u).max(initial=0.0), np.abs(q).max(initial=0.0),
-                np.abs(A.T @ y_u).max(initial=0.0))
+                np.abs(P @ x_u).max(initial=0.0), q_max, np.abs(A.T @ y_u).max(initial=0.0))
 
             # opportunistic polish once the iterates are roughly converged;
             # the strict KKT verification inside _polish keeps this safe
-            roughly = r_prim <= 1e-2 * b_scale and r_dual <= 1e4 * eps_dual
+            roughly = r_prim <= 1e-2 * scales.b and r_dual <= 1e4 * eps_dual
             if roughly and it - last_polish >= 100:
                 last_polish = it
-                polished = _polish(P, q, A, b, x_u, y_u, feas_tol)
+                polished = _polish(P, q, A, b, x_u, y_u, feas_tol, scales)
                 if polished is not None:
                     x_final, y_final = polished
                     status, iters_done = "optimal", it
@@ -243,8 +272,8 @@ def solve(problem: QpProblem, settings: SolverSettings | None = None) -> QpSolut
             dy_pos = np.maximum(dy, 0.0)
             dy_norm = float(np.abs(dy_pos).max(initial=0.0))
             if dy_norm > settings.infeasibility_tol:
-                if (np.abs(A.T @ dy_pos).max(initial=0.0) <= 1e-6 * dy_norm * max(1.0, np.abs(A).max())
-                        and float(b @ dy_pos) < -1e-8 * dy_norm * max(1.0, np.abs(b).max(initial=0.0))):
+                if (np.abs(A.T @ dy_pos).max(initial=0.0) <= 1e-6 * dy_norm * scales.A
+                        and float(b @ dy_pos) < -1e-8 * dy_norm * scales.b):
                     status, iters_done = "infeasible", it
                     x_final, y_final = x_u, y_u
                     break
@@ -254,10 +283,9 @@ def solve(problem: QpProblem, settings: SolverSettings | None = None) -> QpSolut
             dx = x_u - x_unscaled_prev
             dx_norm = float(np.abs(dx).max(initial=0.0))
             if dx_norm > settings.infeasibility_tol:
-                a_scale = max(1.0, float(np.abs(A).max()))
-                if (np.abs(P @ dx).max(initial=0.0) <= 1e-6 * dx_norm * max(1.0, np.abs(P).max())
-                        and float(q @ dx) < -1e-8 * dx_norm * q_norm
-                        and (A @ dx).max(initial=0.0) <= 1e-6 * dx_norm * a_scale):
+                if (np.abs(P @ dx).max(initial=0.0) <= 1e-6 * dx_norm * scales.P
+                        and float(q @ dx) < -1e-8 * dx_norm * scales.q
+                        and (A @ dx).max(initial=0.0) <= 1e-6 * dx_norm * scales.A):
                     raise SolverError("objective is unbounded along a feasible ray")
             x_unscaled_prev = x_u
 
@@ -266,7 +294,7 @@ def solve(problem: QpProblem, settings: SolverSettings | None = None) -> QpSolut
         y_final = e_scale * y / cost_scale
 
     if status == "iteration-limit":
-        polished = _polish(P, q, A, b, x_final, y_final, feas_tol)
+        polished = _polish(P, q, A, b, x_final, y_final, feas_tol, scales)
         if polished is not None:
             x_final, _ = polished
             status = "optimal"

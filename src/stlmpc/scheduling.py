@@ -13,9 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .stl import SamplingGrid, omega
 
-__all__ = ["Schedule", "ScheduleInfeasibleError", "compute_schedule", "k1_at"]
+__all__ = ["Schedule", "ScheduleInfeasibleError", "compute_schedule", "k1_at", "k1_many"]
 
 
 class ScheduleInfeasibleError(ValueError):
@@ -87,5 +89,28 @@ def k1_at(sched: Schedule, op_index: int, k_prime: int) -> int:
     if k1 > hi:
         raise AssertionError(
             f"baseline grid misses window [{lo}, {hi}] for operator {op_index}; "
+            "this cannot happen for feasible schedules")
+    return k1
+
+
+def k1_many(sched: Schedule, op_index: int, k_primes) -> np.ndarray:
+    """:func:`k1_at` for an array of evaluation steps at once.
+
+    Raises the same error as :func:`k1_at` for the first step whose window
+    the baseline grid misses.
+    """
+    a, b = sched.op_windows[op_index]
+    base = omega(a, b, sched.grid)
+    k_primes = np.asarray(k_primes, dtype=np.int64)
+    lo = k_primes + base[0]
+    hi = k_primes + base[-1]
+    k0 = sched.baselines[op_index]
+    # -((k0 - lo) // delta) is ceil((lo - k0) / delta) in integers
+    k1 = k0 + np.maximum(0, -((k0 - lo) // sched.delta)) * sched.delta
+    miss = np.flatnonzero(k1 > hi)
+    if miss.size:
+        i = miss[0]
+        raise AssertionError(
+            f"baseline grid misses window [{lo[i]}, {hi[i]}] for operator {op_index}; "
             "this cannot happen for feasible schedules")
     return k1

@@ -1,6 +1,7 @@
 """Configuration ingestion, trace files, presets, and command behavior."""
 
 import math
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,16 @@ class TestCommands:
         assert "h_d = 20" in out
         assert "delta = 11" in out
         assert "variables" in out
+
+    @pytest.mark.parametrize("preset", sorted(
+        p.name.removesuffix(".ini") for p in resources.files("stlmpc").joinpath("presets").iterdir()
+        if p.name.endswith(".ini")))
+    def test_check_every_preset(self, preset, capsys):
+        # event-triggered presets compile at their event step, like `run`
+        assert main(["check", preset]) == 0
+        out = capsys.readouterr().out
+        assert "branch 0:" in out
+        assert ("first solved step" in out) == preset.startswith(("two_tank_phi1", "example2"))
 
     def test_monitor_recorded_trace(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

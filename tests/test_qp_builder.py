@@ -30,6 +30,7 @@ from stlmpc import (
     discrete_length,
     eval_bool,
     eval_dsasr,
+    omega,
     solve,
     stack_dynamics,
 )
@@ -71,6 +72,29 @@ class TestStackDynamics:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             stack_dynamics(np.eye(2), np.zeros((3, 1)), np.eye(2), np.zeros(2), N=2)
+
+    @pytest.mark.parametrize("n, m, n_mu, N", [(1, 1, 1, 1), (2, 1, 2, 35), (3, 2, 3, 6)])
+    def test_blocks_match_explicit_powers_exactly(self, n, m, n_mu, N):
+        rng = np.random.default_rng(n * 100 + N)
+        A = rng.normal(size=(n, n)) * 0.6
+        B = rng.normal(size=(n, m))
+        C = rng.normal(size=(n_mu, n))
+        c = rng.normal(size=n_mu)
+        dyn = stack_dynamics(A, B, C, c, N)
+        # reference: block row i is C A^(i+1), block (i, j) is C A^(i-j) B below the diagonal,
+        # with the powers multiplied in the same order as the stacking
+        CA = [C @ A]
+        for _ in range(N - 1):
+            CA.append(CA[-1] @ A)
+        CAB = [C @ B] + [CA[k] @ B for k in range(N - 1)]
+        H2 = np.zeros((N * n_mu, N * m))
+        for i in range(N):
+            for j in range(i + 1):
+                H2[i * n_mu:(i + 1) * n_mu, j * m:(j + 1) * m] = CAB[i - j]
+        assert np.array_equal(dyn.H1, np.vstack(CA))
+        assert np.array_equal(dyn.H2, H2)
+        assert np.array_equal(np.signbit(dyn.H2), np.signbit(H2))
+        assert np.array_equal(dyn.offset, np.tile(c, N))
 
 
 def paper_until_k1(i_k: int) -> int:
@@ -253,9 +277,11 @@ def random_psi_formula(rng: np.random.Generator, n_preds: int):
 class TestCostSemanticsAgreement:
     """The compiled cost equals the summed scheduled-average robustness."""
 
-    @pytest.mark.parametrize("steady", [False, True])
-    def test_random_instances(self, steady):
-        rng = np.random.default_rng(42 if steady else 24)
+    # k0 = 0; 0 < k0 < h_d - 1, where the anchor set still grows; k0 >= h_d
+    @pytest.mark.parametrize("window", ["start", "growing", "steady"])
+    def test_random_instances(self, window):
+        rng = np.random.default_rng({"start": 24, "growing": 33, "steady": 42}[window])
+        checked = 0
         for trial in range(100):
             n_preds = int(rng.integers(1, 4))
             theta = random_psi_formula(rng, n_preds)
@@ -272,7 +298,13 @@ class TestCostSemanticsAgreement:
                 sched = compute_schedule(windows, GRID1) if windows else None
             except Exception:
                 continue
-            k0 = int(rng.integers(h_d, h_d + 3)) if steady else 0
+            if window == "growing":
+                if h_d < 3:
+                    continue
+                k0 = int(rng.integers(1, h_d - 1))
+            else:
+                k0 = int(rng.integers(h_d, h_d + 3)) if window == "steady" else 0
+            checked += 1
 
             # random recorded history and a random future input plan
             u_hist = rng.uniform(-2, 2, size=(k0, 1))
@@ -313,6 +345,66 @@ class TestCostSemanticsAgreement:
                 cost_semantics = sum(
                     eval_dsasr(full, kk, theta, table, sched) for kk in anchors)
                 assert abs(cost_matrix - cost_semantics) <= 1e-8
+        assert checked >= 50
+
+
+def per_anchor_weights(psi, op_index, anchor, sched):
+    """Column weights {(step, predicate): weight} of one conjunct at one anchor, term by term."""
+    weights = {}
+
+    def add(k, p, w):
+        weights[(k, p)] = weights.get((k, p), 0.0) + w
+
+    if isinstance(psi, Always):
+        base = omega(psi.a, psi.b, GRID1)
+        for k in base:
+            add(anchor + k, psi.child.pred_id, 1.0 / len(base))
+    elif isinstance(psi, Eventually):
+        add(sched.k1_at(op_index, anchor), psi.child.pred_id, 1.0)
+    else:
+        k1 = sched.k1_at(op_index, anchor)
+        for k in range(anchor, k1 + 1):
+            add(k, psi.left.pred_id, 0.5 / (k1 - anchor + 1))
+        add(k1, psi.right.pred_id, 0.5)
+    return weights
+
+
+class TestArrayAssembly:
+    """E matrices and satisfaction rows equal a per-anchor loop, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_matches_per_anchor_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        for trial in range(60):
+            n_preds = int(rng.integers(1, 4))
+            conjuncts = [random_psi_formula(rng, n_preds) for _ in range(int(rng.integers(1, 4)))]
+            theta = And(tuple(conjuncts)) if len(conjuncts) > 1 else conjuncts[0]
+            windows = collect_event_ops(theta)
+            try:
+                sched = compute_schedule(windows, GRID1) if windows else None
+            except Exception:
+                continue
+            system = random_system(rng)
+            table = PredicateTable(rng.normal(size=(n_preds, 2)), rng.normal(size=n_preds))
+            h_d = discrete_length(theta, GRID1)
+            N = h_d + int(rng.integers(0, 3))
+            k0 = int(rng.integers(0, 2 * h_d + 2))
+            u_hist = rng.uniform(-2, 2, size=(k0, 1))
+            history = rollout(system.A, system.B, system.x0, u_hist, GRID1).states
+            p = build_problem(theta, system, table, ControlConfig(horizon=N), k0=k0,
+                              state_history=history, input_history=u_hist, schedule=sched)[0]
+            anchors, t_lo = p.debug["anchors"], p.debug["t_lo"]
+            points = {}
+            op_index = 0
+            for psi, E_j in zip(conjuncts, p.debug["E_per_conjunct"]):
+                E_ref = np.zeros_like(E_j)
+                for i, anchor in enumerate(anchors):
+                    for (k, pid), w in per_anchor_weights(psi, op_index, anchor, sched).items():
+                        E_ref[i, (k - t_lo) * n_preds + pid] += w
+                        points.setdefault((pid, k))
+                assert np.array_equal(E_j, E_ref)
+                op_index += len(collect_event_ops(psi))
+            assert list(p.stl_row_info.values()) == list(points)
 
 
 class TestConstraintSemanticsAgreement:

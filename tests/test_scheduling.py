@@ -2,7 +2,9 @@
 
 import time
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from stlmpc import (
     SamplingGrid,
@@ -12,6 +14,7 @@ from stlmpc import (
     k1_at,
     omega,
 )
+from stlmpc.scheduling import k1_many
 
 GRID1 = SamplingGrid(1.0)
 
@@ -107,3 +110,36 @@ class TestScheduleProperties:
         for i in range(s.n_ops):
             for k in range(3 * s.delta):
                 assert s.k1_at(i, k + s.delta) == s.k1_at(i, k) + s.delta
+
+
+class TestVectorisedWitness:
+    @settings(max_examples=300, deadline=None)
+    @given(windows=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)),
+                            min_size=1, max_size=3),
+           T=st.sampled_from([1.0, 2.0, 3.0, 12.0]),
+           first=st.integers(-60, 60), count=st.integers(0, 40), op=st.integers(0, 2))
+    def test_matches_scalar_lookup(self, windows, T, first, count, op):
+        grid = SamplingGrid(T)
+        windows = [(a * T / 2, (a + b) * T / 2) for a, b in windows]
+        try:
+            s = compute_schedule(windows, grid)
+        except ValueError:  # includes ScheduleInfeasibleError
+            assume(False)
+        op %= s.n_ops
+        anchors = np.arange(first, first + count)
+        # anchors below the first baseline can leave the grid: the vectorised
+        # lookup must raise the scalar lookup's error for the first such anchor
+        expected, error = [], None
+        for k in anchors.tolist():
+            try:
+                expected.append(k1_at(s, op, k))
+            except AssertionError as exc:
+                error = str(exc)
+                break
+        if error is None:
+            got = k1_many(s, op, anchors)
+            assert got.tolist() == expected
+        else:
+            with pytest.raises(AssertionError) as info:
+                k1_many(s, op, anchors)
+            assert str(info.value) == error
