@@ -271,23 +271,21 @@ def _emit_plot_script(csv_path: Path, n: int, m: int) -> None:
 
 def read_trace(path: str | Path):
     """Read an emitted CSV back into (states, inputs, noises, statuses, objectives)."""
-    states, inputs, noises, statuses, objectives = [], [], [], [], []
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        n = sum(1 for h in header if h.startswith("x"))
-        m = sum(1 for h in header if h.startswith("u"))
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            states.append([float(v) for v in parts[2:2 + n]])
-            inputs.append([float(v) for v in parts[2 + n:2 + n + m]])
-            noises.append([float(v) for v in parts[2 + n + m:2 + n + m + n]])
-            statuses.append(parts[2 + 2 * n + m])
-            objectives.append(float(parts[3 + 2 * n + m]))
-    return (np.array(states), np.array(inputs), np.array(noises),
-            tuple(statuses), np.array(objectives))
+        body = fh.read()
+    n = sum(1 for h in header if h.startswith("x"))
+    m = sum(1 for h in header if h.startswith("u"))
+    rows = [line.split(",") for raw in body.split("\n")
+            if (line := raw.strip()) and not line.startswith("#")]
+    if not rows:
+        return np.array([]), np.array([]), np.array([]), (), np.array([])
+    status = 2 + 2 * n + m
+    statuses = tuple(r[status] for r in rows)
+    # states, inputs, noises, objective: every numeric column after k and t
+    values = np.array([r[2:status] + r[status + 1:status + 2] for r in rows], dtype=float)
+    return (values[:, :n].copy(), values[:, n:n + m].copy(), values[:, n + m:status - 2].copy(),
+            statuses, values[:, status - 2].copy())
 
 
 # ---------------------------------------------------------------------------

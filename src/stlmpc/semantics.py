@@ -11,6 +11,20 @@ Five readouts are provided:
 * :func:`prd`         -- sum of same-sign predicate margins over each
   predicate's domain of influence.
 
+Evaluation is array-at-a-time.  The recursion runs over the formula tree,
+not over time: each node is evaluated once, as a numpy array over every
+anchor (evaluation step) it is needed at.  A temporal window becomes one
+vector operation per window offset, and an until keeps a running prefix of
+its left operand that is combined with the right operand at each offset of
+the window.  The results are bit-identical to applying the definitions one
+anchor at a time with Python floats:
+
+* min/max folds keep the first of equal operands, as Python's ``min`` and
+  ``max`` do (``np.where(v < acc, v, acc)``); this decides the sign of a
+  zero result and which NaN survives;
+* every mean is accumulated left to right, one term at a time, starting
+  from ``0.0`` (so a leading -0.0 becomes +0.0), never pairwise.
+
 All functions are pure and operate on immutable inputs.
 """
 
@@ -18,10 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
+from .scheduling import Schedule, k1_many
 from .stl import (
     AllTime,
     Always,
@@ -38,6 +53,7 @@ from .stl import (
     Until,
     discrete_length,
     event_index,
+    iter_nodes,
     omega,
     predicate_ids,
 )
@@ -97,13 +113,13 @@ class RobustnessReadout:
 K1Provider = Union[Callable[[int, int], int], "object"]
 
 
-def _window(node, k: int, grid: SamplingGrid) -> range:
-    """Indices of the node's temporal window anchored at step k."""
+def _offsets(node, grid: SamplingGrid) -> range:
+    """Offsets of the node's temporal window from its anchor."""
     base = omega(node.a, node.b, grid)
     if len(base) == 0:
         raise ValueError(
             f"interval [{node.a}, {node.b}] contains no multiple of T={grid.T}")
-    return range(k + base.start, k + base.stop)
+    return base
 
 
 def _check_horizon(sig: Signal, k: int, f: Formula) -> None:
@@ -119,6 +135,19 @@ def _check_horizon(sig: Signal, k: int, f: Formula) -> None:
         raise SignalTooShortError(
             f"evaluating at k={k} needs samples up to k={k + need}, "
             f"signal ends at k={sig.last_index}")
+
+
+def _root(f: Formula, k: int, last: int, grid: SamplingGrid) -> tuple[Formula, int, int]:
+    """Unwrapped formula, first anchor and anchor count of an evaluation at k.
+
+    All-time wrappers are anchored at every step from k on whose evaluation
+    window ends by ``last``; one-time wrappers at the event instant.
+    """
+    if isinstance(f, AllTime):
+        return f.child, k, last - discrete_length(f.child, grid) + 1 - k
+    if isinstance(f, OneTime):
+        return f.child, event_index(f, grid), 1
+    return f, k, 1
 
 
 def _op_paths(f: Formula) -> dict[tuple, int]:
@@ -145,7 +174,115 @@ def _op_paths(f: Formula) -> dict[tuple, int]:
 
 
 # ---------------------------------------------------------------------------
-# Boolean satisfaction
+# Folds with Python's operand order
+
+
+def _min(acc: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Elementwise ``min(acc, v)``: acc unless v is strictly smaller."""
+    return np.where(v < acc, v, acc)
+
+
+def _max(acc: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Elementwise ``max(acc, v)``: acc unless v is strictly larger."""
+    return np.where(v > acc, v, acc)
+
+
+def _first_min(v: np.ndarray) -> float:
+    """``min(v)`` over a 1-D array in order: a leading NaN sticks, later NaNs
+    are skipped, and of equal minima (+0.0 and -0.0) the first is kept."""
+    i = int(np.argmin(v))       # the first minimum, or the first NaN
+    if i and v[i] != v[i]:
+        i = int(np.argmax(v == np.fmin.reduce(v)))
+    return float(v[i])
+
+
+def _sum(parts) -> float:
+    """Left-to-right sum of the arrays' elements, starting from 0.0."""
+    return float(np.cumsum(np.concatenate(([0.0], *parts)))[-1])
+
+
+def _column(z: np.ndarray, pred_id: int, lo: int, n: int) -> np.ndarray:
+    """Predicate values at steps lo .. lo+n-1."""
+    if lo + n > z.shape[0]:
+        raise IndexError(f"index {z.shape[0]} is out of bounds for axis 0 with size {z.shape[0]}")
+    return z[lo:lo + n, pred_id]
+
+
+# ---------------------------------------------------------------------------
+# Boolean satisfaction, space robustness and average space robustness
+
+
+class _Semantics(NamedTuple):
+    """How one readout maps the operators onto array operations."""
+
+    leaf: Callable[[np.ndarray], np.ndarray]    # predicate values -> node values
+    neg: Callable[[np.ndarray], np.ndarray]
+    meet: Callable[[np.ndarray, np.ndarray], np.ndarray]    # and, always
+    join: Callable[[np.ndarray, np.ndarray], np.ndarray]    # or, eventually, until
+    top: bool | float       # value of true
+    bottom: bool | float    # value of an until before any witness
+    averaged: bool          # always-windows and until left operands use means
+
+
+_BOOL = _Semantics(lambda z: z >= 0.0, np.logical_not, np.logical_and, np.logical_or,
+                   True, False, False)
+_SR = _Semantics(lambda z: z, np.negative, _min, _max, math.inf, -math.inf, False)
+_DASR = _SR._replace(averaged=True)
+
+
+def _eval(g: Formula, lo: int, n: int, z: np.ndarray, grid: SamplingGrid,
+          sem: _Semantics) -> np.ndarray:
+    """Values of g at the anchors lo .. lo+n-1.
+
+    Children are evaluated in the order the definitions visit them, so the
+    first malformed node raises the same error a time recursion would.
+    """
+    if isinstance(g, TrueNode):
+        return np.full(n, sem.top)
+    if isinstance(g, Pred):
+        return sem.leaf(_column(z, g.pred_id, lo, n))
+    if isinstance(g, Not):
+        return sem.neg(_eval(g.child, lo, n, z, grid, sem))
+    if isinstance(g, (And, Or)):
+        fold = sem.meet if isinstance(g, And) else sem.join
+        acc = _eval(g.children[0], lo, n, z, grid, sem)
+        for ch in g.children[1:]:
+            acc = fold(acc, _eval(ch, lo, n, z, grid, sem))
+        return acc
+    if isinstance(g, Until):
+        win = _offsets(g, grid)
+        span = n + win[-1] - win.start
+        if sem.averaged:
+            left = _eval(g.left, lo, n + win[-1], z, grid, sem)
+            right = _eval(g.right, lo + win.start, span, z, grid, sem)
+            held = 0.0 + left[:n]
+        else:
+            right = _eval(g.right, lo + win.start, span, z, grid, sem)
+            left = _eval(g.left, lo, n + win[-1], z, grid, sem)
+            held = left[:n]
+        best = np.full(n, sem.bottom)
+        for j in range(win.stop):
+            if j:
+                held = held + left[j:j + n] if sem.averaged else sem.meet(held, left[j:j + n])
+            if j >= win.start:
+                r = right[j - win.start:j - win.start + n]
+                cand = 0.5 * (held / (j + 1) + r) if sem.averaged else sem.meet(r, held)
+                best = sem.join(best, cand)
+        return best
+    if isinstance(g, (Eventually, Always)):
+        win = _offsets(g, grid)
+        child = _eval(g.child, lo + win.start, n + win[-1] - win.start, z, grid, sem)
+        if isinstance(g, Always) and sem.averaged:
+            total = 0.0 + child[:n]
+            for j in range(1, len(win)):
+                total = total + child[j:j + n]
+            return total / len(win)
+        fold = sem.join if isinstance(g, Eventually) else sem.meet
+        acc = child[:n]
+        for j in range(1, len(win)):
+            acc = fold(acc, child[j:j + n])
+        return acc
+    raise TypeError(f"not a formula node: {g!r}")
 
 
 def eval_bool(sig: Signal, k: int, f: Formula, table: PredicateTable) -> bool:
@@ -153,131 +290,168 @@ def eval_bool(sig: Signal, k: int, f: Formula, table: PredicateTable) -> bool:
 
     All-time wrappers are checked at every step whose evaluation window the
     signal still covers; one-time wrappers are checked at the event instant.
+    Every node is evaluated, so an empty window or a node that is not a
+    formula raises even where a short-circuiting and/or would not reach it
+    (:func:`~stlmpc.stl.validate_windows` rejects such formulas up front).
     """
     _check_horizon(sig, k, f)
     z = sig.predicate_values(table)
-    grid = sig.grid
-
-    def rec(g: Formula, kk: int) -> bool:
-        if isinstance(g, TrueNode):
-            return True
-        if isinstance(g, Pred):
-            return z[kk, g.pred_id] >= 0.0
-        if isinstance(g, Not):
-            return not rec(g.child, kk)
-        if isinstance(g, And):
-            return all(rec(ch, kk) for ch in g.children)
-        if isinstance(g, Or):
-            return any(rec(ch, kk) for ch in g.children)
-        if isinstance(g, Until):
-            for k1 in _window(g, kk, grid):
-                if rec(g.right, k1) and all(rec(g.left, k2) for k2 in range(kk, k1 + 1)):
-                    return True
-            return False
-        if isinstance(g, Eventually):
-            return any(rec(g.child, k1) for k1 in _window(g, kk, grid))
-        if isinstance(g, Always):
-            return all(rec(g.child, k1) for k1 in _window(g, kk, grid))
-        raise TypeError(f"not a formula node: {g!r}")
-
-    if isinstance(f, AllTime):
-        hd = discrete_length(f.child, grid)
-        return all(rec(f.child, kk) for kk in range(k, sig.last_index - hd + 1))
     if isinstance(f, OneTime):
-        ke = event_index(f, grid)
+        ke = event_index(f, sig.grid)
         if ke < k:
             raise ValueError(f"event index {ke} lies before evaluation index {k}")
-        return rec(f.child, ke)
-    return rec(f, k)
-
-
-# ---------------------------------------------------------------------------
-# Space robustness
+    g, lo, n = _root(f, k, sig.last_index, sig.grid)
+    return bool(_eval(g, lo, n, z, sig.grid, _BOOL).all())
 
 
 def eval_sr(sig: Signal, k: int, f: Formula, table: PredicateTable) -> float:
     """Min/max quantitative semantics; positive values certify satisfaction."""
     _check_horizon(sig, k, f)
     z = sig.predicate_values(table)
-    grid = sig.grid
-
-    def rec(g: Formula, kk: int) -> float:
-        if isinstance(g, TrueNode):
-            return math.inf
-        if isinstance(g, Pred):
-            return float(z[kk, g.pred_id])
-        if isinstance(g, Not):
-            return -rec(g.child, kk)
-        if isinstance(g, And):
-            return min(rec(ch, kk) for ch in g.children)
-        if isinstance(g, Or):
-            return max(rec(ch, kk) for ch in g.children)
-        if isinstance(g, Until):
-            best = -math.inf
-            for k1 in _window(g, kk, grid):
-                cand = min(rec(g.right, k1),
-                           min(rec(g.left, k2) for k2 in range(kk, k1 + 1)))
-                best = max(best, cand)
-            return best
-        if isinstance(g, Eventually):
-            return max(rec(g.child, k1) for k1 in _window(g, kk, grid))
-        if isinstance(g, Always):
-            return min(rec(g.child, k1) for k1 in _window(g, kk, grid))
-        raise TypeError(f"not a formula node: {g!r}")
-
-    if isinstance(f, AllTime):
-        hd = discrete_length(f.child, grid)
-        return min(rec(f.child, kk) for kk in range(k, sig.last_index - hd + 1))
-    if isinstance(f, OneTime):
-        return rec(f.child, event_index(f, grid))
-    return rec(f, k)
-
-
-# ---------------------------------------------------------------------------
-# Average space robustness
+    g, lo, n = _root(f, k, sig.last_index, sig.grid)
+    return _first_min(_eval(g, lo, n, z, sig.grid, _SR))
 
 
 def eval_dasr(sig: Signal, k: int, f: Formula, table: PredicateTable) -> float:
     """Averaged semantics: always-windows and until left operands use means."""
     _check_horizon(sig, k, f)
     z = sig.predicate_values(table)
-    grid = sig.grid
-
-    def rec(g: Formula, kk: int) -> float:
-        if isinstance(g, TrueNode):
-            return math.inf
-        if isinstance(g, Pred):
-            return float(z[kk, g.pred_id])
-        if isinstance(g, Not):
-            return -rec(g.child, kk)
-        if isinstance(g, And):
-            return min(rec(ch, kk) for ch in g.children)
-        if isinstance(g, Or):
-            return max(rec(ch, kk) for ch in g.children)
-        if isinstance(g, Until):
-            best = -math.inf
-            for k1 in _window(g, kk, grid):
-                left_avg = sum(rec(g.left, k2) for k2 in range(kk, k1 + 1)) / (k1 - kk + 1)
-                best = max(best, 0.5 * (left_avg + rec(g.right, k1)))
-            return best
-        if isinstance(g, Eventually):
-            return max(rec(g.child, k1) for k1 in _window(g, kk, grid))
-        if isinstance(g, Always):
-            win = _window(g, kk, grid)
-            return sum(rec(g.child, k1) for k1 in win) / len(win)
-        raise TypeError(f"not a formula node: {g!r}")
-
-    if isinstance(f, AllTime):
-        hd = discrete_length(f.child, grid)
-        anchors = range(k, sig.last_index - hd + 1)
-        return sum(rec(f.child, kk) for kk in anchors) / len(anchors)
-    if isinstance(f, OneTime):
-        return rec(f.child, event_index(f, grid))
-    return rec(f, k)
+    g, lo, n = _root(f, k, sig.last_index, sig.grid)
+    with np.errstate(all="ignore"):
+        vals = _eval(g, lo, n, z, sig.grid, _DASR)
+        return _sum([vals]) / n if isinstance(f, AllTime) else float(vals[0])
 
 
 # ---------------------------------------------------------------------------
 # Scheduled average space robustness
+
+
+def _witnesses(schedule, k1_of, op: int, anchors: np.ndarray):
+    """Witness instants of operator ``op`` at the anchors, in order, up to the
+    first consultation that raises; returns (instants, exception or None)."""
+    if isinstance(schedule, Schedule):
+        try:
+            return k1_many(schedule, op, anchors), None
+        except (AssertionError, IndexError):
+            pass        # find the failing anchor one consultation at a time
+    k1: list[int] = []
+    for kk in anchors.tolist():
+        try:
+            k1.append(int(k1_of(op, kk)))
+        except Exception as exc:    # a caller-supplied schedule; re-raised in visit order
+            return np.array(k1, dtype=np.int64), exc
+    return np.array(k1, dtype=np.int64), None
+
+
+def _has_witness(g: Formula) -> bool:
+    return any(isinstance(node, (Until, Eventually)) for node in iter_nodes(g))
+
+
+class _Scheduled:
+    """dsasr values at anchor arrays, with witnesses from a schedule.
+
+    Each element of an anchor array is one visit of the node by the
+    definitions' depth-first evaluation.  ``chain(i)`` gives visit i's
+    position in that order, (anchor, child, anchor, child, ..., anchor) from
+    the root; it is built only to report an error.  Errors found along the
+    way are kept, and the one with the earliest position is raised, so it is
+    the error evaluating the definitions visit by visit meets first.  An
+    error's key is its visit's position followed by -2 (consulting the
+    schedule) or -1 (checking a window or the node itself), so it sorts
+    before the visits of the node's children, which are numbered from 0.
+    """
+
+    def __init__(self, z: np.ndarray, grid: SamplingGrid, paths: dict[tuple, int],
+                 schedule, k1_of):
+        self.z, self.grid, self.paths = z, grid, paths
+        self.schedule, self.k1_of = schedule, k1_of
+        self.errors: list[tuple[tuple, BaseException]] = []
+
+    def first(self, key: tuple, exc: BaseException) -> BaseException:
+        return min(self.errors + [(key, exc)], key=lambda e: e[0])[1]
+
+    def eval(self, g: Formula, at: np.ndarray, path: tuple, chain) -> np.ndarray:
+        """Values of g at the anchors ``at`` (1-D, in visit order)."""
+        if at.size == 0:
+            return np.zeros(0)
+        if not _has_witness(g):
+            # without witnesses below, dsasr is dasr: evaluate over the anchors' span
+            lo = int(at.min())
+            try:
+                vals = _eval(g, lo, int(at.max()) - lo + 1, self.z, self.grid, _DASR)
+            except (ValueError, TypeError, IndexError) as exc:
+                raise self.first(chain(0) + (-1,), exc) from None
+            return vals[at - lo]
+        if isinstance(g, (Not, And, Or)):
+            kids = (g.child,) if isinstance(g, Not) else g.children
+            vals = [self.eval(ch, at, path + (i,),
+                              lambda j, i=i: chain(j) + (i, int(at[j])))
+                    for i, ch in enumerate(kids)]
+            if isinstance(g, Not):
+                return -vals[0]
+            fold = _min if isinstance(g, And) else _max
+            acc = vals[0]
+            for v in vals[1:]:
+                acc = fold(acc, v)
+            return acc
+        if isinstance(g, Always):
+            try:
+                win = _offsets(g, self.grid)
+            except ValueError as exc:
+                raise self.first(chain(0) + (-1,), exc) from None
+            width = len(win)
+            steps = (at[:, None] + np.arange(win.start, win.stop)).ravel()
+            child = self.eval(g.child, steps, path + (0,),
+                              lambda j: chain(j // width) + (0, int(steps[j])))
+            child = child.reshape(at.size, width)
+            total = 0.0 + child[:, 0]
+            for j in range(1, width):
+                total = total + child[:, j]
+            return total / width
+        if isinstance(g, (Eventually, Until)):
+            return self._witnessed(g, at, path, chain)
+        raise self.first(chain(0) + (-1,), TypeError(f"not a formula node: {g!r}"))
+
+    def _witnessed(self, g: Eventually | Until, at: np.ndarray, path: tuple,
+                   chain) -> np.ndarray:
+        k1, exc = _witnesses(self.schedule, self.k1_of, self.paths[path], at)
+        if exc is not None:
+            self.errors.append((chain(len(k1)) + (-2,), exc))
+        try:
+            win = _offsets(g, self.grid)
+        except ValueError as exc:
+            raise self.first(chain(0) + (-1,), exc) from None
+        kk = at[:len(k1)]
+        outside = np.flatnonzero((k1 < kk + win.start) | (k1 > kk + win[-1]))
+        if outside.size:
+            i = int(outside[0])
+            visit = range(int(kk[i]) + win.start, int(kk[i]) + win.stop)
+            self.errors.append((chain(i) + (-1,), ValueError(
+                f"scheduled k1={int(k1[i])} outside window {list(visit)} "
+                f"of operator at {path}")))
+            kk, k1 = kk[:i], k1[:i]
+        out = np.full(at.size, math.nan)
+        if isinstance(g, Eventually):
+            out[:len(k1)] = self.eval(g.child, k1, path + (0,),
+                                      lambda j: chain(j) + (0, int(k1[j])))
+            return out
+        # until: mean of the left operand from the anchor to the witness
+        steps = k1 - kk
+        offs = np.arange(int(steps.max(initial=0)) + 1)
+        reached = offs <= steps[:, None]
+        visits = (kk[:, None] + offs)[reached]
+        left = np.zeros(reached.shape)
+        left[reached] = self.eval(
+            g.left, visits, path + (0,),
+            lambda j: chain(int(np.flatnonzero(reached)[j]) // offs.size) + (0, int(visits[j])))
+        total = 0.0 + left[:, 0]
+        held = total
+        for j in offs[1:]:
+            total = total + left[:, j]
+            held = np.where(steps == j, total, held)
+        right = self.eval(g.right, k1, path + (1,), lambda j: chain(j) + (1, int(k1[j])))
+        out[:len(k1)] = 0.5 * (held / (steps + 1) + right)
+        return out
 
 
 def eval_dsasr(sig: Signal, k: int, f: Formula, table: PredicateTable,
@@ -287,59 +461,74 @@ def eval_dsasr(sig: Signal, k: int, f: Formula, table: PredicateTable,
     ``schedule`` is either a :class:`~stlmpc.scheduling.Schedule` or a
     callable ``(op_index, k) -> k1`` where op_index enumerates the formula's
     eventually/until positions in document order.  Each supplied k1 must lie
-    in the operator's window anchored at the evaluation step.
+    in the operator's window anchored at the evaluation step.  A callable is
+    consulted at each (operator, step) pair the definitions visit.
     """
     _check_horizon(sig, k, f)
     z = sig.predicate_values(table)
-    grid = sig.grid
     paths = _op_paths(f)
     k1_of = schedule.k1_at if hasattr(schedule, "k1_at") else schedule
     if k1_of is None and paths:
         raise ValueError("formula contains eventually/until operators but no schedule given")
-
-    def pick_k1(g, kk: int, path: tuple) -> int:
-        k1 = int(k1_of(paths[path], kk))
-        win = _window(g, kk, grid)
-        if not (win.start <= k1 < win.stop):
-            raise ValueError(
-                f"scheduled k1={k1} outside window {list(win)} of operator at {path}")
-        return k1
-
-    def rec(g: Formula, kk: int, path: tuple) -> float:
-        if isinstance(g, TrueNode):
-            return math.inf
-        if isinstance(g, Pred):
-            return float(z[kk, g.pred_id])
-        if isinstance(g, Not):
-            return -rec(g.child, kk, path + (0,))
-        if isinstance(g, And):
-            return min(rec(ch, kk, path + (i,)) for i, ch in enumerate(g.children))
-        if isinstance(g, Or):
-            return max(rec(ch, kk, path + (i,)) for i, ch in enumerate(g.children))
-        if isinstance(g, Until):
-            k1 = pick_k1(g, kk, path)
-            left_avg = sum(rec(g.left, k2, path + (0,))
-                           for k2 in range(kk, k1 + 1)) / (k1 - kk + 1)
-            return 0.5 * (left_avg + rec(g.right, k1, path + (1,)))
-        if isinstance(g, Eventually):
-            k1 = pick_k1(g, kk, path)
-            return rec(g.child, k1, path + (0,))
-        if isinstance(g, Always):
-            win = _window(g, kk, grid)
-            return sum(rec(g.child, k1, path + (0,)) for k1 in win) / len(win)
-        raise TypeError(f"not a formula node: {g!r}")
-
-    if isinstance(f, AllTime):
-        hd = discrete_length(f.child, grid)
-        anchors = range(k, sig.last_index - hd + 1)
-        return sum(rec(f.child, kk, (0,)) for kk in anchors) / len(anchors)
-    if isinstance(f, OneTime):
-        return rec(f.child, event_index(f, grid), (0,))
-    return rec(f, k, ())
+    g, lo, n = _root(f, k, sig.last_index, sig.grid)
+    ev = _Scheduled(z, sig.grid, paths, schedule, k1_of)
+    with np.errstate(all="ignore"):
+        anchors = np.arange(lo, lo + n)
+        vals = ev.eval(g, anchors, (0,) if g is not f else (), lambda j: (int(anchors[j]),))
+        if ev.errors:
+            raise min(ev.errors, key=lambda e: e[0])[1]
+        return _sum([vals]) / n if isinstance(f, AllTime) else float(vals[0])
 
 
 # ---------------------------------------------------------------------------
 # Domains of influence and predicate robustness degree
+
+
+def _exposure(g: Formula, lo: int, hi: int, grid: SamplingGrid,
+              out: dict[int, list[tuple[int, int]]]) -> None:
+    """Add to ``out[pred_id]`` the step ranges at which each predicate is read
+    when g is evaluated at anchors lo..hi; windows dilate the anchor range."""
+    if isinstance(g, TrueNode):
+        return
+    if isinstance(g, Pred):
+        out.setdefault(g.pred_id, []).append((lo, hi))
+    elif isinstance(g, Not):
+        _exposure(g.child, lo, hi, grid, out)
+    elif isinstance(g, (And, Or)):
+        for ch in g.children:
+            _exposure(ch, lo, hi, grid, out)
+    elif isinstance(g, Until):
+        win = _offsets(g, grid)
+        _exposure(g.left, lo, hi + win[-1], grid, out)
+        _exposure(g.right, lo + win.start, hi + win[-1], grid, out)
+    elif isinstance(g, (Eventually, Always)):
+        win = _offsets(g, grid)
+        _exposure(g.child, lo + win.start, hi + win[-1], grid, out)
+    else:
+        raise TypeError(f"not a formula node: {g!r}")
+
+
+def _domains(f: Formula, k: int, grid: SamplingGrid,
+             horizon: int | None) -> dict[int, np.ndarray]:
+    """Sorted domain of influence of every predicate of f at step k."""
+    if isinstance(f, AllTime) and horizon is None:
+        raise ValueError("all-time formulas need an explicit horizon")
+    g, lo, n = _root(f, k, horizon, grid)
+    if n <= 0:
+        return {}
+    spans: dict[int, list[tuple[int, int]]] = {}
+    _exposure(g, lo, lo + n - 1, grid, spans)
+    out = {}
+    for pid, ranges in spans.items():
+        first = min(a for a, _ in ranges)
+        last = max(b for _, b in ranges)
+        if isinstance(f, AllTime):
+            last = min(last, horizon)
+        mask = np.zeros(max(last - first + 1, 0), dtype=bool)
+        for a, b in ranges:
+            mask[a - first:b - first + 1] = True
+        out[pid] = np.flatnonzero(mask) + first
+    return out
 
 
 def domain_of_influence(f: Formula, k: int, pred_id: int, grid: SamplingGrid,
@@ -353,45 +542,8 @@ def domain_of_influence(f: Formula, k: int, pred_id: int, grid: SamplingGrid,
     """
     if pred_id not in predicate_ids(f):
         raise ValueError(f"predicate id {pred_id} does not occur in the formula")
-
-    def rec(g: Formula, kk: int) -> set[int]:
-        if isinstance(g, TrueNode):
-            return set()
-        if isinstance(g, Pred):
-            return {kk} if g.pred_id == pred_id else set()
-        if isinstance(g, Not):
-            return rec(g.child, kk)
-        if isinstance(g, (And, Or)):
-            out: set[int] = set()
-            for ch in g.children:
-                out |= rec(ch, kk)
-            return out
-        if isinstance(g, Until):
-            win = _window(g, kk, grid)
-            out = set()
-            for k2 in range(kk, win[-1] + 1):
-                out |= rec(g.left, k2)
-            for k1 in win:
-                out |= rec(g.right, k1)
-            return out
-        if isinstance(g, (Eventually, Always)):
-            out = set()
-            for k1 in _window(g, kk, grid):
-                out |= rec(g.child, k1)
-            return out
-        raise TypeError(f"not a formula node: {g!r}")
-
-    if isinstance(f, AllTime):
-        if horizon is None:
-            raise ValueError("all-time formulas need an explicit horizon")
-        hd = discrete_length(f.child, grid)
-        out: set[int] = set()
-        for kk in range(k, horizon - hd + 1):
-            out |= rec(f.child, kk)
-        return tuple(sorted(d for d in out if d <= horizon))
-    if isinstance(f, OneTime):
-        return tuple(sorted(rec(f.child, event_index(f, grid))))
-    return tuple(sorted(rec(f, k)))
+    domain = _domains(f, k, grid, horizon).get(pred_id)
+    return () if domain is None else tuple(domain.tolist())
 
 
 def prd(sig: Signal, f: Formula, k: int, table: PredicateTable,
@@ -403,24 +555,20 @@ def prd(sig: Signal, f: Formula, k: int, table: PredicateTable,
     margins.  Requires a negation-free formula (run :func:`stlmpc.stl.to_pnf`
     first).
     """
-    from .stl import iter_nodes
-
     grid = grid or sig.grid
     if any(isinstance(node, Not) for node in iter_nodes(f)):
         raise ValueError("predicate robustness degree needs a negation-free formula; "
                          "rewrite with to_pnf() first")
     satisfied = eval_bool(sig, k, f, table)
     z = sig.predicate_values(table)
-    total = 0.0
-    for pid in predicate_ids(f):
-        domain = domain_of_influence(f, k, pid, grid, horizon=sig.last_index)
-        for kk in domain:
-            v = float(z[kk, pid])
-            if satisfied and v >= 0.0:
-                total += v
-            elif not satisfied and v < 0.0:
-                total += v
-    return total
+    pids = predicate_ids(f)
+    domains = _domains(f, k, grid, sig.last_index) if pids else {}
+    margins = []
+    for pid in pids:
+        if pid in domains:
+            v = z[domains[pid], pid]
+            margins.append(v[v >= 0.0] if satisfied else v[v < 0.0])
+    return _sum(margins)
 
 
 def robustness_degree_axis(sig: Signal, f: Formula, k: int, table: PredicateTable,
@@ -434,34 +582,29 @@ def robustness_degree_axis(sig: Signal, f: Formula, k: int, table: PredicateTabl
     """
     grid = grid or sig.grid
 
-    def gather(g: Formula, kk: int) -> list[tuple[int, int]]:
+    def leaves(g: Formula) -> list[tuple[int, range]]:
+        """(predicate, window offsets) read at one anchor, in reading order."""
         if isinstance(g, Pred):
-            return [(g.pred_id, kk)]
+            return [(g.pred_id, range(1))]
         if isinstance(g, And):
-            out: list[tuple[int, int]] = []
-            for ch in g.children:
-                out.extend(gather(ch, kk))
-            return out
+            return [leaf for ch in g.children for leaf in leaves(ch)]
         if isinstance(g, Always):
             if not isinstance(g.child, Pred):
                 raise ValueError("unsupported: always-operator over a non-predicate")
-            return [(g.child.pred_id, k1) for k1 in _window(g, kk, grid)]
+            return [(g.child.pred_id, _offsets(g, grid))]
         raise ValueError(
             f"unsupported formula shape for the axis-aligned robustness degree: {type(g).__name__}")
 
-    if isinstance(f, OneTime):
-        pairs = gather(f.child, event_index(f, grid))
-    elif isinstance(f, AllTime):
-        hd = discrete_length(f.child, grid)
-        pairs = []
-        for kk in range(k, sig.last_index - hd + 1):
-            pairs.extend(gather(f.child, kk))
-    else:
-        pairs = gather(f, k)
-
-    for pid in {p for p, _ in pairs}:
+    g, lo, n = _root(f, k, sig.last_index, grid)
+    reads = leaves(g) if n > 0 else []
+    for pid in {pid for pid, _ in reads}:
         if table.unit_axis(pid) is None:
             raise ValueError(f"predicate {table.names[pid]!r} is not axis-aligned with unit normal")
 
     z = sig.predicate_values(table)
-    return min(float(z[kk, pid]) for pid, kk in pairs)
+    if not reads:
+        raise ValueError("min() arg is an empty sequence")
+    # every anchor reads the leaves' windows in order; Python's min keeps the
+    # first of equal minima
+    steps = np.add.outer(np.arange(lo, lo + n), [o for _, offs in reads for o in offs])
+    return min(z[steps, [pid for pid, offs in reads for _ in offs]].ravel().tolist())

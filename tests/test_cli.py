@@ -79,6 +79,42 @@ class TestTraceFiles:
         assert np.array_equal(noises, trace.noises)
         assert statuses == trace.statuses
 
+    @pytest.mark.parametrize("rows", [0, 1, 5])
+    def test_round_trip_is_byte_identical(self, tmp_path, rows):
+        # two states, two inputs, NaN objectives and signed zeros
+        rng = np.random.default_rng(rows)
+        states = rng.normal(size=(rows, 2)) * 1e3
+        states[::2, 1] = -0.0
+        inputs = rng.normal(size=(rows, 2)) * 1e-300
+        inputs[1::2, 0] = -0.0
+        noises = rng.normal(size=(rows, 2))
+        objectives = np.where(np.arange(rows) % 2 == 0, math.nan, -0.0)
+        statuses = tuple(("optimal", "relaxed", "idle")[k % 3] for k in range(rows))
+        trace = Trace(states=states, inputs=inputs, noises=noises, statuses=statuses,
+                      objectives=objectives, grid=SamplingGrid(0.1), snr_db=math.nan,
+                      readout=RobustnessReadout())
+        path = tmp_path / "t.csv"
+        emit_trace(trace, path)
+        got = read_trace(path)
+        if rows == 0:
+            # a header-only file reads back as flat empty arrays
+            expect = (np.array([]),) * 3 + ((), np.array([]))
+        else:
+            expect = (states, inputs, noises, statuses, objectives)
+        assert got[3] == expect[3]
+        for a, b in zip(got[:3] + got[4:], expect[:3] + expect[4:]):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.flags.c_contiguous
+            assert a.tobytes() == b.tobytes()
+
+    def test_empty_file_reads_as_empty_arrays(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        states, inputs, noises, statuses, objectives = read_trace(path)
+        assert statuses == ()
+        for a in (states, inputs, noises, objectives):
+            assert a.shape == (0,) and a.dtype == np.float64
+
     def test_summary_lines_are_comments(self, tmp_path):
         path = tmp_path / "t.csv"
         emit_trace(make_trace(), path)

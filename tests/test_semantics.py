@@ -1,22 +1,30 @@
 """Robustness semantics against spec examples and independent oracles."""
 
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import semantics_reference as oracle
+from stlmpc import semantics
 from stlmpc import (
+    AllTime,
     Always,
     And,
     Eventually,
     Not,
+    OneTime,
     Or,
     Pred,
     PredicateTable,
     SamplingGrid,
+    ScheduleInfeasibleError,
     Signal,
     SignalTooShortError,
+    TrueNode,
     Until,
     collect_event_ops,
     compute_schedule,
@@ -29,7 +37,10 @@ from stlmpc import (
     parse,
     prd,
     robustness_degree_axis,
+    to_pnf,
+    unwrap,
 )
+from stlmpc.stl import omega, predicate_ids
 
 from conftest import (
     bool_direct,
@@ -348,3 +359,269 @@ class TestMonotonicityProperties:
                 lo, hi = evaluate(sA), evaluate(sB)
                 assert hi > lo
                 assert hi - lo >= dmin - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Array-at-a-time evaluation against the time-recursive oracle
+
+
+def _with_true(rng: random.Random, g):
+    """g with some un-negated predicates replaced by ``true``."""
+    if isinstance(g, Pred):
+        return TrueNode() if rng.random() < 0.15 else g
+    if isinstance(g, (And, Or)):
+        return type(g)(tuple(_with_true(rng, ch) for ch in g.children))
+    if isinstance(g, Until):
+        return Until(_with_true(rng, g.left), _with_true(rng, g.right), g.a, g.b)
+    if isinstance(g, (Eventually, Always)):
+        return type(g)(_with_true(rng, g.child), g.a, g.b)
+    return g
+
+
+def _nested(rng: random.Random, n_preds: int, depth: int):
+    """Formula with temporal operators nested ``depth`` deep (outside the parsed fragment)."""
+    if depth == 0:
+        return _with_true(rng, random_theta(rng, n_preds, max_end=3))
+    a = rng.randrange(3)
+    b = float(rng.randrange(a, 4))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Until(_nested(rng, n_preds, depth - 1), _nested(rng, n_preds, depth - 1), float(a), b)
+    if kind == 3:
+        return And((_nested(rng, n_preds, depth - 1), Not(_nested(rng, n_preds, depth - 1))))
+    return (Eventually, Always)[kind - 1](_nested(rng, n_preds, depth - 1), float(a), b)
+
+
+def _wrapped(rng: random.Random, f):
+    r = rng.random()
+    if r < 0.35:
+        return AllTime(f)
+    if r < 0.6:
+        return OneTime(f, float(rng.randrange(3)))
+    return f
+
+
+def _signed_zero_signal(rng: random.Random, length: int, n_states: int) -> Signal:
+    data = [[rng.choice((0.0, -0.0, 1.0, rng.uniform(-3, 3))) for _ in range(n_states)]
+            for _ in range(length)]
+    if rng.random() < 0.1:
+        data[rng.randrange(length)][0] = math.nan
+    return Signal(np.array(data), GRID1)
+
+
+def _zero_offset_table(rng: random.Random, n_preds: int, n_states: int) -> PredicateTable:
+    """Unit-normal predicates with signed-zero offsets, so margins can be +-0.0."""
+    rows = []
+    for _ in range(n_preds):
+        row = [0.0] * n_states
+        row[rng.randrange(n_states)] = rng.choice((1.0, -1.0))
+        rows.append(row)
+    return PredicateTable(rows, [rng.choice((0.0, -0.0)) for _ in range(n_preds)])
+
+
+def _in_window_schedule(f, consulted: list):
+    """Callable witness provider that stays inside each operator's window."""
+    bases = [omega(a, b, GRID1) for a, b in collect_event_ops(unwrap(f))]
+
+    def k1(op: int, kk: int) -> int:
+        consulted.append((op, kk))
+        base = bases[op]
+        return kk + base.start + (3 * op + kk) % len(base)
+    return k1
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except Exception as exc:  # compared by type and text
+        return "raised", type(exc), str(exc)
+    return "value", repr(bool(value) if isinstance(value, np.bool_) else value)
+
+
+def _assert_matches_oracle(rng: random.Random, f, n_preds: int, k: int) -> None:
+    n_states = rng.randrange(1, 3)
+    table = (_zero_offset_table(rng, n_preds, n_states) if rng.random() < 0.5
+             else random_pred_table(rng, n_preds, n_states))
+    hd = discrete_length(unwrap(f), GRID1)
+    s = _signed_zero_signal(rng, k + hd + 1 + rng.randrange(6)
+                            + (3 if isinstance(f, OneTime) else 0), n_states)
+    for name in ("eval_bool", "eval_sr", "eval_dasr"):
+        assert _outcome(getattr(oracle, name), s, k, f, table) == _outcome(
+            getattr(semantics, name), s, k, f, table), name
+
+    windows = collect_event_ops(unwrap(f))
+    try:
+        sched = compute_schedule(windows, GRID1) if windows else None
+    except ScheduleInfeasibleError:
+        sched = None
+    if sched is not None or not windows:
+        assert _outcome(oracle.eval_dsasr, s, k, f, table, sched) == _outcome(
+            eval_dsasr, s, k, f, table, sched)
+    seen_old, seen_new = [], []
+    assert _outcome(oracle.eval_dsasr, s, k, f, table, _in_window_schedule(f, seen_old)) == \
+        _outcome(eval_dsasr, s, k, f, table, _in_window_schedule(f, seen_new))
+    assert set(seen_new) == set(seen_old)
+
+    try:
+        pnf, ptable = to_pnf(f, table)
+    except ValueError:
+        pnf, ptable = f, table
+    assert _outcome(oracle.prd, s, pnf, k, ptable) == _outcome(prd, s, pnf, k, ptable)
+    for pid in predicate_ids(pnf):
+        for horizon in (s.last_index, s.last_index - 2):
+            assert _outcome(oracle.domain_of_influence, pnf, k, pid, GRID1, horizon) == \
+                _outcome(domain_of_influence, pnf, k, pid, GRID1, horizon)
+
+
+def _axis_formula(rng: random.Random, n_preds: int):
+    """Conjunction of always-operators and bare predicates (the rd fragment)."""
+    parts = []
+    for _ in range(rng.randrange(1, 4)):
+        p = Pred(rng.randrange(n_preds))
+        if rng.random() < 0.75:
+            a = rng.randrange(4)
+            parts.append(Always(p, float(a), float(a + rng.randrange(4))))
+        else:
+            parts.append(p)
+    return parts[0] if len(parts) == 1 else And(tuple(parts))
+
+
+class TestMatchesTimeRecursion:
+    """Every readout equals the time-recursive oracle bit for bit (by repr),
+    and raises the same exception type with the same text."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from((0, 0, 1, 3)))
+    def test_random_theta(self, seed, k):
+        rng = random.Random(seed)
+        n_preds = rng.randrange(1, 4)
+        f = _with_true(rng, random_theta(rng, n_preds))
+        _assert_matches_oracle(rng, _wrapped(rng, f), n_preds, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from((0, 2)))
+    def test_nested_temporal_operators(self, seed, k):
+        rng = random.Random(seed)
+        f = _wrapped(rng, _nested(rng, 2, rng.randrange(1, 3)))
+        _assert_matches_oracle(rng, f, 2, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from((0, 1, 4)))
+    def test_axis_robustness_degree(self, seed, k):
+        rng = random.Random(seed)
+        n_preds = rng.randrange(1, 4)
+        f = _wrapped(rng, _axis_formula(rng, n_preds))
+        table = _zero_offset_table(rng, n_preds, 2)
+        hd = discrete_length(unwrap(f), GRID1)
+        s = _signed_zero_signal(rng, k + hd + 4 + rng.randrange(4), 2)
+        assert _outcome(oracle.robustness_degree_axis, s, f, k, table) == _outcome(
+            robustness_degree_axis, s, f, k, table)
+
+    @pytest.mark.parametrize("values", [
+        (math.nan, 0.0, -0.0, 0.0, -0.0, math.nan, 0.0),
+        (0.0, -0.0, 1.0, math.nan, -0.0, 0.0, 2.0),
+    ])
+    def test_nan_and_signed_zero_ties(self, values):
+        table = PredicateTable([[1.0], [-1.0]], [-0.0, -0.0])
+        s = sig(*values)
+        for f in (AllTime(Always(Pred(1), 0.0, 1.0)), AllTime(Eventually(Pred(0), 0.0, 2.0)),
+                  AllTime(Until(Pred(0), Pred(1), 0.0, 2.0)), Always(Pred(0), 1.0, 4.0),
+                  AllTime(And((Pred(0), Pred(1))))):
+            for name in ("eval_sr", "eval_dasr", "robustness_degree_axis"):
+                args = ((s, f, 0, table) if name == "robustness_degree_axis"
+                        else (s, 0, f, table))
+                assert _outcome(getattr(oracle, name), *args) == _outcome(
+                    getattr(semantics, name), *args), (name, f)
+
+
+def _parity(call, *args):
+    """Both evaluators raise, with the same exception type and text."""
+    old = _outcome(getattr(oracle, call), *args)
+    assert old[0] == "raised"
+    assert _outcome(getattr(semantics, call), *args) == old
+
+
+class TestErrorParity:
+    def test_signal_too_short(self):
+        f = AllTime(Until(Pred(0), Pred(0), 1.0, 3.0))
+        for call in ("eval_bool", "eval_sr", "eval_dasr"):
+            _parity(call, sig(1.0, 2.0), 0, f, ID1)
+        _parity("eval_dsasr", sig(1.0, 2.0), 0, f, ID1, lambda i, k: k + 1)
+        _parity("prd", sig(1.0, 2.0), f, 0, ID1)
+
+    def test_negative_evaluation_index(self):
+        f = Always(Pred(0), 0.0, 1.0)
+        for call in ("eval_bool", "eval_sr", "eval_dasr"):
+            _parity(call, sig(1.0, 2.0, 3.0), -1, f, ID1)
+        _parity("eval_dsasr", sig(1.0, 2.0, 3.0), -1, f, ID1, None)
+
+    def test_event_before_evaluation_index(self):
+        f = OneTime(Always(Pred(0), 0.0, 1.0), 1.0)
+        _parity("eval_bool", sig(*([1.0] * 8)), 2, f, ID1)
+
+    @pytest.mark.parametrize("f, k1", [
+        (Eventually(Pred(0), 1.0, 2.0), lambda i, k: k + 3),
+        # misses the windows first at anchor 2, for operator 0
+        (AllTime(And((Always(Pred(0), 0.0, 1.0), Until(Pred(0), Pred(0), 1.0, 2.0),
+                      Eventually(Pred(0), 0.0, 1.0)))),
+         lambda i, k: k + 1 - i + 5 * (k % 3 == 2)),
+    ])
+    def test_scheduled_witness_outside_window(self, f, k1):
+        s = sig(*([1.0] * 9))
+        _parity("eval_dsasr", s, 0, f, ID1, k1)
+        # a schedule computed for other windows
+        other = compute_schedule([(3.0, 4.0)] * len(collect_event_ops(unwrap(f))), GRID1)
+        _parity("eval_dsasr", s, 0, f, ID1, other)
+
+    def test_schedule_that_raises(self):
+        f = AllTime(And((Eventually(Pred(0), 0.0, 2.0), Eventually(Pred(0), 1.0, 2.0))))
+
+        def k1(op, k):
+            if (op, k) == (1, 2):
+                raise KeyError("no witness")
+            return k + 1 if (op, k) != (0, 3) else k + 9
+
+        _parity("eval_dsasr", sig(*([1.0] * 8)), 0, f, ID1, k1)
+
+    def test_prd_rejects_negation(self):
+        _parity("prd", sig(0.0, 0.0, 0.0), Always(Not(Pred(0)), 0.0, 2.0), 0, ID1)
+
+    @pytest.mark.parametrize("f", [
+        Eventually(Pred(0), 0.0, 1.0),
+        Always(Not(Pred(0)), 0.0, 1.0),
+        And((Always(Pred(0), 0.0, 1.0), Or((Pred(0), Pred(0))))),
+        AllTime(And((Pred(0), Until(Pred(0), Pred(0), 0.0, 1.0)))),
+    ])
+    def test_rd_unsupported_shape(self, f):
+        _parity("robustness_degree_axis", sig(1.0, 1.0, 1.0, 1.0), f, 0, ID1)
+
+    def test_rd_non_unit_normal(self):
+        table = PredicateTable([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]], [0.0, 0.0, 0.0])
+        f = AllTime(And((Always(Pred(0), 0.0, 1.0), Always(Pred(2), 0.0, 1.0), Pred(1))))
+        _parity("robustness_degree_axis", Signal(np.ones((4, 2)), GRID1), f, 0, table)
+
+    def test_empty_window(self):
+        grid = SamplingGrid(2.0)
+        s = Signal(np.ones((6, 1)), grid)
+        f = And((Always(Pred(0), 0.0, 2.0), Eventually(Pred(0), 1.0, 1.0)))
+        for call in ("eval_bool", "eval_sr", "eval_dasr"):
+            _parity(call, s, 0, f, ID1)
+        _parity("eval_dsasr", s, 0, f, ID1, lambda i, k: k)
+
+    @pytest.mark.parametrize("k1", [
+        lambda i, k: k + 9 * (k == 2),     # misses at anchor 2, after the empty window
+        lambda i, k: k + 9,                # misses at anchor 0, before it
+    ])
+    def test_first_error_in_visit_order(self, k1):
+        s = Signal(np.ones((8, 1)), SamplingGrid(2.0))
+        f = AllTime(And((Eventually(Pred(0), 0.0, 4.0), Always(Pred(0), 1.0, 1.0))))
+        _parity("eval_dsasr", s, 0, f, ID1, k1)
+
+    def test_bool_reports_empty_windows_past_a_false_conjunct(self):
+        # the time recursion stops at the false first conjunct; every node is
+        # evaluated now, so the empty window of the second one raises
+        s = Signal(-np.ones((6, 1)), SamplingGrid(2.0))
+        f = And((Pred(0), Eventually(Pred(0), 1.0, 1.0)))
+        assert oracle.eval_bool(s, 0, f, ID1) is False
+        with pytest.raises(ValueError, match="contains no multiple"):
+            eval_bool(s, 0, f, ID1)
