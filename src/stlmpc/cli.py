@@ -47,17 +47,19 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .mpc import LtiSystem, NoiseModel, RunConfig, Trace, run
+from .mpc import LtiSystem, NoiseModel, RunConfig, Trace, readouts, run
 from .parser import ParseError, parse
 from .qp_builder import ControlConfig, build_problem, build_sr_baseline
 from .qp_solver import SolverSettings
 from .scheduling import compute_schedule
+# the readout functions stay importable here: perfbench/workloads.py times
+# what `monitor` computes by calling them one at a time through this module
 from .semantics import (
     RobustnessReadout,
     Signal,
@@ -238,6 +240,10 @@ def emit_trace(trace: Trace, path: str | Path, plot_script: bool = False) -> Non
 
 
 def _summary_lines(snr: float, r: RobustnessReadout) -> list[str]:
+    return [f"# snr_db = {_FLOAT_FMT % snr}"] + _readout_lines(r)
+
+
+def _readout_lines(r: RobustnessReadout) -> list[str]:
     def fmt(v) -> str:
         if v is None:
             return "unverifiable"
@@ -246,7 +252,6 @@ def _summary_lines(snr: float, r: RobustnessReadout) -> list[str]:
         return _FLOAT_FMT % v
 
     return [
-        f"# snr_db = {fmt(snr)}",
         f"# satisfied = {fmt(r.satisfied)}",
         f"# sr = {fmt(r.sr)}",
         f"# dasr = {fmt(r.dasr)}",
@@ -319,18 +324,14 @@ def check_scenario(config_path: str | Path) -> int:
     else:
         print("witness schedule: not needed (no eventually/until operators)")
     # compile the first step the closed loop solves: event-triggered formulas
-    # idle until the event step, so the state history is the idle-input rollout
-    plant, k0 = cfg.system, 0
+    # idle until the event step, so the history is that of a run stopped there
+    plant, history = cfg.system, {}
     if isinstance(cfg.formula, OneTime):
         k0 = event_index(cfg.formula, grid)
         print(f"first solved step: k = {k0} (event)")
-    idle = np.broadcast_to(np.asarray(cfg.run_config.idle_input, dtype=float), (plant.m,))
-    inputs = np.tile(idle, (k0, 1))
-    states = np.zeros((k0 + 1, plant.n))
-    states[0] = plant.x0
-    for k in range(k0):
-        states[k + 1] = plant.step(states[k], inputs[k], np.zeros(plant.n))
-    history = dict(k0=k0, state_history=states, input_history=inputs)
+        if k0:
+            idle = run(plant, cfg.formula, cfg.table, replace(cfg.run_config, sim_steps=k0))
+            history = dict(k0=k0, state_history=idle.states, input_history=idle.inputs)
     if cfg.run_config.objective == "sr-baseline":
         problems = [build_sr_baseline(cfg.formula, plant, cfg.table, cfg.control, **history)]
     else:
@@ -342,26 +343,14 @@ def check_scenario(config_path: str | Path) -> int:
 
 
 def monitor_scenario(config_path: str | Path, trace_path: str | Path) -> int:
-    """Offline robustness evaluation of a recorded trace against a scenario."""
+    """Offline robustness evaluation of a recorded trace: the readout lines ``run`` prints."""
     cfg = ScenarioConfig.from_file(config_path)
-    states, _inputs, _noises, _statuses, _objs = read_trace(trace_path)
-    sig = Signal(states, cfg.system.grid)
-    grid = cfg.system.grid
-    theta = unwrap(cfg.formula)
-    windows = collect_event_ops(theta)
-    sched = compute_schedule(windows, grid) if windows else None
-
-    satisfied = eval_bool(sig, 0, cfg.formula, cfg.table)
-    print(f"satisfied = {'true' if satisfied else 'false'}")
-    print(f"sr = {eval_sr(sig, 0, cfg.formula, cfg.table):.6g}")
-    print(f"dasr = {eval_dasr(sig, 0, cfg.formula, cfg.table):.6g}")
-    if sched is not None:
-        print(f"dsasr = {eval_dsasr(sig, 0, cfg.formula, cfg.table, sched):.6g}")
-    print(f"prd = {prd(sig, cfg.formula, 0, cfg.table, grid):.6g}")
-    try:
-        print(f"rd = {robustness_degree_axis(sig, cfg.formula, 0, cfg.table, grid):.6g}")
-    except ValueError:
-        pass
+    states = read_trace(trace_path)[0]
+    windows = collect_event_ops(unwrap(cfg.formula))
+    sched = compute_schedule(windows, cfg.system.grid) if windows else None
+    readout = readouts(Signal(states, cfg.system.grid), cfg.formula, cfg.table, sched)
+    for line in _readout_lines(readout):
+        print(line[2:])
     return 0
 
 

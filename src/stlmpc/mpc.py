@@ -47,7 +47,8 @@ from .stl import (
     validate_windows,
 )
 
-__all__ = ["LtiSystem", "NoiseModel", "RunConfig", "Trace", "ControlError", "run", "snr_db"]
+__all__ = ["LtiSystem", "NoiseModel", "RunConfig", "Trace", "ControlError", "run", "readouts",
+           "snr_db"]
 
 
 class ControlError(RuntimeError):
@@ -257,16 +258,20 @@ def run(system: LtiSystem, phi: Formula, table: PredicateTable, config: RunConfi
         states[k0 + 1] = system.step(states[k0], inputs[k0], noises[k0])
     statuses.append("final")
 
-    sig = Signal(states, grid)
-    readout = _readouts(sig, phi, table, schedule, grid, h_d)
+    readout = readouts(Signal(states, grid), phi, table, schedule)
     trace = Trace(states=states, inputs=inputs, noises=noises, statuses=tuple(statuses),
                   objectives=objectives, grid=grid, snr_db=math.nan, readout=readout)
     return replace(trace, snr_db=snr_db(trace))
 
 
-def _readouts(sig: Signal, phi: Formula, table: PredicateTable,
-              schedule: Schedule | None, grid: SamplingGrid, h_d: int) -> RobustnessReadout:
-    """Trace-limited robustness summary; None entries mean "not evaluable"."""
+def readouts(sig: Signal, phi: Formula, table: PredicateTable,
+             schedule: Schedule | None) -> RobustnessReadout:
+    """Trace-limited robustness summary of a positive-normal-form formula.
+
+    None entries mean "not evaluable"; without a witness schedule dsasr is dasr.
+    """
+    grid = sig.grid
+    h_d = discrete_length(unwrap(phi), grid)
     checkable = sig.last_index >= h_d
     if isinstance(phi, OneTime):
         checkable = event_index(phi, grid) + h_d <= sig.last_index

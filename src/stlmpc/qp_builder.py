@@ -17,11 +17,12 @@ and applies the input of the best one.  Decision vectors are laid out as
 Both builders share one path: ``_predict`` validates the inputs and writes
 every predicate at every step of the window as an affine function of the
 stacked inputs, ``_psi_terms`` lists the weighted (step, predicate) terms of
-one conjunct at every anchor, ``_sat_points`` deduplicates them into the
-pairs satisfaction constrains, ``_stl_rows`` turns those into satisfaction
-rows and ``_input_rows`` adds the box, budget, extra and penalty terms.  The
-worst-case baseline (:func:`build_sr_baseline`) differs from a one-branch
-problem only in its single epigraph variable and its cost.
+one conjunct at every anchor (through the operator term builders that the
+single-operator ``build_E_*`` matrices share), ``_sat_points`` deduplicates
+them into the pairs satisfaction constrains, ``_stl_rows`` turns those into
+satisfaction rows and ``_input_rows`` adds the box, budget, extra and
+penalty terms.  The worst-case baseline (:func:`build_sr_baseline`) differs
+from a one-branch problem only in its single epigraph variable and its cost.
 
 Assembly is array-built: the block-Toeplitz input matrix is gathered from
 the stacked ``C A^k B`` blocks, each conjunct's terms come from one array
@@ -237,65 +238,6 @@ def stack_dynamics(A: np.ndarray, B: np.ndarray, C: np.ndarray, c: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Literal E matrices (single-operator layouts)
-
-
-def build_E_until(N: int, h_d: int, k0: int, k1_fn) -> np.ndarray:
-    """Cost matrix for a single until-operator, two interleaved predicates.
-
-    Row i covers the anchor step i + k_l - 1 (k_l = k0 - h_d + 1); odd
-    columns belong to the left predicate, even columns to the right one.
-    """
-    k_l = k0 - h_d + 1
-    E = np.zeros((N, 2 * (N + h_d)))
-    for i in range(1, N + 1):
-        i_k = i + k_l - 1
-        k1 = int(k1_fn(i_k))
-        j_right = 2 * (h_d + k1 - k0)
-        if not (1 <= j_right <= E.shape[1]):
-            raise ValueError(f"k1({i_k})={k1} falls outside the representable columns")
-        E[i - 1, j_right - 1] = 0.5
-        w = 0.5 / (k1 - i_k + 1)
-        for j in range(2 * (i - 1) + 1, j_right, 2):  # odd j up to the right column
-            E[i - 1, j - 1] = w
-    return E
-
-
-def build_E_eventually(N: int, h_d: int, k0: int, k1_fn) -> np.ndarray:
-    """Cost matrix for a single eventually-operator, one predicate."""
-    k_l = k0 - h_d + 1
-    E = np.zeros((N, N + h_d))
-    for i in range(1, N + 1):
-        i_k = i + k_l - 1
-        k1 = int(k1_fn(i_k))
-        j = h_d + k1 - k0
-        if not (1 <= j <= E.shape[1]):
-            raise ValueError(f"k1({i_k})={k1} falls outside the representable columns")
-        E[i - 1, j - 1] = 1.0
-    return E
-
-
-def build_E_always(N: int, h_d: int, k0: int, window_fn) -> np.ndarray:
-    """Cost matrix for a single always-operator, one predicate.
-
-    ``window_fn`` maps the anchor step i_k to its absolute (k_min, k_max)
-    index pair; the row averages the predicate uniformly over that window.
-    """
-    k_l = k0 - h_d + 1
-    E = np.zeros((N, N + h_d))
-    for i in range(1, N + 1):
-        i_k = i + k_l - 1
-        k_min, k_max = window_fn(i_k)
-        w = 1.0 / (k_max - k_min + 1)
-        for k in range(k_min, k_max + 1):
-            j = k - k_l + 1
-            if not (1 <= j <= E.shape[1]):
-                raise ValueError(f"window of anchor {i_k} falls outside the representable columns")
-            E[i - 1, j - 1] = w
-    return E
-
-
-# ---------------------------------------------------------------------------
 # General compilation machinery
 
 
@@ -381,27 +323,53 @@ def _psi_terms(psi: Formula, op_index: int | None, anchors: range,
         raise ValueError("eventually/until operators need a witness schedule")
 
     if isinstance(psi, Always):
-        p = _atom_pred(psi.child, "always-operand")
-        base = np.asarray(omega(psi.a, psi.b, grid))
-        k = (a[:, None] + base).reshape(-1)
-        return (np.repeat(np.arange(a.size), base.size), k, np.full(k.size, p),
-                np.full(k.size, 1.0 / base.size))
+        window = omega(psi.a, psi.b, grid)
+        return _always_terms(_atom_pred(psi.child, "always-operand"),
+                             a + window.start, a + window.stop - 1)
     if isinstance(psi, Eventually):
-        p = _atom_pred(psi.child, "eventually-operand")
-        return (np.arange(a.size), k1_many(schedule, op_index, a), np.full(a.size, p),
-                np.ones(a.size))
+        return _eventually_terms(_atom_pred(psi.child, "eventually-operand"),
+                                 k1_many(schedule, op_index, a))
     if isinstance(psi, Until):
-        p1 = _atom_pred(psi.left, "until left operand")
-        p2 = _atom_pred(psi.right, "until right operand")
-        k1 = k1_many(schedule, op_index, a)
-        # per anchor: the left operand at anchor..k1, then the right one at k1
-        span = k1 - a + 1
-        row = np.repeat(np.arange(a.size), span + 1)
-        j = np.arange(row.size) - np.repeat(np.cumsum(span + 1) - (span + 1), span + 1)
-        right = j == span[row]
-        return (row, np.where(right, k1[row], a[row] + j), np.where(right, p2, p1),
-                np.where(right, 0.5, 0.5 / span[row]))
+        return _until_terms(_atom_pred(psi.left, "until left operand"),
+                            _atom_pred(psi.right, "until right operand"),
+                            a, k1_many(schedule, op_index, a))
     raise FragmentError(f"conjuncts must be temporal operators, got {type(psi).__name__}")
+
+
+def _runs(span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row of every term and its position within the row, for span[r] terms in row r."""
+    row = np.repeat(np.arange(span.size), span)
+    return row, np.arange(row.size) - np.repeat(np.cumsum(span) - span, span)
+
+
+def _always_terms(p: int, k_min: np.ndarray, k_max: np.ndarray):
+    """Row r averages predicate p uniformly over the steps k_min[r]..k_max[r]."""
+    span = k_max - k_min + 1
+    empty = np.flatnonzero(span < 1)
+    if empty.size:
+        r = empty[0]
+        raise ValueError(f"window [{k_min[r]}, {k_max[r]}] of row {r} is empty")
+    row, j = _runs(span)
+    return row, k_min[row] + j, np.full(row.size, p), 1.0 / span[row]
+
+
+def _eventually_terms(p: int, k1: np.ndarray):
+    """Row r takes predicate p at its witness step k1[r]."""
+    return np.arange(k1.size), k1, np.full(k1.size, p), np.ones(k1.size)
+
+
+def _until_terms(p_left: int, p_right: int, anchors: np.ndarray, k1: np.ndarray):
+    """Row r averages the left operand over anchors[r]..k1[r], then adds the
+    right operand at k1[r]; each half weighs 0.5."""
+    span = k1 - anchors + 1
+    early = np.flatnonzero(span < 1)
+    if early.size:
+        r = early[0]
+        raise ValueError(f"witness {k1[r]} of row {r} precedes its anchor {anchors[r]}")
+    row, j = _runs(span + 1)
+    right = j == span[row]
+    return (row, np.where(right, k1[row], anchors[row] + j), np.where(right, p_right, p_left),
+            np.where(right, 0.5, 0.5 / span[row]))
 
 
 def _sat_points(terms) -> tuple[np.ndarray, np.ndarray]:
@@ -425,6 +393,37 @@ def _e_matrix(terms, n_anchor: int, layout: _Layout) -> np.ndarray:
     E = np.zeros((n_anchor, layout.n_cols))
     np.add.at(E, (row, layout.cols(k, p)), w)
     return E
+
+
+def build_E_until(N: int, h_d: int, k0: int, k1_fn) -> np.ndarray:
+    """Cost matrix for a single until-operator, two interleaved predicates.
+
+    Row i covers the anchor step i + k_l - 1 (k_l = k0 - h_d + 1); odd
+    columns belong to the left predicate, even columns to the right one.
+    """
+    k_l = k0 - h_d + 1
+    anchors = np.arange(k_l, k_l + N)
+    k1 = np.array([int(k1_fn(i_k)) for i_k in anchors.tolist()], dtype=np.int64)
+    return _e_matrix(_until_terms(0, 1, anchors, k1), N, _Layout(k_l, k_l + N + h_d - 1, 2))
+
+
+def build_E_eventually(N: int, h_d: int, k0: int, k1_fn) -> np.ndarray:
+    """Cost matrix for a single eventually-operator, one predicate."""
+    k_l = k0 - h_d + 1
+    k1 = np.array([int(k1_fn(i_k)) for i_k in range(k_l, k_l + N)], dtype=np.int64)
+    return _e_matrix(_eventually_terms(0, k1), N, _Layout(k_l, k_l + N + h_d - 1, 1))
+
+
+def build_E_always(N: int, h_d: int, k0: int, window_fn) -> np.ndarray:
+    """Cost matrix for a single always-operator, one predicate.
+
+    ``window_fn`` maps the anchor step i_k to its absolute (k_min, k_max)
+    index pair; the row averages the predicate uniformly over that window.
+    """
+    k_l = k0 - h_d + 1
+    k_min, k_max = np.array([window_fn(i_k) for i_k in range(k_l, k_l + N)],
+                            dtype=np.int64).reshape(N, 2).T
+    return _e_matrix(_always_terms(0, k_min, k_max), N, _Layout(k_l, k_l + N + h_d - 1, 1))
 
 
 def _pred_mass(E: np.ndarray, n_mu: int) -> np.ndarray:

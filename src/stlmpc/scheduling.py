@@ -10,7 +10,6 @@ the baselines are spread ``eta`` apart so distinct operators never collide.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,25 +78,14 @@ def k1_at(sched: Schedule, op_index: int, k_prime: int) -> int:
     the window anchored at ``k_prime``; the existence of such a point is
     guaranteed because the period never exceeds the window length.
     """
-    a, b = sched.op_windows[op_index]
-    base = omega(a, b, sched.grid)
-    lo = k_prime + base[0]
-    hi = k_prime + base[-1]
-    k0 = sched.baselines[op_index]
-    j = max(0, math.ceil((lo - k0) / sched.delta))
-    k1 = k0 + j * sched.delta
-    if k1 > hi:
-        raise AssertionError(
-            f"baseline grid misses window [{lo}, {hi}] for operator {op_index}; "
-            "this cannot happen for feasible schedules")
-    return k1
+    return int(k1_many(sched, op_index, [k_prime])[0])
 
 
 def k1_many(sched: Schedule, op_index: int, k_primes) -> np.ndarray:
     """:func:`k1_at` for an array of evaluation steps at once.
 
-    Raises the same error as :func:`k1_at` for the first step whose window
-    the baseline grid misses.
+    Raises an AssertionError for the first step whose window the baseline
+    grid misses.
     """
     a, b = sched.op_windows[op_index]
     base = omega(a, b, sched.grid)

@@ -208,6 +208,27 @@ class TestCommands:
         assert "satisfied = true" in out
         assert "prd" in out
 
+    @pytest.mark.parametrize("preset", ["two_tank_phi1", "example2_dasr"])
+    def test_monitor_prints_run_readouts(self, preset, tmp_path, capsys, monkeypatch):
+        # two_tank_phi1 has an eventually witness, example2_dasr none
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", preset]) == 0
+        ran = capsys.readouterr().out.splitlines()
+        assert ran[1].startswith("snr_db = ")
+        assert main(["monitor", preset, f"{preset}_trace.csv"]) == 0
+        assert capsys.readouterr().out.splitlines() == ran[2:]
+
+    def test_monitor_short_trace_is_unverifiable(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_mini(tmp_path)
+        assert main(["run", str(cfg)]) == 0
+        csv = tmp_path / "mini.csv"
+        csv.write_text("\n".join(csv.read_text().splitlines()[:3]) + "\n")  # x(0), x(1)
+        capsys.readouterr()
+        assert main(["monitor", str(cfg), str(csv)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{name} = unverifiable" for name in ("satisfied", "sr", "dasr", "dsasr", "prd", "rd")]
+
     def test_unknown_config_exits_two(self, capsys):
         assert main(["run", "definitely_missing.ini"]) == 2
 

@@ -141,6 +141,17 @@ class TestEMatrices:
         assert np.count_nonzero(E) == 1
         assert E.sum() == 1.0
 
+    @pytest.mark.parametrize("k1", [{2: 4, 3: 2, 4: 6}, {2: 4, 3: 4, 4: 2}])
+    def test_until_witness_before_anchor_rejected(self, k1):
+        # the witness of anchor 3 is one step early; that of anchor 4 two steps
+        with pytest.raises(ValueError, match="precedes its anchor"):
+            build_E_until(N=3, h_d=2, k0=3, k1_fn=k1.__getitem__)
+
+    @pytest.mark.parametrize("lo, hi", [(2, 1), (3, 1)])
+    def test_always_empty_window_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="is empty"):
+            build_E_always(N=2, h_d=3, k0=3, window_fn=lambda ik: (ik + lo, ik + hi))
+
     @pytest.mark.parametrize("seed", range(10))
     def test_rows_are_stochastic(self, seed):
         # every builder row is a convex combination over predicate samples
@@ -226,25 +237,27 @@ class TestBuildProblem:
             build_problem(phi, tank, table, ControlConfig(horizon=5))
 
     def test_matches_literal_until_matrix(self):
-        # the general compiler and the single-operator constructor agree on a
-        # steady-state until problem
+        # the general compiler and each single-operator constructor agree on a
+        # steady-state problem with that one operator
         system = LtiSystem(np.eye(1) * 0.9, np.eye(1), np.zeros(1), GRID1)
-        table = PredicateTable([[1.0], [-1.0]], [0.0, 5.0])
-        theta = Until(Pred(0), Pred(1), 1.0, 2.0)
-        phi = theta
         sched = compute_schedule([(1.0, 2.0)], GRID1)
         N, h_d, k0 = 3, 2, 3
-        history = np.zeros((k0 + 1, 1))
-        p = build_problem(phi, system, table, ControlConfig(horizon=N),
-                          k0=k0, state_history=history, schedule=sched)[0]
-        E_general = p.debug["E"]
 
         def k1_fn(ik):
             return sched.k1_at(0, ik)
 
-        E_raw = build_E_until(N, h_d, k0, k1_fn)
-        assert E_general.shape == E_raw.shape
-        np.testing.assert_allclose(E_general, E_raw)
+        cases = [
+            (Until(Pred(0), Pred(1), 1.0, 2.0), build_E_until(N, h_d, k0, k1_fn)),
+            (Eventually(Pred(0), 1.0, 2.0), build_E_eventually(N, h_d, k0, k1_fn)),
+            (Always(Pred(0), 1.0, 2.0), build_E_always(N, h_d, k0, lambda ik: (ik + 1, ik + 2))),
+        ]
+        for theta, E_raw in cases:
+            n_mu = 2 if isinstance(theta, Until) else 1
+            table = PredicateTable([[1.0], [-1.0]][:n_mu], [0.0, 5.0][:n_mu])
+            p = build_problem(theta, system, table, ControlConfig(horizon=N), k0=k0,
+                              state_history=np.zeros((k0 + 1, 1)), schedule=sched)[0]
+            assert np.array_equal(p.debug["E"], E_raw)
+            assert np.array_equal(np.signbit(p.debug["E"]), np.signbit(E_raw))
 
 
 def _parse_pnf(text, n_states=2):

@@ -127,19 +127,27 @@ class TestVectorisedWitness:
             assume(False)
         op %= s.n_ops
         anchors = np.arange(first, first + count)
-        # anchors below the first baseline can leave the grid: the vectorised
-        # lookup must raise the scalar lookup's error for the first such anchor
+        # brute force: walk baseline + j*delta for j >= 0 up to the first point
+        # at or after the window start; anchors below the first baseline can
+        # leave the grid, which both lookups report for the first such anchor
+        base = omega(*s.op_windows[op], grid)
         expected, error = [], None
         for k in anchors.tolist():
-            try:
-                expected.append(k1_at(s, op, k))
-            except AssertionError as exc:
-                error = str(exc)
+            lo, hi = k + base[0], k + base[-1]
+            k1 = s.baselines[op]
+            while k1 < lo:
+                k1 += s.delta
+            if k1 > hi:
+                error = (f"baseline grid misses window [{lo}, {hi}] for operator {op}; "
+                         "this cannot happen for feasible schedules")
                 break
+            expected.append(k1)
+        assert [k1_at(s, op, k) for k in anchors[:len(expected)].tolist()] == expected
         if error is None:
-            got = k1_many(s, op, anchors)
-            assert got.tolist() == expected
-        else:
+            assert k1_many(s, op, anchors).tolist() == expected
+            return
+        for lookup in (lambda: k1_many(s, op, anchors),
+                       lambda: k1_at(s, op, int(anchors[len(expected)]))):
             with pytest.raises(AssertionError) as info:
-                k1_many(s, op, anchors)
+                lookup()
             assert str(info.value) == error
