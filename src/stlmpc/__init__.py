@@ -51,6 +51,8 @@ from .qp_builder import (
     build_problem,
     build_R,
     build_sr_baseline,
+    CompiledRun,
+    compile_run,
     stack_dynamics,
 )
 from .qp_solver import SolverError, SolverSettings, solve

@@ -55,7 +55,7 @@ import numpy as np
 
 from .mpc import LtiSystem, NoiseModel, RunConfig, Trace, readouts, run
 from .parser import ParseError, parse
-from .qp_builder import ControlConfig, build_problem, build_sr_baseline
+from .qp_builder import ControlConfig, build_problem, build_sr_baseline, compile_run
 from .qp_solver import SolverSettings
 from .scheduling import compute_schedule
 # the readout functions stay importable here: perfbench/workloads.py times
@@ -72,12 +72,10 @@ from .semantics import (
 )
 from .stl import (
     Formula,
-    OneTime,
     PredicateTable,
     SamplingGrid,
     collect_event_ops,
     discrete_length,
-    event_index,
     to_pnf,
     unwrap,
     validate_windows,
@@ -311,31 +309,27 @@ def run_scenario(config_path: str | Path) -> int:
 def check_scenario(config_path: str | Path) -> int:
     """Validate a scenario and print horizon/schedule/problem sizes, no solve."""
     cfg = ScenarioConfig.from_file(config_path)
-    grid = cfg.system.grid
-    theta = unwrap(cfg.formula)
-    h_d = discrete_length(theta, grid)
-    print(f"formula length: h_d = {h_d} steps ({h_d * grid.T:g} s)")
+    compiled = compile_run(cfg.formula, cfg.system, cfg.table, cfg.control)
+    h_d, sched = compiled.h_d, compiled.schedule
+    print(f"formula length: h_d = {h_d} steps ({h_d * cfg.system.grid.T:g} s)")
     print(f"prediction horizon: N = {cfg.control.horizon}")
-    windows = collect_event_ops(theta)
-    if windows:
-        sched = compute_schedule(windows, grid)
+    if sched is not None:
         print(f"witness schedule: delta = {sched.delta}, eta = {sched.eta}, "
               f"baselines = {list(sched.baselines)}")
     else:
         print("witness schedule: not needed (no eventually/until operators)")
     # compile the first step the closed loop solves: event-triggered formulas
     # idle until the event step, so the history is that of a run stopped there
-    plant, history = cfg.system, {}
-    if isinstance(cfg.formula, OneTime):
-        k0 = event_index(cfg.formula, grid)
+    history, k0 = {}, compiled.k_event
+    if k0 is not None:
         print(f"first solved step: k = {k0} (event)")
         if k0:
-            idle = run(plant, cfg.formula, cfg.table, replace(cfg.run_config, sim_steps=k0))
+            idle = run(cfg.system, cfg.formula, cfg.table, replace(cfg.run_config, sim_steps=k0))
             history = dict(k0=k0, state_history=idle.states, input_history=idle.inputs)
     if cfg.run_config.objective == "sr-baseline":
-        problems = [build_sr_baseline(cfg.formula, plant, cfg.table, cfg.control, **history)]
+        problems = [build_sr_baseline(compiled, **history)]
     else:
-        problems = build_problem(cfg.formula, plant, cfg.table, cfg.control, **history)
+        problems = build_problem(compiled, **history)
     for p in problems:
         kind = "LP" if not np.any(p.quad) else "QP"
         print(f"branch {p.branch}: {kind} with {p.n_vars} variables, {p.n_rows} inequalities")

@@ -1,11 +1,11 @@
 """Receding-horizon closed loop for discrete LTI systems under STL objectives.
 
-Each sampling step rebuilds the compiled problem around the current state
-and recorded history, solves every disjunction branch, applies the first
-input of the best feasible branch, then advances the plant with optional
-additive Gaussian noise.  If every branch is infeasible and the slack policy
-is enabled, the step is re-solved in the relaxed (least-violating) form and
-marked accordingly.
+The run is compiled once; each sampling step builds its problems around the
+current state and recorded history, solves every disjunction branch, applies
+the first input of the best feasible branch, then advances the plant with
+optional additive Gaussian noise.  If every branch is infeasible and the
+slack policy is enabled, the step is re-solved in the relaxed
+(least-violating) form and marked accordingly.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .qp_builder import (
     add_slack_relaxation,
     build_problem,
     build_sr_baseline,
+    compile_run,
     default_slack_weight,
 )
 from .qp_solver import SolverSettings, solve
@@ -121,7 +122,6 @@ class RunConfig:
     slack_enabled: bool = True
     objective: str = "dsasr"        # dsasr | sr-baseline
     resolve_each_step: bool = True
-    idle_input: float | np.ndarray = 0.0
     solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self) -> None:
@@ -188,14 +188,12 @@ def run(system: LtiSystem, phi: Formula, table: PredicateTable, config: RunConfi
             f"formula length {h_d}")
 
     windows = collect_event_ops(theta)
-    schedule: Schedule | None = compute_schedule(windows, grid) if windows else None
-    one_time = isinstance(phi, OneTime)
-    k_event = event_index(phi, grid) if one_time else 0
+    schedule = compute_schedule(windows, grid) if windows else None
+    compiled = compile_run(phi, system, table, config.control, schedule)
+    k_event = compiled.k_event
 
     K = config.sim_steps
     n, m = system.n, system.m
-    idle = np.broadcast_to(np.asarray(config.idle_input, dtype=float), (m,)).astype(float)
-    lo, hi = config.control.bounds(m)
     noise_samples = noise.samples(K, n)
 
     states = np.zeros((K + 1, n))
@@ -210,8 +208,8 @@ def run(system: LtiSystem, phi: Formula, table: PredicateTable, config: RunConfi
     slack_weight = config.control.slack_weight
 
     for k0 in range(K):
-        if one_time and (k0 < k_event or k0 >= k_event + h_d):
-            u = idle
+        if k_event is not None and (k0 < k_event or k0 >= k_event + h_d):
+            u = np.zeros(m)
             statuses.append("idle")
         elif plan is not None and not config.resolve_each_step and k0 - plan_start < plan.shape[0]:
             u = plan[k0 - plan_start]
@@ -220,13 +218,11 @@ def run(system: LtiSystem, phi: Formula, table: PredicateTable, config: RunConfi
             history = states[:k0 + 1]
             past_u = inputs[:k0]
             if config.objective == "sr-baseline":
-                problems = [build_sr_baseline(phi, system, table, config.control,
-                                              k0=k0, state_history=history,
+                problems = [build_sr_baseline(compiled, k0=k0, state_history=history,
                                               input_history=past_u)]
             else:
-                problems = build_problem(phi, system, table, config.control,
-                                         k0=k0, state_history=history,
-                                         input_history=past_u, schedule=schedule)
+                problems = build_problem(compiled, k0=k0, state_history=history,
+                                         input_history=past_u)
             solutions = [solve(p, config.solver) for p in problems]
             best = _pick_best(solutions)
             status = "optimal"
@@ -250,8 +246,8 @@ def run(system: LtiSystem, phi: Formula, table: PredicateTable, config: RunConfi
                     raise ControlError(f"no usable solution at step {k0}")
             objectives[k0] = best.objective
             statuses.append(status)
-            u = np.clip(best.first_input, lo, hi)
-            plan = np.clip(best.inputs, lo, hi)
+            u = np.clip(best.first_input, compiled.lo, compiled.hi)
+            plan = np.clip(best.inputs, compiled.lo, compiled.hi)
             plan_start = k0
         inputs[k0] = u
         noises[k0] = noise_samples[k0]

@@ -14,15 +14,20 @@ Disjunctions produce one problem per branch; the caller solves all branches
 and applies the input of the best one.  Decision vectors are laid out as
 ``[epigraph | stacked inputs | slack]``.
 
-Both builders share one path: ``_predict`` validates the inputs and writes
-every predicate at every step of the window as an affine function of the
-stacked inputs, ``_psi_terms`` lists the weighted (step, predicate) terms of
-one conjunct at every anchor (through the operator term builders that the
-single-operator ``build_E_*`` matrices share), ``_sat_points`` deduplicates
-them into the pairs satisfaction constrains, ``_stl_rows`` turns those into
-satisfaction rows and ``_input_rows`` adds the box, budget, extra and
-penalty terms.  The worst-case baseline (:func:`build_sr_baseline`) differs
-from a one-branch problem only in its single epigraph variable and its cost.
+Compilation has a per-run and a per-step phase.  :func:`compile_run`
+validates the formula against the grid and the horizon and computes what a
+closed-loop run keeps fixed (formula length, event step, witness schedule,
+DNF branches, stacked dynamics ``C A^k B``, input bounds and penalty) into a
+frozen :class:`CompiledRun`.  The per-step builders take it and share one
+path: ``_predict`` checks the history and writes every predicate at every
+step of the window as an affine function of the stacked inputs,
+``_psi_terms`` lists the weighted (step, predicate) terms of one conjunct at
+every anchor (through the operator term builders that the single-operator
+``build_E_*`` matrices share), ``_sat_points`` deduplicates them into the
+pairs satisfaction constrains, ``_stl_rows`` turns those into satisfaction
+rows and ``_input_rows`` adds the box, budget, extra and penalty terms.  The
+worst-case baseline (:func:`build_sr_baseline`) differs from a one-branch
+:func:`build_problem` only in its single epigraph variable and its cost.
 
 Assembly is array-built: the block-Toeplitz input matrix is gathered from
 the stacked ``C A^k B`` blocks, each conjunct's terms come from one array
@@ -69,11 +74,13 @@ __all__ = [
     "QpSolution",
     "StackedDynamics",
     "ControlConfig",
+    "CompiledRun",
     "stack_dynamics",
     "build_E_until",
     "build_E_eventually",
     "build_E_always",
     "build_R",
+    "compile_run",
     "build_problem",
     "add_slack_relaxation",
     "build_sr_baseline",
@@ -201,7 +208,7 @@ class StackedDynamics:
 
 
 def stack_dynamics(A: np.ndarray, B: np.ndarray, C: np.ndarray, c: np.ndarray,
-                   N: int, x0: np.ndarray | None = None) -> StackedDynamics:
+                   N: int) -> StackedDynamics:
     """Stack z(k0+1..k0+N) as an affine function of x(k0) and the inputs."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -505,16 +512,51 @@ def default_slack_weight(table: PredicateTable, state_scale: float) -> float:
     return 1e3 * (off + row_norm * max(1.0, state_scale))
 
 
-def _anchor_range(phi: Formula, k0: int, N: int, h_d: int, grid: SamplingGrid) -> tuple[int, int]:
-    if isinstance(phi, OneTime):
-        ke = event_index(phi, grid)
-        if ke > k0 + N - h_d:
-            raise ValueError(
-                f"event step {ke} plus formula length {h_d} exceeds the horizon at step {k0}")
-        return ke, ke
-    k_l = max(0, k0 - h_d + 1)
-    k_h = k0 + N - h_d
-    return k_l, k_h
+@dataclass(frozen=True)
+class CompiledRun:
+    """What :func:`compile_run` fixes for a whole run.
+
+    ``k_event`` is None for all-time formulas; each DNF branch lists
+    (conjunct, op_index) pairs; ``M`` is the input penalty.
+    """
+
+    phi: Formula
+    table: PredicateTable
+    grid: SamplingGrid
+    x0: np.ndarray
+    config: ControlConfig
+    h_d: int
+    k_event: int | None
+    schedule: Schedule | None
+    branches: tuple[tuple[tuple[Formula, int | None], ...], ...]
+    dyn: StackedDynamics
+    lo: np.ndarray
+    hi: np.ndarray
+    M: np.ndarray
+
+
+def compile_run(phi: Formula, system, table: PredicateTable, config: ControlConfig,
+                schedule: Schedule | None = None) -> CompiledRun:
+    """Validate a positive-normal-form formula and compute what no step changes.
+
+    ``system`` provides A, B, x0 and the grid; a missing witness schedule is computed.
+    """
+    grid = system.grid
+    validate_windows(phi, grid)
+    theta = unwrap(phi)
+    h_d = discrete_length(theta, grid)
+    if config.horizon < h_d:
+        raise ValueError(f"prediction horizon N={config.horizon} is shorter than the formula "
+                         f"length {h_d}")
+    dyn = stack_dynamics(system.A, system.B, table.C, table.c, config.horizon)
+    lo, hi = config.bounds(dyn.m)
+    M = config.penalty(dyn.m)
+    k_event = event_index(phi, grid) if isinstance(phi, OneTime) else None
+    windows = collect_event_ops(theta)
+    if windows and schedule is None:
+        schedule = compute_schedule(windows, grid)
+    return CompiledRun(phi, table, grid, np.asarray(system.x0, dtype=float), config, h_d, k_event,
+                       schedule, tuple(map(tuple, _dnf(theta))), dyn, lo, hi, M)
 
 
 @dataclass(frozen=True)
@@ -526,44 +568,28 @@ class _Prediction:
     stacked inputs after it.
     """
 
-    theta: Formula
     k0: int
-    N: int
-    m: int
-    lo: np.ndarray
-    hi: np.ndarray
-    M: np.ndarray
     anchors: range
     cols: _Layout
     z_const: np.ndarray
     z_coeff: np.ndarray
 
 
-def _predict(phi: Formula, system, table: PredicateTable, config: ControlConfig, k0: int,
-             state_history: np.ndarray | None) -> _Prediction:
-    grid = system.grid
-    validate_windows(phi, grid)
-    theta = unwrap(phi)
-    h_d = discrete_length(theta, grid)
-    N = config.horizon
-    if N < h_d:
-        raise ValueError(f"prediction horizon N={N} is shorter than the formula length {h_d}")
-
+def _predict(run: CompiledRun, k0: int, state_history: np.ndarray | None) -> _Prediction:
     if state_history is None:
         if k0 != 0:
             raise ValueError("state_history is required when k0 > 0")
-        state_history = np.atleast_2d(np.asarray(system.x0, dtype=float))
+        state_history = run.x0
     state_history = np.atleast_2d(np.asarray(state_history, dtype=float))
     if state_history.shape[0] != k0 + 1:
         raise ValueError(f"state_history must hold x(0..{k0}), got {state_history.shape[0]} rows")
     x_now = state_history[k0]
 
-    m = np.atleast_2d(np.asarray(system.B, dtype=float)).shape[1]
-    dyn = stack_dynamics(system.A, system.B, table.C, table.c, N)
-    lo, hi = config.bounds(m)
-    M = config.penalty(m)
-
-    k_l, k_h = _anchor_range(phi, k0, N, h_d, grid)
+    N, h_d, dyn, table = run.config.horizon, run.h_d, run.dyn, run.table
+    k_l, k_h = (max(0, k0 - h_d + 1), k0 + N - h_d) if run.k_event is None else (run.k_event,) * 2
+    if k_h > k0 + N - h_d:
+        raise ValueError(f"event step {k_h} plus formula length {h_d} exceeds the horizon at "
+                         f"step {k0}")
     cols = _Layout(min(k_l, k0), k0 + N, table.size)
 
     # past/current entries are recorded constants, future entries depend on u_st;
@@ -574,9 +600,9 @@ def _predict(phi: Formula, system, table: PredicateTable, config: ControlConfig,
     z_const[:n_past] = (np.matmul(table.C, state_history[cols.t_lo:k0 + 1, :, None])[:, :, 0]
                         + table.c).reshape(-1)
     z_const[n_past:] = dyn.H1 @ x_now + dyn.offset
-    z_coeff = np.zeros((cols.n_cols, N * m))
+    z_coeff = np.zeros((cols.n_cols, N * dyn.m))
     z_coeff[n_past:] = dyn.H2
-    return _Prediction(theta, k0, N, m, lo, hi, M, range(k_l, k_h + 1), cols, z_const, z_coeff)
+    return _Prediction(k0, range(k_l, k_h + 1), cols, z_const, z_coeff)
 
 
 def _stl_rows(pred: _Prediction, points: tuple[np.ndarray, np.ndarray], layout: VariableLayout):
@@ -591,18 +617,19 @@ def _stl_rows(pred: _Prediction, points: tuple[np.ndarray, np.ndarray], layout: 
     return A, pred.z_const[ix], dict(enumerate(zip(ps.tolist(), ks.tolist())))
 
 
-def _input_rows(pred: _Prediction, config: ControlConfig, layout: VariableLayout,
+def _input_rows(run: CompiledRun, k0: int, layout: VariableLayout,
                 input_history: np.ndarray | None):
     """Box, budget and extra rows over the inputs, and the input penalty.
 
     Returns (A, b, kinds, quad) with every block placed at ``layout.u_slice``.
     """
-    N, m, k0 = pred.N, pred.m, pred.k0
+    config = run.config
+    N, m = config.horizon, run.dyn.m
     n_u, n_y, u = layout.n_u, layout.total, layout.u_slice
 
     # per step, an upper then a lower row for every input with a finite limit
     limits = np.array([(j, sign, bound) for j in range(m)
-                       for sign, bound in ((1.0, pred.hi[j]), (-1.0, -pred.lo[j]))
+                       for sign, bound in ((1.0, run.hi[j]), (-1.0, -run.lo[j]))
                        if np.isfinite(bound)]).reshape(-1, 3)
     box_cols = (np.arange(N)[:, None] * m + limits[:, 0].astype(int)).reshape(-1)
     A_box = np.zeros((box_cols.size, n_y))
@@ -612,10 +639,12 @@ def _input_rows(pred: _Prediction, config: ControlConfig, layout: VariableLayout
     # input budget over absolute steps [0, budget_end]
     if config.budget_total is not None:
         end = config.budget_end if config.budget_end is not None else k0 + N - 1
-        spent = 0.0
-        if input_history is not None and k0 > 0:
-            hist = np.atleast_2d(np.asarray(input_history, dtype=float))[:k0]
-            spent = float(hist[:min(k0, end + 1)].sum())
+        hist = (np.zeros((0, m)) if input_history is None
+                else np.atleast_2d(np.asarray(input_history, dtype=float)))
+        if hist.shape[0] < k0:
+            raise ValueError(f"input_history must hold u(0..{k0 - 1}) to count the budget "
+                             f"spent, got {hist.shape[0]} rows")
+        spent = float(hist[:k0][:min(k0, end + 1)].sum())
         coeffs = np.zeros(n_u)
         coeffs[:min(N, max(0, end - k0 + 1)) * m] = 1.0
         extra.append((coeffs, float(config.budget_total) - spent))
@@ -629,50 +658,42 @@ def _input_rows(pred: _Prediction, config: ControlConfig, layout: VariableLayout
         A_extra[r, u] = coeffs
 
     quad = np.zeros((n_y, n_y))
-    if np.any(pred.M):
-        quad[u, u] = np.kron(np.eye(N), pred.M)
+    if np.any(run.M):
+        quad[u, u] = np.kron(np.eye(N), run.M)
     return (np.vstack([A_box, A_extra]),
             np.concatenate([np.tile(limits[:, 2], N), [b for _, b in extra]]),
             ["box"] * box_cols.size + ["extra"] * len(extra), quad)
 
 
-def build_problem(phi: Formula, system, table: PredicateTable, config: ControlConfig,
-                  k0: int = 0, state_history: np.ndarray | None = None,
-                  input_history: np.ndarray | None = None,
-                  schedule: Schedule | None = None) -> list[QpProblem]:
-    """Compile the formula into one problem per disjunction branch.
+def build_problem(run: CompiledRun, k0: int = 0, state_history: np.ndarray | None = None,
+                  input_history: np.ndarray | None = None) -> list[QpProblem]:
+    """Compile step k0 of a compiled run into one problem per disjunction branch.
 
-    ``system`` provides A, B, x0 and the sampling grid; ``state_history``
-    holds the recorded states x(0..k0) (defaults to the initial state at
-    k0 = 0) and fixes the past segment of the stacked predicate vector.
-    The formula must be negation-free (positive normal form).
+    ``state_history`` holds the recorded states x(0..k0) (default: x0 at
+    k0 = 0); ``input_history`` the applied inputs u(0..k0-1), which a budget needs.
     """
-    pred = _predict(phi, system, table, config, k0, state_history)
-    windows = collect_event_ops(pred.theta)
-    if windows and schedule is None:
-        schedule = compute_schedule(windows, system.grid)
-    return [_assemble_branch(branch, branch_ix, pred, schedule, system.grid, table, config,
-                             input_history)
-            for branch_ix, branch in enumerate(_dnf(pred.theta))]
+    pred = _predict(run, k0, state_history)
+    return [_assemble_branch(run, branch, branch_ix, pred, input_history)
+            for branch_ix, branch in enumerate(run.branches)]
 
 
-def _assemble_branch(branch, branch_ix, pred: _Prediction, schedule, grid, table, config,
+def _assemble_branch(run: CompiledRun, branch, branch_ix: int, pred: _Prediction,
                      input_history) -> QpProblem:
     n_anchor = len(pred.anchors)
     multi = len(branch) > 1
-    layout = VariableLayout(n_anchor if multi else 0, pred.N, pred.m)
+    layout = VariableLayout(n_anchor if multi else 0, run.config.horizon, run.dyn.m)
     u = layout.u_slice
 
     terms = []
     E_per_conjunct = []
     for psi, op_index in branch:
-        terms.append(_psi_terms(psi, op_index, pred.anchors, schedule, grid))
+        terms.append(_psi_terms(psi, op_index, pred.anchors, run.schedule, run.grid))
         E_per_conjunct.append(_e_matrix(terms[-1], n_anchor, pred.cols))
     E_total = sum(E_per_conjunct)
 
     lin = np.zeros(layout.total)
     const = 0.0
-    cost_pred_mass = np.zeros(table.size)
+    cost_pred_mass = np.zeros(run.table.size)
     epigraph_pred_mass = None
     if multi:
         lin[:n_anchor] = 1.0
@@ -680,12 +701,12 @@ def _assemble_branch(branch, branch_ix, pred: _Prediction, schedule, grid, table
         w = E_total.sum(axis=0)
         lin[u] = w @ pred.z_coeff
         const += float(w @ pred.z_const)
-        cost_pred_mass = _pred_mass(w[None], table.size)[0]
+        cost_pred_mass = _pred_mass(w[None], run.table.size)[0]
 
     points = _sat_points(terms)
     A_stl, b_stl, stl_row_info = _stl_rows(pred, points, layout)
     # the margin is planning headroom; recorded steps only need z >= 0
-    b_stl = b_stl - np.where(points[0] > pred.k0, config.constraint_margin, 0.0)
+    b_stl = b_stl - np.where(points[0] > pred.k0, run.config.constraint_margin, 0.0)
 
     # epigraph rows: u_x[i] <= (E_j z)(i) for every conjunct j; the products are
     # taken row by row (a stack of vector-matrix products), as one matrix
@@ -697,9 +718,9 @@ def _assemble_branch(branch, branch_ix, pred: _Prediction, schedule, grid, table
         A_epi[np.arange(A_epi.shape[0]), np.tile(np.arange(n_anchor), len(branch))] = 1.0
         A_epi[:, u] = -np.matmul(E_rows, pred.z_coeff)[:, 0]
         b_epi = np.matmul(E_rows, pred.z_const)[:, 0]
-        epigraph_pred_mass = _pred_mass(E_rows[:, 0], table.size)
+        epigraph_pred_mass = _pred_mass(E_rows[:, 0], run.table.size)
 
-    A_in, b_in, in_kinds, quad = _input_rows(pred, config, layout, input_history)
+    A_in, b_in, in_kinds, quad = _input_rows(run, pred.k0, layout, input_history)
     debug = {
         "E": E_total,
         "E_per_conjunct": E_per_conjunct,
@@ -713,7 +734,7 @@ def _assemble_branch(branch, branch_ix, pred: _Prediction, schedule, grid, table
         A_ub=np.vstack([A_stl, A_epi, A_in]), b_ub=np.concatenate([b_stl, b_epi, b_in]),
         layout=layout,
         row_kinds=tuple(["stl"] * A_stl.shape[0] + ["epigraph"] * A_epi.shape[0] + in_kinds),
-        stl_row_info=stl_row_info, n_predicates=table.size, cost_pred_mass=cost_pred_mass,
+        stl_row_info=stl_row_info, n_predicates=run.table.size, cost_pred_mass=cost_pred_mass,
         epigraph_pred_mass=epigraph_pred_mass, branch=branch_ix, debug=debug)
 
 
@@ -738,28 +759,25 @@ def add_slack_relaxation(p: QpProblem, s: float) -> QpProblem:
     lin = np.concatenate([p.lin, p.cost_pred_mass - s])
 
     A_old = np.hstack([p.A_ub, np.zeros((p.n_rows, n_mu))])
-    kinds = list(p.row_kinds)
-    for row_ix, (pred, _k) in p.stl_row_info.items():
-        A_old[row_ix, n_old + pred] = -1.0
+    stl_rows = np.fromiter(p.stl_row_info, dtype=np.intp, count=len(p.stl_row_info))
+    stl_preds = np.array(list(p.stl_row_info.values()), dtype=np.intp).reshape(-1, 2)[:, 0]
+    A_old[stl_rows, n_old + stl_preds] = -1.0
     if p.epigraph_pred_mass is not None:
-        epi_rows = [i for i, kind in enumerate(p.row_kinds) if kind == "epigraph"]
-        for r, row_ix in enumerate(epi_rows):
-            A_old[row_ix, n_old:] = -p.epigraph_pred_mass[r]
+        epi_rows = np.flatnonzero(np.array(p.row_kinds) == "epigraph")
+        A_old[epi_rows, n_old:] = -p.epigraph_pred_mass
 
     nonneg = np.zeros((n_mu, n_old + n_mu))
     nonneg[:, n_old:] = -np.eye(n_mu)
     A_ub = np.vstack([A_old, nonneg])
     b_ub = np.concatenate([p.b_ub, np.zeros(n_mu)])
-    kinds.extend(["slack"] * n_mu)
+    kinds = p.row_kinds + ("slack",) * n_mu
 
-    return replace(p, quad=quad, lin=lin, A_ub=A_ub, b_ub=b_ub,
-                   layout=layout, row_kinds=tuple(kinds))
+    return replace(p, quad=quad, lin=lin, A_ub=A_ub, b_ub=b_ub, layout=layout, row_kinds=kinds)
 
 
-def build_sr_baseline(phi: Formula, system, table: PredicateTable, config: ControlConfig,
-                      k0: int = 0, state_history: np.ndarray | None = None,
+def build_sr_baseline(run: CompiledRun, k0: int = 0, state_history: np.ndarray | None = None,
                       input_history: np.ndarray | None = None) -> QpProblem:
-    """Worst-case baseline: maximize the minimum predicate margin.
+    """Worst-case baseline for step k0 of a compiled run: maximize the minimum predicate margin.
 
     Only conjunctions of always-operators over axis-aligned unit-normal
     predicates are supported.  The problem is compiled like a one-branch
@@ -767,33 +785,25 @@ def build_sr_baseline(phi: Formula, system, table: PredicateTable, config: Contr
     input rows, but with a single epigraph variable t as its cost: every
     satisfaction row reads t <= z_p(k), without constraint margin.
     """
-
-    def conjuncts(g: Formula):
-        if isinstance(g, And):
-            out = []
-            for ch in g.children:
-                out.extend(conjuncts(ch))
-            return out
-        if isinstance(g, Always) and isinstance(g.child, Pred):
-            return [g]
+    table = run.table
+    gs = [psi for psi, _ in run.branches[0]] if len(run.branches) == 1 else None
+    if gs is None or not all(isinstance(g, Always) and isinstance(g.child, Pred) for g in gs):
         raise FragmentError(
             "the worst-case baseline supports conjunctions of always-operators over predicates")
-
-    gs = conjuncts(unwrap(phi))
     for g in gs:
         if table.unit_axis(g.child.pred_id) is None:
             raise FragmentError(
                 f"predicate {table.names[g.child.pred_id]!r} is not axis-aligned with unit normal")
 
-    pred = _predict(phi, system, table, config, k0, state_history)
-    layout = VariableLayout(1, pred.N, pred.m)
-    points = _sat_points([_psi_terms(g, None, pred.anchors, None, system.grid) for g in gs])
+    pred = _predict(run, k0, state_history)
+    layout = VariableLayout(1, run.config.horizon, run.dyn.m)
+    points = _sat_points([_psi_terms(g, None, pred.anchors, None, run.grid) for g in gs])
     A_stl, b_stl, stl_row_info = _stl_rows(pred, points, layout)
     A_stl[:, 0] = 1.0
     # rows at recorded steps have no input terms; writing +0 there rather
     # than -0 keeps the baseline's dump_problem text stable
     A_stl[points[0] <= k0, layout.u_slice] = 0.0
-    A_in, b_in, in_kinds, quad = _input_rows(pred, config, layout, input_history)
+    A_in, b_in, in_kinds, quad = _input_rows(run, k0, layout, input_history)
 
     lin = np.zeros(layout.total)
     lin[0] = 1.0

@@ -39,19 +39,21 @@ class SolverError(RuntimeError):
     """Structural solver failure (non-convex input or unbounded problem)."""
 
 
+# splitting parameters (KKT regularization, step size, over-relaxation), steps between
+# convergence checks, and the smallest iterate change the infeasibility checks consider
+_SIGMA, _RHO, _ALPHA = 1e-6, 0.1, 1.6
+_CHECK_INTERVAL = 25
+_INFEASIBILITY_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class SolverSettings:
     abs_tol: float = 1e-8
     rel_tol: float = 1e-8
     max_iterations: int = 50_000
-    infeasibility_tol: float = 1e-9
-    sigma: float = 1e-6
-    rho: float = 0.1
-    alpha: float = 1.6
-    check_interval: int = 25
 
     def __post_init__(self) -> None:
-        if min(self.abs_tol, self.rel_tol, self.infeasibility_tol) <= 0:
+        if min(self.abs_tol, self.rel_tol) <= 0:
             raise ValueError("tolerances must be positive")
 
 
@@ -200,11 +202,7 @@ def solve(problem: QpProblem, settings: SolverSettings | None = None) -> QpSolut
 
     Ps, qs, As, bs, d_scale, e_scale, cost_scale = _ruiz_equilibrate(P, q, A, b)
 
-    sigma = settings.sigma
-    rho = settings.rho
-    alpha = settings.alpha
-
-    lu, piv = scipy.linalg.lu_factor(_kkt(Ps, sigma, As, -1.0 / rho, off=-0.0),
+    lu, piv = scipy.linalg.lu_factor(_kkt(Ps, _SIGMA, As, -1.0 / _RHO, off=-0.0),
                                      check_finite=False)
     # LAPACK's getrs directly: scipy.linalg.lu_solve calls the same routine
     # but its per-call argument handling costs more than the solve itself
@@ -223,20 +221,20 @@ def solve(problem: QpProblem, settings: SolverSettings | None = None) -> QpSolut
     r_prim = r_dual = np.nan
 
     for it in range(1, settings.max_iterations + 1):
-        rhs = np.concatenate([sigma * x - qs, z - y / rho])
+        rhs = np.concatenate([_SIGMA * x - qs, z - y / _RHO])
         sol, _ = getrs(lu, piv, rhs, overwrite_b=True)
         x_tilde = sol[:n]
         nu = sol[n:]
-        z_tilde = z + (nu - y) / rho
+        z_tilde = z + (nu - y) / _RHO
 
         x_prev = x
-        x = alpha * x_tilde + (1 - alpha) * x_prev
-        z_relaxed = alpha * z_tilde + (1 - alpha) * z
-        z_new = np.minimum(z_relaxed + y / rho, bs)
-        y = y + rho * (z_relaxed - z_new)
+        x = _ALPHA * x_tilde + (1 - _ALPHA) * x_prev
+        z_relaxed = _ALPHA * z_tilde + (1 - _ALPHA) * z
+        z_new = np.minimum(z_relaxed + y / _RHO, bs)
+        y = y + _RHO * (z_relaxed - z_new)
         z = z_new
 
-        if it % settings.check_interval == 0 or it == settings.max_iterations:
+        if it % _CHECK_INTERVAL == 0 or it == settings.max_iterations:
             # unscaled iterates and residuals
             x_u = d_scale * x
             y_u = e_scale * y / cost_scale
@@ -271,7 +269,7 @@ def solve(problem: QpProblem, settings: SolverSettings | None = None) -> QpSolut
             dy = y_u - y_unscaled_prev
             dy_pos = np.maximum(dy, 0.0)
             dy_norm = float(np.abs(dy_pos).max(initial=0.0))
-            if dy_norm > settings.infeasibility_tol:
+            if dy_norm > _INFEASIBILITY_TOL:
                 if (np.abs(A.T @ dy_pos).max(initial=0.0) <= 1e-6 * dy_norm * scales.A
                         and float(b @ dy_pos) < -1e-8 * dy_norm * scales.b):
                     status, iters_done = "infeasible", it
@@ -282,7 +280,7 @@ def solve(problem: QpProblem, settings: SolverSettings | None = None) -> QpSolut
             # dual infeasibility (unbounded objective) is a builder bug
             dx = x_u - x_unscaled_prev
             dx_norm = float(np.abs(dx).max(initial=0.0))
-            if dx_norm > settings.infeasibility_tol:
+            if dx_norm > _INFEASIBILITY_TOL:
                 if (np.abs(P @ dx).max(initial=0.0) <= 1e-6 * dx_norm * scales.P
                         and float(q @ dx) < -1e-8 * dx_norm * scales.q
                         and (A @ dx).max(initial=0.0) <= 1e-6 * dx_norm * scales.A):

@@ -27,6 +27,7 @@ from stlmpc import (
     build_E_until,
     build_problem,
     collect_event_ops,
+    compile_run,
     compute_schedule,
     discrete_length,
     eval_bool,
@@ -178,8 +179,8 @@ def test_06_cost_semantics_oracle():
         history = rollout(system.A, system.B, system.x0, u_hist, GRID1).states
         u_plan = rng.uniform(-2, 2, size=(N, 1))
 
-        p = build_problem(theta, system, table, ControlConfig(horizon=N), k0=k0,
-                          state_history=history, input_history=u_hist, schedule=sched)[0]
+        p = build_problem(compile_run(theta, system, table, ControlConfig(horizon=N), sched), k0=k0,
+                          state_history=history, input_history=u_hist)[0]
         z_all = p.debug["z_const"] + p.debug["z_coeff"] @ u_plan.reshape(-1)
         cost_matrix = float(p.debug["E"].sum(axis=0) @ z_all)
         full = rollout(system.A, system.B, system.x0, np.vstack([u_hist, u_plan]), GRID1)
@@ -208,10 +209,9 @@ def test_07_constraint_semantics_oracle():
         k0 = int(rng.integers(0, 2)) * h_d
         u_hist = rng.uniform(-0.5, 0.5, size=(k0, 1))
         history = rollout(system.A, system.B, system.x0, u_hist, GRID1).states
-        p = build_problem(theta, system, table,
-                          ControlConfig(horizon=N, u_min=-4, u_max=4),
-                          k0=k0, state_history=history, input_history=u_hist,
-                          schedule=sched)[0]
+        p = build_problem(compile_run(theta, system, table,
+                                      ControlConfig(horizon=N, u_min=-4, u_max=4), sched),
+                          k0=k0, state_history=history, input_history=u_hist)[0]
         sol = solve(p)
         if sol.status != "optimal":
             continue
@@ -322,7 +322,7 @@ def test_11_slack_relaxation():
     frozen = LtiSystem(np.eye(1), np.zeros((1, 1)), np.zeros(1), GRID1)
     table = PredicateTable([[1.0]], [-5.0])
     theta = Always(Pred(0), 0.0, 0.0)
-    p = build_problem(theta, frozen, table, ControlConfig(horizon=1))[0]
+    p = build_problem(compile_run(theta, frozen, table, ControlConfig(horizon=1)))[0]
     assert solve(p).status == "infeasible"
     sol = solve(add_slack_relaxation(p, s=1e4))
     assert sol.status == "optimal"
@@ -335,7 +335,7 @@ def test_11_slack_relaxation():
     phi, tbl = to_pnf(phi, tbl)
     tank = LtiSystem(np.array([[0.79, 0.0], [0.176, 0.0296]]),
                      np.array([[0.281], [0.0296]]), np.zeros(2), SamplingGrid(12.0))
-    p2 = build_problem(phi, tank, tbl, ControlConfig(horizon=20, u_min=0, u_max=6))[0]
+    p2 = build_problem(compile_run(phi, tank, tbl, ControlConfig(horizon=20, u_min=0, u_max=6)))[0]
     sol2 = solve(add_slack_relaxation(p2, s=1e4))
     assert sol2.status == "optimal"
     assert np.abs(sol2.slacks).max() <= 1e-6

@@ -18,6 +18,7 @@ from stlmpc import (
     run,
     snr_db,
 )
+from stlmpc import qp_builder
 
 GRID1 = SamplingGrid(1.0)
 
@@ -110,6 +111,32 @@ class TestRelaxation:
         cfg = RunConfig(control=ControlConfig(horizon=10, u_min=0, u_max=6), sim_steps=20)
         trace = run(tank, phi, table, cfg)
         assert "relaxed" not in trace.statuses
+
+
+class TestCompileOnce:
+    def test_dynamics_stacked_once_per_run(self, monkeypatch):
+        calls = []
+        stack = qp_builder.stack_dynamics
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return stack(*args, **kwargs)
+
+        monkeypatch.setattr(qp_builder, "stack_dynamics", counting)
+        phi, table = parse("G[0,inf](F[0,2](x1 >= 0.5))")
+        cfg = RunConfig(control=ControlConfig(horizon=3, u_min=0, u_max=1), sim_steps=4)
+        trace = run(scalar_system(), phi, table, cfg)
+        solved = [s for s in trace.statuses if s in ("optimal", "relaxed", "iteration-limit")]
+        assert len(solved) >= 3
+        assert len(calls) == 1
+
+    def test_run_errors_surface_before_the_first_step(self, tank):
+        # the event lies beyond the simulated steps, so no step is ever solved
+        phi, table = parse("event => F[120,240](x1 >= 2)", n_states=2, event_time=120.0)
+        cfg = RunConfig(control=ControlConfig(horizon=20, input_penalty=np.eye(2)),
+                        sim_steps=3)
+        with pytest.raises(ValueError, match="input penalty must be 1x1"):
+            run(tank, phi, table, cfg)
 
 
 class TestHorizonChecks:

@@ -2,12 +2,12 @@
 
 import math
 import random
-import time
 
 import numpy as np
 import pytest
 
 from stlmpc import (
+    AllTime,
     Always,
     And,
     ControlConfig,
@@ -26,6 +26,7 @@ from stlmpc import (
     build_R,
     build_sr_baseline,
     collect_event_ops,
+    compile_run,
     compute_schedule,
     discrete_length,
     eval_bool,
@@ -111,11 +112,6 @@ class TestEMatrices:
         ])
         assert E.shape == (3, 10)
         assert np.array_equal(E, expected)
-
-    def test_until_fast_enough(self):
-        start = time.perf_counter()
-        build_E_until(N=3, h_d=2, k0=3, k1_fn=paper_until_k1)
-        assert time.perf_counter() - start < 1e-3
 
     def test_until_degenerate_window(self):
         E = build_E_until(N=1, h_d=0, k0=5, k1_fn=lambda k: k)
@@ -215,12 +211,14 @@ def two_tank_system(T=12.0):
 class TestBuildProblem:
     def test_zero_penalty_gives_lp(self, tank):
         phi, table = _parse_pnf("G[0,inf]((x1 >= 0) U[120,240] (x1 <= 5))")
-        p = build_problem(phi, tank, table, ControlConfig(horizon=20, u_min=0, u_max=6))[0]
+        p = build_problem(compile_run(phi, tank, table,
+                                      ControlConfig(horizon=20, u_min=0, u_max=6)))[0]
         assert not np.any(p.quad)
 
     def test_disjunction_splits_into_branches(self, tank):
         phi, table = _parse_pnf("G[0,inf](G[0,24](x1 >= 0) | F[0,24](x1 >= 2))")
-        probs = build_problem(phi, tank, table, ControlConfig(horizon=2, u_min=0, u_max=6))
+        probs = build_problem(compile_run(phi, tank, table,
+                                          ControlConfig(horizon=2, u_min=0, u_max=6)))
         assert len(probs) == 2
         assert [p.branch for p in probs] == [0, 1]
 
@@ -229,12 +227,13 @@ class TestBuildProblem:
 
         phi, table = parse("G[0,inf](true U[120,240] (x1 <= 5))", n_states=2)
         with pytest.raises(FragmentError):
-            build_problem(phi, tank, table, ControlConfig(horizon=20, u_min=0, u_max=6))
+            build_problem(compile_run(phi, tank, table,
+                                      ControlConfig(horizon=20, u_min=0, u_max=6)))
 
     def test_horizon_shorter_than_formula_rejected(self, tank):
         phi, table = _parse_pnf("G[0,inf](G[0,120](x1 >= 0))")
         with pytest.raises(ValueError):
-            build_problem(phi, tank, table, ControlConfig(horizon=5))
+            build_problem(compile_run(phi, tank, table, ControlConfig(horizon=5)))
 
     def test_matches_literal_until_matrix(self):
         # the general compiler and each single-operator constructor agree on a
@@ -254,8 +253,8 @@ class TestBuildProblem:
         for theta, E_raw in cases:
             n_mu = 2 if isinstance(theta, Until) else 1
             table = PredicateTable([[1.0], [-1.0]][:n_mu], [0.0, 5.0][:n_mu])
-            p = build_problem(theta, system, table, ControlConfig(horizon=N), k0=k0,
-                              state_history=np.zeros((k0 + 1, 1)), schedule=sched)[0]
+            p = build_problem(compile_run(theta, system, table, ControlConfig(horizon=N), sched),
+                              k0=k0, state_history=np.zeros((k0 + 1, 1)))[0]
             assert np.array_equal(p.debug["E"], E_raw)
             assert np.array_equal(np.signbit(p.debug["E"]), np.signbit(E_raw))
 
@@ -325,10 +324,9 @@ class TestCostSemanticsAgreement:
             history = hist_sig.states
             u_plan = rng.uniform(-2, 2, size=(N, 1))
 
-            probs = build_problem(theta, system, table,
-                                  ControlConfig(horizon=N), k0=k0,
-                                  state_history=history, input_history=u_hist,
-                                  schedule=sched)
+            probs = build_problem(compile_run(theta, system, table,
+                                              ControlConfig(horizon=N), sched),
+                                  k0=k0, state_history=history, input_history=u_hist)
             assert len(probs) == 1
             p = probs[0]
             z_const, z_coeff = p.debug["z_const"], p.debug["z_coeff"]
@@ -404,8 +402,8 @@ class TestArrayAssembly:
             k0 = int(rng.integers(0, 2 * h_d + 2))
             u_hist = rng.uniform(-2, 2, size=(k0, 1))
             history = rollout(system.A, system.B, system.x0, u_hist, GRID1).states
-            p = build_problem(theta, system, table, ControlConfig(horizon=N), k0=k0,
-                              state_history=history, input_history=u_hist, schedule=sched)[0]
+            p = build_problem(compile_run(theta, system, table, ControlConfig(horizon=N), sched),
+                              k0=k0, state_history=history, input_history=u_hist)[0]
             anchors, t_lo = p.debug["anchors"], p.debug["t_lo"]
             points = {}
             op_index = 0
@@ -445,10 +443,9 @@ class TestConstraintSemanticsAgreement:
             u_hist = rng.uniform(-0.5, 0.5, size=(k0, 1))
             history = rollout(system.A, system.B, system.x0, u_hist, GRID1).states
 
-            probs = build_problem(theta, system, table,
-                                  ControlConfig(horizon=N, u_min=-4, u_max=4),
-                                  k0=k0, state_history=history,
-                                  input_history=u_hist, schedule=sched)
+            probs = build_problem(compile_run(theta, system, table,
+                                              ControlConfig(horizon=N, u_min=-4, u_max=4), sched),
+                                  k0=k0, state_history=history, input_history=u_hist)
             sol = solve(probs[0])
             if sol.status != "optimal":
                 continue
@@ -469,9 +466,8 @@ class TestEpigraphConjunction:
             theta = And((Always(Pred(0), 0.0, 2.0), Eventually(Pred(1), 1.0, 3.0)))
             sched = compute_schedule([(1.0, 3.0)], GRID1)
             N = discrete_length(theta, GRID1) + 1
-            p = build_problem(theta, system, table,
-                              ControlConfig(horizon=N, u_min=-3, u_max=3),
-                              schedule=sched)[0]
+            p = build_problem(compile_run(theta, system, table,
+                                          ControlConfig(horizon=N, u_min=-3, u_max=3), sched))[0]
             sol = solve(p)
             if sol.status != "optimal":
                 continue
@@ -486,7 +482,8 @@ class TestSlackRelaxation:
 
     def test_feasible_problem_keeps_slack_at_zero(self, tank):
         phi, table = _parse_pnf("G[0,inf]((x1 >= 0) U[120,240] (x1 <= 5))")
-        p = build_problem(phi, tank, table, ControlConfig(horizon=20, u_min=0, u_max=6))[0]
+        p = build_problem(compile_run(phi, tank, table,
+                                      ControlConfig(horizon=20, u_min=0, u_max=6)))[0]
         relaxed = add_slack_relaxation(p, s=1e4)
         sol = solve(relaxed)
         assert sol.status == "optimal"
@@ -497,7 +494,7 @@ class TestSlackRelaxation:
         system = self._frozen_system()
         table = PredicateTable([[1.0]], [-5.0])
         theta = Always(Pred(0), 0.0, 0.0)
-        p = build_problem(theta, system, table, ControlConfig(horizon=1))[0]
+        p = build_problem(compile_run(theta, system, table, ControlConfig(horizon=1)))[0]
         assert solve(p).status == "infeasible"
         relaxed = add_slack_relaxation(p, s=1e4)
         sol = solve(relaxed)
@@ -506,7 +503,8 @@ class TestSlackRelaxation:
 
     def test_zero_slack_reproduces_original_blocks(self, tank):
         phi, table = _parse_pnf("G[0,inf]((x1 >= 0) U[120,240] (x1 <= 5))")
-        p = build_problem(phi, tank, table, ControlConfig(horizon=20, u_min=0, u_max=6))[0]
+        p = build_problem(compile_run(phi, tank, table,
+                                      ControlConfig(horizon=20, u_min=0, u_max=6)))[0]
         relaxed = add_slack_relaxation(p, s=1e4)
         n = p.n_vars
         np.testing.assert_array_equal(relaxed.A_ub[:p.n_rows, :n], p.A_ub)
@@ -516,7 +514,7 @@ class TestSlackRelaxation:
 
     def test_double_relaxation_rejected(self, tank):
         phi, table = _parse_pnf("G[0,inf]((x1 >= 0) U[120,240] (x1 <= 5))")
-        p = build_problem(phi, tank, table, ControlConfig(horizon=20))[0]
+        p = build_problem(compile_run(phi, tank, table, ControlConfig(horizon=20)))[0]
         relaxed = add_slack_relaxation(p, s=10.0)
         with pytest.raises(ValueError):
             add_slack_relaxation(relaxed, s=10.0)
@@ -527,7 +525,8 @@ class TestSrBaseline:
         system = LtiSystem(np.array([[0.5]]), np.array([[1.0]]), np.zeros(1), GRID1)
         table = PredicateTable([[1.0]], [-0.2])
         phi = OneTime(Always(Pred(0), 1.0, 3.0), 0.0)
-        p = build_sr_baseline(phi, system, table, ControlConfig(horizon=3, u_min=0, u_max=1))
+        p = build_sr_baseline(compile_run(phi, system, table,
+                                          ControlConfig(horizon=3, u_min=0, u_max=1)))
         sol = solve(p)
         assert sol.status == "optimal"
 
@@ -546,9 +545,9 @@ class TestSrBaseline:
         system = LtiSystem(np.array([[0.5]]), np.array([[1.0]]), np.zeros(1), GRID1)
         table = PredicateTable([[1.0]], [0.0])
         phi = OneTime(Always(Pred(0), 1.0, 3.0), 0.0)
-        p = build_sr_baseline(phi, system, table,
-                              ControlConfig(horizon=3, u_min=0, u_max=1,
-                                            budget_total=-1.0))
+        p = build_sr_baseline(compile_run(phi, system, table,
+                                          ControlConfig(horizon=3, u_min=0, u_max=1,
+                                                        budget_total=-1.0)))
         assert solve(p).status == "infeasible"
 
     def test_rejects_eventually(self):
@@ -556,14 +555,14 @@ class TestSrBaseline:
         table = PredicateTable([[1.0]], [0.0])
         phi = OneTime(Eventually(Pred(0), 1.0, 3.0), 0.0)
         with pytest.raises(FragmentError):
-            build_sr_baseline(phi, system, table, ControlConfig(horizon=3))
+            build_sr_baseline(compile_run(phi, system, table, ControlConfig(horizon=3)))
 
     def test_rejects_non_unit_normal(self):
         system = LtiSystem(np.array([[0.5]]), np.array([[1.0]]), np.zeros(1), GRID1)
         table = PredicateTable([[2.0]], [0.0])
         phi = OneTime(Always(Pred(0), 1.0, 3.0), 0.0)
         with pytest.raises(FragmentError, match="not axis-aligned"):
-            build_sr_baseline(phi, system, table, ControlConfig(horizon=3))
+            build_sr_baseline(compile_run(phi, system, table, ControlConfig(horizon=3)))
 
     @pytest.mark.parametrize("k0, history_rows, extra_ineqs, message", [
         (2, 5, (), r"state_history must hold x\(0\.\.2\), got 5 rows"),
@@ -575,7 +574,33 @@ class TestSrBaseline:
         history = np.zeros((history_rows, 2))
         for build in (build_problem, build_sr_baseline):
             with pytest.raises(ValueError, match=message):
-                build(phi, two_tank_system(), table, config, k0=k0, state_history=history)
+                build(compile_run(phi, two_tank_system(), table, config), k0=k0,
+                      state_history=history)
+
+
+class TestInputBudget:
+    """The budget row subtracts what the recorded inputs already spent."""
+
+    def _run(self):
+        system = LtiSystem(np.array([[0.5]]), np.array([[1.0]]), np.zeros(1), GRID1)
+        table = PredicateTable([[1.0]], [0.0])
+        return compile_run(AllTime(Always(Pred(0), 0.0, 1.0)), system, table,
+                           ControlConfig(horizon=2, budget_total=2.0))
+
+    @pytest.mark.parametrize("build", [build_problem, build_sr_baseline])
+    def test_spent_inputs_reduce_the_budget(self, build):
+        problems = build(self._run(), k0=3, state_history=np.zeros((4, 1)),
+                         input_history=np.ones((3, 1)))
+        p = problems[0] if isinstance(problems, list) else problems
+        assert p.b_ub[p.row_kinds.index("extra")] == -1.0
+
+    @pytest.mark.parametrize("rows", [None, 0, 1, 2])
+    @pytest.mark.parametrize("build", [build_problem, build_sr_baseline])
+    def test_unrecorded_inputs_are_rejected(self, build, rows):
+        # counting the missing inputs as zero spend would loosen the budget
+        history = None if rows is None else np.ones((rows, 1))
+        with pytest.raises(ValueError, match=r"input_history must hold u\(0\.\.2\)"):
+            build(self._run(), k0=3, state_history=np.zeros((4, 1)), input_history=history)
 
 
 class TestDebugDump:
@@ -583,10 +608,12 @@ class TestDebugDump:
         from stlmpc.qp_builder import dump_problem
 
         phi, table = _parse_pnf("G[0,inf](G[0,120](x1 >= 0))")
-        p = build_problem(phi, tank, table, ControlConfig(horizon=10, u_min=0, u_max=6))[0]
+        p = build_problem(compile_run(phi, tank, table,
+                                      ControlConfig(horizon=10, u_min=0, u_max=6)))[0]
         text = dump_problem(p)
         assert text.splitlines()[0].startswith("E ")
         assert "A_ub" in text and "const" in text
         # golden-file style stability: identical problem gives identical dump
-        p2 = build_problem(phi, tank, table, ControlConfig(horizon=10, u_min=0, u_max=6))[0]
+        p2 = build_problem(compile_run(phi, tank, table,
+                                       ControlConfig(horizon=10, u_min=0, u_max=6)))[0]
         assert dump_problem(p2) == text
