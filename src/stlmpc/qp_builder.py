@@ -551,6 +551,8 @@ def compile_run(phi: Formula, system, table: PredicateTable, config: ControlConf
     dyn = stack_dynamics(system.A, system.B, table.C, table.c, config.horizon)
     lo, hi = config.bounds(dyn.m)
     M = config.penalty(dyn.m)
+    if config.budget_end is not None and config.budget_end < 0:
+        raise ValueError(f"budget_end must be a step >= 0, got {config.budget_end}")
     k_event = event_index(phi, grid) if isinstance(phi, OneTime) else None
     windows = collect_event_ops(theta)
     if windows and schedule is None:

@@ -1,29 +1,35 @@
-"""Dense convex QP/LP solver via operator splitting with active-set polishing.
+"""Dense convex QP solver via operator splitting, and an exact LP path.
 
 Solves problems of the form
 
     maximize   lin @ y - y @ quad @ y + const
     subject to A_ub @ y <= b_ub
 
-by alternating a regularized KKT solve with a projection onto the
-constraint box, in the style of first-order splitting QP codes.  After the
-splitting converges, the active constraint set is polished by one equality-
-constrained solve, which typically lands on machine-precision KKT residuals
-even for linear programs.  Primal infeasibility is detected from the
+A problem whose quadratic term is zero is a linear program and goes to the
+interior-point method of HiGHS (Huangfu & Hall, Math. Prog. Comp. 2018;
+Schork & Gondzio's IPX, Math. Prog. Comp. 2020), run without crossover so
+that it returns a point inside the optimal face rather than a vertex.
+
+Every other problem is solved by alternating a regularized KKT solve with a
+projection onto the constraint box, in the style of first-order splitting
+QP codes.  After the splitting converges, the active constraint set is
+polished by one equality-constrained solve, which typically lands on
+machine-precision KKT residuals.  Primal infeasibility is detected from the
 divergence direction of the dual iterates.
 
-The implementation is deliberately dense: the intended problems have at most
+The splitting is deliberately dense: the intended problems have at most
 a few hundred variables, where one LU factorization of the KKT matrix per
 step-size update is cheap.  With a fixed step size that is one
-factorization per solve, so the set-up around it is kept lean: the Ruiz
-equilibration skips every quadratic term when the problem is a linear
-program (a zero P stays zero under scaling), KKT matrices are written into
-one preallocated array, and the data norms the convergence, infeasibility
-and polishing checks use are taken once per solve.
+factorization per solve, so the set-up around it is kept lean: KKT matrices
+are written into one preallocated array, and the data norms the
+convergence, infeasibility and polishing checks use are taken once per
+solve.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -62,8 +68,7 @@ def _ruiz_equilibrate(P, q, A, b, iters: int = 10):
 
     The cost vector participates in the column norms: a variable that only
     appears in the objective (e.g. a heavily weighted slack) would otherwise
-    keep its raw scale and stall the first-order iteration.  A zero P (every
-    linear program) stays zero under scaling, so its terms are skipped.
+    keep its raw scale and stall the first-order iteration.
     """
     n = P.shape[0]
     mrows = A.shape[0]
@@ -72,21 +77,17 @@ def _ruiz_equilibrate(P, q, A, b, iters: int = 10):
     # column-major: both norm reductions and the row scaling then run along
     # contiguous memory (faster than row-major, same values)
     Ps, qs, As, bs = P.copy(), q.copy(), np.array(A, order="F"), b.copy()
-    quadratic = np.any(P)
     for _ in range(iters):
         abs_A = np.abs(As)
-        col_norm = abs_A.max(axis=0, initial=0.0)
-        if quadratic:
-            col_norm = np.maximum(np.abs(Ps).max(axis=0, initial=0.0), col_norm)
+        col_norm = np.maximum(np.abs(Ps).max(axis=0, initial=0.0), abs_A.max(axis=0, initial=0.0))
         col_norm = np.maximum(col_norm, np.abs(qs))
         col_norm[col_norm == 0] = 1.0
         dd = 1.0 / np.sqrt(col_norm)
         row_norm = abs_A.max(axis=1, initial=0.0)
         row_norm[row_norm == 0] = 1.0
         ee = 1.0 / np.sqrt(row_norm)
-        if quadratic:
-            Ps *= dd[:, None]
-            Ps *= dd[None, :]
+        Ps *= dd[:, None]
+        Ps *= dd[None, :]
         qs *= dd
         As *= ee[:, None]
         As *= dd[None, :]
@@ -164,17 +165,25 @@ def _polish(P, q, A, b, x, y, feas_tol: float, scales: _Scales):
 
 
 def solve(problem: QpProblem, settings: SolverSettings | None = None) -> QpSolution:
-    """Solve the problem; status is optimal, infeasible, or iteration-limit."""
-    settings = settings or SolverSettings()
+    """Solve the problem; status is optimal, infeasible, or iteration-limit.
+
+    Linear programs go to HiGHS, which ``settings`` do not govern.
+    """
+    if not np.any(problem.quad):
+        return _solve_lp(problem)
+    return _solve_admm(problem, settings or SolverSettings())
+
+
+def _solve_admm(problem: QpProblem, settings: SolverSettings) -> QpSolution:
+    """Operator splitting with active-set polishing, for any convex problem."""
     n = problem.n_vars
 
     # internal minimize form: 1/2 x' P x + q' x  s.t.  A x <= b
     P = np.asarray(2.0 * problem.quad, dtype=float)
     P = 0.5 * (P + P.T)
     q = -np.asarray(problem.lin, dtype=float)
-    if n and np.any(problem.quad):
-        if np.linalg.eigvalsh(P).min() < -1e-8 * max(1.0, np.abs(P).max()):
-            raise SolverError("quadratic block is not positive semidefinite")
+    if n and np.linalg.eigvalsh(P).min() < -1e-8 * max(1.0, np.abs(P).max()):
+        raise SolverError("quadratic block is not positive semidefinite")
 
     # presolve: drop empty rows, catching constant infeasibilities
     A_full = np.asarray(problem.A_ub, dtype=float)
@@ -190,15 +199,11 @@ def solve(problem: QpProblem, settings: SolverSettings | None = None) -> QpSolut
     mrows = A.shape[0]
 
     if mrows == 0:
-        # unconstrained: stationary point of the quadratic (or detect unbounded LP)
-        if np.any(P):
-            x = np.linalg.lstsq(P, -q, rcond=None)[0]
-            if np.abs(P @ x + q).max(initial=0.0) > 1e-6 * max(1.0, np.abs(q).max(initial=0.0)):
-                raise SolverError("problem is unbounded")
-            return _finish(problem, x, "optimal", 0, 0.0, 0.0)
-        if np.any(q):
+        # unconstrained: stationary point of the quadratic
+        x = np.linalg.lstsq(P, -q, rcond=None)[0]
+        if np.abs(P @ x + q).max(initial=0.0) > 1e-6 * max(1.0, np.abs(q).max(initial=0.0)):
             raise SolverError("problem is unbounded")
-        return _finish(problem, np.zeros(n), "optimal", 0, 0.0, 0.0)
+        return _finish(problem, x, "optimal", 0, 0.0, 0.0)
 
     Ps, qs, As, bs, d_scale, e_scale, cost_scale = _ruiz_equilibrate(P, q, A, b)
 
@@ -300,6 +305,76 @@ def solve(problem: QpProblem, settings: SolverSettings | None = None) -> QpSolut
             r_dual = 0.0
 
     return _finish(problem, x_final, status, iters_done, r_prim, r_dual)
+
+
+@functools.cache
+def _highs():
+    """scipy's bundled HiGHS bindings, imported at the first LP solve (about 0.3 s)."""
+    try:
+        return importlib.import_module("scipy.optimize._highspy._core")
+    except ImportError as exc:
+        raise ImportError("linear programs are solved by the HiGHS bindings that scipy "
+                          ">= 1.15 bundles (scipy.optimize._highspy._core)") from exc
+
+
+# one thread keeps results independent of the host; without crossover the
+# interior-point method stops inside the optimal face; presolve costs more
+# than it saves on these problems
+_HIGHS_OPTIONS = {"output_flag": False, "threads": 1, "solver": "ipm", "run_crossover": "off",
+                  "presolve": "off"}
+
+
+def _run_highs(lp, **options):
+    """One solve on a fresh HiGHS instance, so no state carries between calls."""
+    highs = _highs()._Highs()
+    for name, value in {**_HIGHS_OPTIONS, **options}.items():
+        highs.setOptionValue(name, value)
+    highs.passModel(lp)
+    highs.run()
+    return highs
+
+
+def _solve_lp(problem: QpProblem) -> QpSolution:
+    """Exact LP solve: HiGHS's interior-point method, crossover off.
+
+    The interior point lies inside the optimal face, as the splitting's
+    polished point does; a simplex or crossover vertex sits on its edge,
+    with no margin left against the next disturbance.  Only a solve that
+    ends undecided (unbounded or infeasible, or imprecise) is repeated with
+    crossover, whose simplex clean-up gives a verdict.
+    """
+    h = _highs()
+    status_of = {h.HighsModelStatus.kOptimal: "optimal",
+                 h.HighsModelStatus.kModelEmpty: "optimal",
+                 h.HighsModelStatus.kInfeasible: "infeasible"}
+    A = np.asarray(problem.A_ub, dtype=float)
+    m, n = A.shape
+    lp = h.HighsLp()
+    lp.num_col_, lp.num_row_ = n, m
+    lp.col_cost_ = -np.asarray(problem.lin, dtype=float)
+    lp.col_lower_ = np.full(n, -np.inf)
+    lp.col_upper_ = np.full(n, np.inf)
+    lp.row_lower_ = np.full(m, -np.inf)
+    lp.row_upper_ = np.asarray(problem.b_ub, dtype=float)
+    cols, rows = np.nonzero(A.T)
+    mat = lp.a_matrix_
+    mat.format_ = h.MatrixFormat.kColwise
+    mat.num_col_, mat.num_row_ = n, m
+    mat.start_ = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
+    mat.index_ = rows
+    mat.value_ = A[rows, cols]
+
+    highs = _run_highs(lp)
+    if highs.getModelStatus() not in (*status_of, h.HighsModelStatus.kUnbounded):
+        highs = _run_highs(lp, run_crossover="on")
+    verdict = highs.getModelStatus()
+    if verdict == h.HighsModelStatus.kUnbounded:
+        raise SolverError("objective is unbounded along a feasible ray")
+    info = highs.getInfo()
+    x = np.array(highs.getSolution().col_value, dtype=float)
+    iterations = max(info.ipm_iteration_count, 0) + max(info.crossover_iteration_count, 0)
+    return _finish(problem, x, status_of.get(verdict, "iteration-limit"), iterations,
+                   info.max_primal_infeasibility, info.max_dual_infeasibility)
 
 
 def _finish(problem: QpProblem, y_vec: np.ndarray, status: str, iterations: int,

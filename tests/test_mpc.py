@@ -1,6 +1,10 @@
 """Closed-loop behavior: soundness, determinism, recording, noise handling."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,21 @@ from stlmpc import (
 from stlmpc import qp_builder
 
 GRID1 = SamplingGrid(1.0)
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# prints one hash of states, inputs and statuses per closed-loop run
+TRACE_HASHES = """
+import dataclasses, hashlib
+from stlmpc import cli, mpc
+for name in ("two_tank_phi3", "two_tank_phi3_noisy"):
+    cfg = cli.ScenarioConfig.from_file(cli.preset_path(name))
+    for seed in (range(4) if cfg.noise.kind != "none" else [0]):
+        trace = mpc.run(cfg.system, cfg.formula, cfg.table, cfg.run_config,
+                        dataclasses.replace(cfg.noise, seed=seed))
+        digest = hashlib.sha256(trace.states.tobytes() + trace.inputs.tobytes()
+                                + " ".join(trace.statuses).encode()).hexdigest()
+        print(name, seed, digest)
+"""
 
 
 def scalar_system(a=0.5, b=1.0, x0=0.0):
@@ -70,6 +89,18 @@ class TestDeterminismAndRecording:
         assert np.array_equal(t1.inputs, t2.inputs)
         assert t1.statuses == t2.statuses
         assert t1.snr_db == t2.snr_db
+
+    def test_independent_of_blas_threads(self):
+        def hashes(threads):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                       PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+            out = subprocess.run([sys.executable, "-c", TRACE_HASHES], env=env, check=True,
+                                 capture_output=True, text=True, timeout=300)
+            return out.stdout.splitlines()
+
+        one = hashes(1)
+        assert len(one) == 5
+        assert one == hashes(2)
 
     def test_recursion_replay(self, tank):
         phi, table = parse("G[0,inf]((x1 >= 0) U[120,240] (x1 <= 5))", n_states=2)

@@ -602,6 +602,15 @@ class TestInputBudget:
         with pytest.raises(ValueError, match=r"input_history must hold u\(0\.\.2\)"):
             build(self._run(), k0=3, state_history=np.zeros((4, 1)), input_history=history)
 
+    @pytest.mark.parametrize("end", [-1, -3])
+    def test_negative_budget_end_is_rejected(self, end):
+        # a negative end would count recorded inputs through a slice from the end
+        system = LtiSystem(np.array([[0.5]]), np.array([[1.0]]), np.zeros(1), GRID1)
+        table = PredicateTable([[1.0]], [0.0])
+        with pytest.raises(ValueError, match=f"budget_end must be a step >= 0, got {end}"):
+            compile_run(AllTime(Always(Pred(0), 0.0, 1.0)), system, table,
+                        ControlConfig(horizon=2, budget_total=2.0, budget_end=end))
+
 
 class TestDebugDump:
     def test_plain_text_matrices(self, tank):

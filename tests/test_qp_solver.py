@@ -1,10 +1,20 @@
 """Solver correctness against analytic optima and a brute-force oracle."""
 
+import sys
+from importlib import resources
+
 import numpy as np
 import pytest
 
-from stlmpc import QpProblem, SolverSettings, VariableLayout, solve
-from stlmpc.qp_solver import SolverError
+from stlmpc import QpProblem, SolverSettings, VariableLayout, cli, solve
+from stlmpc.qp_builder import (
+    add_slack_relaxation,
+    build_problem,
+    build_sr_baseline,
+    compile_run,
+    default_slack_weight,
+)
+from stlmpc.qp_solver import SolverError, _highs, _solve_admm
 
 from conftest import projected_gradient_oracle
 
@@ -138,6 +148,79 @@ class TestLpPath:
         sol = solve(make_problem(quad, lin, A, b))
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(2.0, abs=1e-8)
+
+
+PRESETS = sorted(p.name.removesuffix(".ini")
+                 for p in resources.files("stlmpc").joinpath("presets").iterdir()
+                 if p.name.endswith(".ini"))
+
+
+def preset_lps(name: str) -> list[QpProblem]:
+    """Plain and relaxed LPs a preset compiles at three steps of an idle rollout."""
+    cfg = cli.ScenarioConfig.from_file(cli.preset_path(name))
+    run = compile_run(cfg.formula, cfg.system, cfg.table, cfg.control)
+    first = run.k_event or 0
+    problems = []
+    for k0 in (first, first + run.h_d // 2, first + run.h_d - 1):
+        states = [cfg.system.x0]
+        for _ in range(k0):
+            states.append(cfg.system.A @ states[-1])
+        history = dict(k0=k0, state_history=np.array(states),
+                       input_history=np.zeros((k0, cfg.system.m)))
+        if cfg.run_config.objective == "sr-baseline":
+            plain = [build_sr_baseline(run, **history)]
+        else:
+            plain = build_problem(run, **history)
+        weight = default_slack_weight(cfg.table, float(np.abs(states).max(initial=1.0)))
+        problems += plain + [add_slack_relaxation(p, weight) for p in plain]
+    return problems
+
+
+class TestExactLp:
+    """HiGHS against the splitting solver forced onto the same linear program."""
+
+    @staticmethod
+    def assert_same_optimum(p: QpProblem) -> None:
+        assert not np.any(p.quad)
+        exact, admm = solve(p), _solve_admm(p, SolverSettings())
+        assert exact.status == admm.status
+        if admm.status == "optimal":
+            scale = max(1.0, abs(admm.objective))
+            assert abs(exact.objective - admm.objective) <= 1e-6 * scale
+
+    def test_random_lps_match_the_splitting_solver(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            self.assert_same_optimum(random_instance(rng, int(rng.integers(2, 21)), lp=True))
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_preset_lps_match_the_splitting_solver(self, preset):
+        for p in preset_lps(preset):
+            self.assert_same_optimum(p)
+
+    def test_undecided_interior_point_is_settled(self):
+        # primal and dual infeasible: the interior point alone cannot tell which
+        p = make_problem(np.zeros((2, 2)), [1.0, 1.0], [[1.0, -1.0], [-1.0, 1.0]], [-1.0, -1.0])
+        assert solve(p).status == "infeasible"
+
+    def test_missing_bindings_name_the_scipy_floor(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+        _highs.cache_clear()
+        try:
+            with pytest.raises(ImportError, match=r"scipy >= 1\.15"):
+                solve(make_problem(np.zeros((1, 1)), [1.0], [[1.0]], [1.0]))
+        finally:
+            _highs.cache_clear()
+
+    def test_no_state_carries_between_solves(self):
+        rng = np.random.default_rng(5)
+        a, b = random_instance(rng, 12, lp=True), random_instance(rng, 9, lp=True)
+        first = solve(a)
+        solve(b)
+        again = solve(a)
+        assert np.array_equal(first.y, again.y)
+        assert first.objective == again.objective
+        assert first.iterations == again.iterations
 
 
 class TestSolutionExtraction:
