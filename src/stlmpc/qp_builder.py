@@ -17,15 +17,16 @@ and applies the input of the best one.  Decision vectors are laid out as
 Compilation has a per-run and a per-step phase.  :func:`compile_run`
 validates the formula against the grid and the horizon and computes what a
 closed-loop run keeps fixed (formula length, event step, witness schedule,
-DNF branches, stacked dynamics ``C A^k B``, input bounds and penalty) into a
-frozen :class:`CompiledRun`.  The per-step builders take it and share one
-path: ``_predict`` checks the history and writes every predicate at every
-step of the window as an affine function of the stacked inputs,
-``_psi_terms`` lists the weighted (step, predicate) terms of one conjunct at
-every anchor (through the operator term builders that the single-operator
-``build_E_*`` matrices share), ``_sat_points`` deduplicates them into the
-pairs satisfaction constrains, ``_stl_rows`` turns those into satisfaction
-rows and ``_input_rows`` adds the box, budget, extra and penalty terms.  The
+DNF branches, stacked dynamics ``C A^k B``, input bounds, box rows and
+penalty) into a frozen :class:`CompiledRun`.  The per-step builders take it
+and share one path: ``_predict`` checks the history and writes every
+predicate at every step of the window as an affine function of the stacked
+inputs, ``_psi_terms`` lists the weighted (step, predicate) terms of one
+conjunct at every anchor (through the operator term builders that the
+single-operator ``build_E_*`` matrices share), ``_sat_points`` deduplicates
+them into the pairs satisfaction constrains, ``_stl_rows`` turns those into
+satisfaction rows and ``_input_rows`` places the box rows and adds the
+budget, extra and penalty terms.  The
 worst-case baseline (:func:`build_sr_baseline`) differs from a one-branch
 :func:`build_problem` only in its single epigraph variable and its cost.
 
@@ -517,7 +518,8 @@ class CompiledRun:
     """What :func:`compile_run` fixes for a whole run.
 
     ``k_event`` is None for all-time formulas; each DNF branch lists
-    (conjunct, op_index) pairs; ``M`` is the input penalty.
+    (conjunct, op_index) pairs; ``M`` is the input penalty; ``box_A @ u_st
+    <= box_b`` are the input box rows over the stacked inputs.
     """
 
     phi: Formula
@@ -533,6 +535,8 @@ class CompiledRun:
     lo: np.ndarray
     hi: np.ndarray
     M: np.ndarray
+    box_A: np.ndarray
+    box_b: np.ndarray
 
 
 def compile_run(phi: Formula, system, table: PredicateTable, config: ControlConfig,
@@ -558,7 +562,20 @@ def compile_run(phi: Formula, system, table: PredicateTable, config: ControlConf
     if windows and schedule is None:
         schedule = compute_schedule(windows, grid)
     return CompiledRun(phi, table, grid, np.asarray(system.x0, dtype=float), config, h_d, k_event,
-                       schedule, tuple(map(tuple, _dnf(theta))), dyn, lo, hi, M)
+                       schedule, tuple(map(tuple, _dnf(theta))), dyn, lo, hi, M,
+                       *_box_rows(lo, hi, config.horizon))
+
+
+def _box_rows(lo: np.ndarray, hi: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per step, an upper then a lower row for every input with a finite limit."""
+    m = lo.size
+    limits = np.array([(j, sign, bound) for j in range(m)
+                       for sign, bound in ((1.0, hi[j]), (-1.0, -lo[j]))
+                       if np.isfinite(bound)]).reshape(-1, 3)
+    box_cols = (np.arange(N)[:, None] * m + limits[:, 0].astype(int)).reshape(-1)
+    A = np.zeros((box_cols.size, N * m))
+    A[np.arange(box_cols.size), box_cols] = np.tile(limits[:, 1], N)
+    return A, np.tile(limits[:, 2], N)
 
 
 @dataclass(frozen=True)
@@ -629,14 +646,6 @@ def _input_rows(run: CompiledRun, k0: int, layout: VariableLayout,
     N, m = config.horizon, run.dyn.m
     n_u, n_y, u = layout.n_u, layout.total, layout.u_slice
 
-    # per step, an upper then a lower row for every input with a finite limit
-    limits = np.array([(j, sign, bound) for j in range(m)
-                       for sign, bound in ((1.0, run.hi[j]), (-1.0, -run.lo[j]))
-                       if np.isfinite(bound)]).reshape(-1, 3)
-    box_cols = (np.arange(N)[:, None] * m + limits[:, 0].astype(int)).reshape(-1)
-    A_box = np.zeros((box_cols.size, n_y))
-    A_box[np.arange(box_cols.size), layout.n_epigraph + box_cols] = np.tile(limits[:, 1], N)
-
     extra: list[tuple[np.ndarray, float]] = []
     # input budget over absolute steps [0, budget_end]
     if config.budget_total is not None:
@@ -655,16 +664,17 @@ def _input_rows(run: CompiledRun, k0: int, layout: VariableLayout,
         if coeffs.shape[0] != n_u:
             raise ValueError(f"extra constraint has {coeffs.shape[0]} coefficients, expected {n_u}")
         extra.append((coeffs, float(bound)))
-    A_extra = np.zeros((len(extra), n_y))
+    n_box = run.box_b.size
+    A = np.zeros((n_box + len(extra), n_y))
+    A[:n_box, u] = run.box_A
     for r, (coeffs, _) in enumerate(extra):
-        A_extra[r, u] = coeffs
+        A[n_box + r, u] = coeffs
 
     quad = np.zeros((n_y, n_y))
     if np.any(run.M):
         quad[u, u] = np.kron(np.eye(N), run.M)
-    return (np.vstack([A_box, A_extra]),
-            np.concatenate([np.tile(limits[:, 2], N), [b for _, b in extra]]),
-            ["box"] * box_cols.size + ["extra"] * len(extra), quad)
+    return (A, np.concatenate([run.box_b, [b for _, b in extra]]),
+            ["box"] * n_box + ["extra"] * len(extra), quad)
 
 
 def build_problem(run: CompiledRun, k0: int = 0, state_history: np.ndarray | None = None,

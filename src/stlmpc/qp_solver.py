@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import importlib
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -322,15 +323,16 @@ def _highs():
 # than it saves on these problems
 _HIGHS_OPTIONS = {"output_flag": False, "threads": 1, "solver": "ipm", "run_crossover": "off",
                   "presolve": "off"}
+_local = threading.local()
 
 
-def _run_highs(lp, **options):
-    """One solve on a fresh HiGHS instance, so no state carries between calls."""
-    highs = _highs()._Highs()
-    for name, value in {**_HIGHS_OPTIONS, **options}.items():
-        highs.setOptionValue(name, value)
-    highs.passModel(lp)
-    highs.run()
+def _instance(h):
+    """This thread's HiGHS instance, made with ``_HIGHS_OPTIONS`` at its first LP solve."""
+    highs = getattr(_local, "highs", None)
+    if highs is None:
+        highs = _local.highs = h._Highs()
+        for name, value in _HIGHS_OPTIONS.items():
+            highs.setOptionValue(name, value)
     return highs
 
 
@@ -342,31 +344,42 @@ def _solve_lp(problem: QpProblem) -> QpSolution:
     with no margin left against the next disturbance.  Only a solve that
     ends undecided (unbounded or infeasible, or imprecise) is repeated with
     crossover, whose simplex clean-up gives a verdict.
+
+    The model replaces the previous one on this thread's instance in one
+    call of the array ``passModel``: free continuous columns (an empty
+    integrality array would be rejected), rows ``-inf <= A y <= b`` with
+    ``A`` row-wise.
     """
     h = _highs()
+    highs = _instance(h)
     status_of = {h.HighsModelStatus.kOptimal: "optimal",
                  h.HighsModelStatus.kModelEmpty: "optimal",
                  h.HighsModelStatus.kInfeasible: "infeasible"}
-    A = np.asarray(problem.A_ub, dtype=float)
+    A = np.ascontiguousarray(problem.A_ub, dtype=float)
     m, n = A.shape
-    lp = h.HighsLp()
-    lp.num_col_, lp.num_row_ = n, m
-    lp.col_cost_ = -np.asarray(problem.lin, dtype=float)
-    lp.col_lower_ = np.full(n, -np.inf)
-    lp.col_upper_ = np.full(n, np.inf)
-    lp.row_lower_ = np.full(m, -np.inf)
-    lp.row_upper_ = np.asarray(problem.b_ub, dtype=float)
-    cols, rows = np.nonzero(A.T)
-    mat = lp.a_matrix_
-    mat.format_ = h.MatrixFormat.kColwise
-    mat.num_col_, mat.num_row_ = n, m
-    mat.start_ = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
-    mat.index_ = rows
-    mat.value_ = A[rows, cols]
+    rows, cols = np.nonzero(A)
+    start = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=m), out=start[1:])
+    model = (n, m, rows.size, h.MatrixFormat.kRowwise, h.ObjSense.kMinimize, 0.0,
+             -np.asarray(problem.lin, dtype=float), np.full(n, -np.inf), np.full(n, np.inf),
+             np.full(m, -np.inf), np.asarray(problem.b_ub, dtype=float),
+             start, cols.astype(np.int32), A[rows, cols], np.zeros(n, dtype=np.int32))
 
-    highs = _run_highs(lp)
+    def pass_and_run() -> None:
+        # a rejected model would leave the previous one in place; a warning
+        # (entries below 1e-9 dropped) still replaces it.  Passing the model
+        # also clears what an earlier run left on the instance.
+        if highs.passModel(*model) == h.HighsStatus.kError:
+            raise SolverError("HiGHS rejected the linear program")
+        highs.run()
+
+    pass_and_run()
     if highs.getModelStatus() not in (*status_of, h.HighsModelStatus.kUnbounded):
-        highs = _run_highs(lp, run_crossover="on")
+        highs.setOptionValue("run_crossover", "on")
+        try:
+            pass_and_run()
+        finally:
+            highs.setOptionValue("run_crossover", "off")
     verdict = highs.getModelStatus()
     if verdict == h.HighsModelStatus.kUnbounded:
         raise SolverError("objective is unbounded along a feasible ray")

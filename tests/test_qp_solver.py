@@ -1,6 +1,7 @@
 """Solver correctness against analytic optima and a brute-force oracle."""
 
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 import numpy as np
@@ -221,6 +222,52 @@ class TestExactLp:
         assert np.array_equal(first.y, again.y)
         assert first.objective == again.objective
         assert first.iterations == again.iterations
+
+    def test_crossover_retry_does_not_leak(self):
+        # maximize x1 with |x2| <= 1: without crossover x2 stays inside the face
+        degenerate = make_problem(np.zeros((2, 2)), [1.0, 0.0],
+                                  [[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [2.0, 1.0, 1.0])
+        undecided = make_problem(np.zeros((2, 2)), [1.0, 1.0], [[1.0, -1.0], [-1.0, 1.0]],
+                                 [-1.0, -1.0])
+        first = solve(degenerate)
+        assert solve(undecided).status == "infeasible"
+        again = solve(degenerate)
+        assert np.array_equal(first.y, again.y)
+        assert again.y == pytest.approx([2.0, 0.0], abs=1e-8)
+
+    def test_rejected_model_raises(self):
+        accepted = make_problem(np.zeros((1, 1)), [1.0], [[1.0]], [3.0])
+        assert solve(accepted).y[0] == pytest.approx(3.0)
+        # an infinite coefficient is rejected; the instance still holds the model above
+        with pytest.raises(SolverError, match="rejected"):
+            solve(make_problem(np.zeros((1, 1)), [1.0], [[np.inf]], [1.0]))
+
+    def test_dropped_tiny_entry_still_solves(self):
+        # HiGHS drops |a| < 1e-9 with a warning and solves the rest
+        p = make_problem(np.zeros((2, 2)), [1.0, 1.0], [[1.0, 1e-12], [0.0, 1.0]], [3.0, 2.0])
+        sol = solve(p)
+        assert sol.status == "optimal"
+        assert sol.y == pytest.approx([3.0, 2.0], abs=1e-8)
+
+    def test_two_threads_solve_like_one(self):
+        problems = [p for preset in PRESETS for p in preset_lps(preset)]
+        sequential = [solve(p) for p in problems]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(solve, problems))
+        for a, b in zip(sequential, threaded):
+            assert (a.status, a.iterations) == (b.status, b.iterations)
+            assert np.array_equal(a.y, b.y)
+
+    def test_one_instance_per_thread(self, monkeypatch):
+        h = _highs()
+        made, highs_class = [], h._Highs
+        monkeypatch.setattr(h, "_Highs", lambda: made.append(None) or highs_class())
+        rng = np.random.default_rng(8)
+        problems = [random_instance(rng, 6, lp=True) for _ in range(4)]
+        # a new thread holds no instance yet
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pool.submit(lambda: [solve(p) for p in problems]).result()
+        assert len(made) == 1
 
 
 class TestSolutionExtraction:
