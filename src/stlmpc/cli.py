@@ -273,22 +273,44 @@ def _emit_plot_script(csv_path: Path, n: int, m: int) -> None:
 
 
 def read_trace(path: str | Path):
-    """Read an emitted CSV back into (states, inputs, noises, statuses, objectives)."""
+    """Read an emitted CSV back into (states, inputs, noises, statuses, objectives).
+
+    Columns after the objective are ignored.  Raises ``ValueError`` when the
+    header lacks a column the format needs or a data row's field count differs
+    from the header's.
+    """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         body = fh.read()
     n = sum(1 for h in header if h.startswith("x"))
     m = sum(1 for h in header if h.startswith("u"))
-    rows = [line.split(",") for raw in body.split("\n")
-            if (line := raw.strip()) and not line.startswith("#")]
-    if not rows:
+    lines = [line for raw in body.split("\n")
+             if (line := raw.strip()) and not line.startswith("#")]
+    if not lines:
         return np.array([]), np.array([]), np.array([]), (), np.array([])
-    status = 2 + 2 * n + m
-    statuses = tuple(r[status] for r in rows)
-    # states, inputs, noises, objective: every numeric column after k and t
-    values = np.array([r[2:status] + r[status + 1:status + 2] for r in rows], dtype=float)
-    return (values[:, :n].copy(), values[:, n:n + m].copy(), values[:, n + m:status - 2].copy(),
-            statuses, values[:, status - 2].copy())
+    width, status = len(header), 2 + 2 * n + m
+    if width < status + 2:
+        raise ValueError(f"{path}: the header has {width} columns, fewer than the {status + 2} "
+                         f"of k, t, {n} states, {m} inputs, {n} noises, status and objective")
+    # One flat field list.  Each row's first field carries the "\n" that joined
+    # it to the row before, so every row has the header's width exactly when
+    # each row-start slot after the first holds one.
+    fields = ",\n".join(lines).split(",")
+    if (len(fields) != len(lines) * width
+            or "".join(fields[width::width]).count("\n") != len(lines) - 1):
+        row, count = next((row, count) for row, line in enumerate(lines, 1)
+                          if (count := line.count(",") + 1) != width)
+        raise ValueError(f"{path}: data row {row} has {count} fields, the header has {width}")
+    statuses = tuple(fields[status::width])
+    # keep states, inputs, noises and objective: delete the columns after the
+    # objective, the status, t and k, from the last down, as each deletion
+    # narrows the stride by one
+    for col in [*range(width - 1, status + 1, -1), status, 1, 0]:
+        del fields[col::width]
+        width -= 1
+    values = np.fromiter(map(float, fields), dtype=float, count=len(fields)).reshape(-1, width)
+    return (values[:, :n].copy(), values[:, n:n + m].copy(), values[:, n + m:-1].copy(),
+            statuses, values[:, -1].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +362,10 @@ def monitor_scenario(config_path: str | Path, trace_path: str | Path) -> int:
     """Offline robustness evaluation of a recorded trace: the readout lines ``run`` prints."""
     cfg = ScenarioConfig.from_file(config_path)
     states = read_trace(trace_path)[0]
+    # a header-only trace reads as a flat empty array and stays unverifiable
+    if states.ndim == 2 and states.shape[1] != cfg.system.n:
+        raise ValueError(f"{trace_path} has {states.shape[1]} state columns, "
+                         f"the scenario has n = {cfg.system.n} states")
     windows = collect_event_ops(unwrap(cfg.formula))
     sched = compute_schedule(windows, cfg.system.grid) if windows else None
     readout = readouts(Signal(states, cfg.system.grid), cfg.formula, cfg.table, sched)

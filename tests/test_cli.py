@@ -1,13 +1,17 @@
 """Configuration ingestion, trace files, presets, and command behavior."""
 
 import math
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from stlmpc import SamplingGrid, Trace
+import trace_reference
+from stlmpc import SamplingGrid, Trace, run
 from stlmpc.cli import (
     ScenarioConfig,
     emit_trace,
@@ -17,6 +21,13 @@ from stlmpc.cli import (
     run_scenario,
 )
 from stlmpc.semantics import RobustnessReadout
+
+PRESETS = sorted(p.name.removesuffix(".ini")
+                 for p in resources.files("stlmpc").joinpath("presets").iterdir()
+                 if p.name.endswith(".ini"))
+STATUSES = ("optimal", "relaxed", "iteration-limit", "idle", "planned", "final")
+SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308)
+HEADER = "k,t,x1,x2,u1,v1,v2,status,objective"
 
 MINI_CONFIG = """
 [system]
@@ -131,6 +142,145 @@ class TestTraceFiles:
         assert "plot" in script.read_text()
 
 
+def numeric_trace(values: np.ndarray, n: int, m: int, statuses) -> Trace:
+    """A trace whose states, inputs, noises and objectives are the columns of `values`."""
+    return Trace(states=values[:, :n], inputs=values[:, n:n + m],
+                 noises=values[:, n + m:2 * n + m], statuses=tuple(statuses),
+                 objectives=values[:, -1], grid=SamplingGrid(12.0), snr_db=math.nan,
+                 readout=RobustnessReadout())
+
+
+def recording(rows: int, seed: int = 0) -> Trace:
+    """Two states and one input over 600 decades of magnitude, with every
+    special value placed throughout the columns."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(rows, 6)) * 10.0 ** rng.integers(-320, 300, size=(rows, 6))
+    values.flat[::5] = np.resize(SPECIAL, values.flat[::5].size)
+    return numeric_trace(values, 2, 1, np.resize(STATUSES, rows))
+
+
+def assert_reads_like_reference(path: Path) -> None:
+    got, expect = read_trace(path), trace_reference.read_trace(path)
+    assert got[3] == expect[3]
+    for a, b in zip(got[:3] + got[4:], expect[:3] + expect[4:]):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
+def _crlf(text: str) -> str:
+    return text.replace("\n", "\r\n")
+
+
+def _blank_and_comment_lines(text: str) -> str:
+    lines = text.split("\n")
+    return "\n".join(lines[:3] + ["", "# between rows", "  ", *lines[3:6], "#", *lines[6:]])
+
+
+def _extra_column(text: str) -> str:
+    return "\n".join(line if not line or line.startswith("#") else line + ",note"
+                     for line in text.split("\n"))
+
+
+class TestTraceReaderOracle:
+    """The flat reader against the row-by-row reference reader, bit for bit."""
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_run_trace_of_every_preset(self, preset, tmp_path):
+        cfg = ScenarioConfig.from_file(preset_path(preset))
+        path = tmp_path / "run.csv"
+        emit_trace(run(cfg.system, cfg.formula, cfg.table, cfg.run_config, cfg.noise), path)
+        assert_reads_like_reference(path)
+
+    @pytest.mark.parametrize("rows", [0, 1, 51, 3001])
+    def test_generated_recordings(self, rows, tmp_path):
+        path = tmp_path / "rec.csv"
+        emit_trace(recording(rows, seed=rows), path)
+        assert_reads_like_reference(path)
+
+    def test_every_special_value_in_every_column(self, tmp_path):
+        values = np.array([np.roll(SPECIAL, -k) for k in range(len(SPECIAL))])
+        path = tmp_path / "special.csv"
+        emit_trace(numeric_trace(values, 2, 1, STATUSES), path)
+        assert_reads_like_reference(path)
+
+    @pytest.mark.parametrize("edit", [_crlf, _blank_and_comment_lines, _extra_column,
+                                      lambda text: _crlf(_extra_column(text))])
+    def test_format_variants(self, edit, tmp_path):
+        plain, path = tmp_path / "plain.csv", tmp_path / "edited.csv"
+        emit_trace(recording(51), plain)
+        path.write_bytes(edit(plain.read_text()).encode())
+        assert_reads_like_reference(path)
+        got, expect = read_trace(path), read_trace(plain)
+        assert got[3] == expect[3]
+        for a, b in zip(got[:3] + got[4:], expect[:3] + expect[4:]):
+            assert a.tobytes() == b.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4), m=st.integers(1, 3), rows=st.integers(1, 8))
+    def test_emit_then_read_round_trips(self, data, n, m, rows):
+        values = data.draw(arrays(np.float64, (rows, 2 * n + m + 1), elements=st.floats()))
+        statuses = data.draw(st.lists(st.sampled_from(STATUSES), min_size=rows, max_size=rows))
+        trace = numeric_trace(values, n, m, statuses)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            emit_trace(trace, path)
+            got = read_trace(path)
+        assert got[3] == trace.statuses
+        expect = (trace.states, trace.inputs, trace.noises, trace.objectives)
+        for a, b in zip(got[:3] + got[4:], expect):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            # %.17g drops the sign and payload of a NaN: it only reads back as NaN
+            nan = np.isnan(b)
+            assert np.array_equal(np.isnan(a), nan)
+            assert a[~nan].tobytes() == b[~nan].tobytes()
+
+
+MALFORMED = {
+    # what an interrupted write leaves: the file stops inside its last row
+    "truncated": (f"{HEADER}\n0,0,1,2,3,4,5,idle,nan\n1,12,1,2,3,4,5,idle,nan\n2,24,1,2",
+                  "data row 3 has 4 fields, the header has 9"),
+    "extra field": (f"{HEADER}\n0,0,1,2,3,4,5,idle,nan\n1,12,1,2,3,4,5,idle,nan,7\n",
+                    "data row 2 has 10 fields, the header has 9"),
+    # same total field count as a well-formed file
+    "long then short": (f"{HEADER}\n0,0,1,2,3,4,5,idle,nan,7\n1,12,1,2,3,4,idle,nan\n",
+                        "data row 1 has 10 fields, the header has 9"),
+    "header without objective": ("k,t,x1,x2,u1,v1,v2,status\n0,0,1,2,3,4,5,idle\n",
+                                 "the header has 8 columns, fewer than the 9"),
+}
+
+
+class TestMalformedTraces:
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_read_trace_rejects(self, case, tmp_path):
+        text, message = MALFORMED[case]
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_trace(path)
+
+    @pytest.mark.parametrize("case", ["truncated", "extra field"])
+    def test_monitor_names_the_row(self, case, tmp_path, capsys):
+        text, message = MALFORMED[case]
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert main(["monitor", "two_tank_phi3", str(path)]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_monitor_rejects_state_count_mismatch(self, tmp_path, capsys):
+        path = tmp_path / "one_state.csv"
+        emit_trace(numeric_trace(np.ones((40, 4)), 1, 1, ("idle",) * 40), path)
+        assert main(["monitor", "two_tank_phi3", str(path)]) == 1
+        assert "1 state columns, the scenario has n = 2 states" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", [HEADER, "k,t,x1,u1,v1,status,objective"])
+    def test_monitor_header_only_is_unverifiable(self, header, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text(header + "\n")
+        assert main(["monitor", "two_tank_phi3", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{name} = unverifiable" for name in ("satisfied", "sr", "dasr", "dsasr", "prd", "rd")]
+
+
 class TestScenarioConfig:
     def test_mini_config_parses(self, tmp_path):
         cfg = ScenarioConfig.from_file(write_mini(tmp_path))
@@ -187,9 +337,7 @@ class TestCommands:
         assert "delta = 11" in out
         assert "variables" in out
 
-    @pytest.mark.parametrize("preset", sorted(
-        p.name.removesuffix(".ini") for p in resources.files("stlmpc").joinpath("presets").iterdir()
-        if p.name.endswith(".ini")))
+    @pytest.mark.parametrize("preset", PRESETS)
     def test_check_every_preset(self, preset, capsys):
         # event-triggered presets compile at their event step, like `run`
         assert main(["check", preset]) == 0
