@@ -42,6 +42,7 @@ from .qp_builder import (
     ControlConfig,
     QpProblem,
     QpSolution,
+    SparseRows,
     StackedDynamics,
     VariableLayout,
     add_slack_relaxation,

@@ -23,6 +23,8 @@ Scenarios are flat INI files (see ``presets/`` for complete examples)::
     slack = on                 ; on | off
     slack_weight = auto        ; auto | positive float
     resolve_each_step = yes    ; no = keep executing the first plan
+    constraint_margin = 1e-9   ; satisfaction rows require z >= margin at future steps
+    solver_tol = 1e-8          ; splitting solver (QPs) only: absolute and relative tolerance
 
     [simulation]
     duration = 600             ; seconds
@@ -353,8 +355,9 @@ def check_scenario(config_path: str | Path) -> int:
     else:
         problems = build_problem(compiled, **history)
     for p in problems:
-        kind = "LP" if not np.any(p.quad) else "QP"
-        print(f"branch {p.branch}: {kind} with {p.n_vars} variables, {p.n_rows} inequalities")
+        kind = "LP" if p.quad is None else "QP"
+        print(f"branch {p.branch}: {kind} with {p.n_vars} variables, {p.n_rows} inequalities, "
+              f"{p.rows.nnz} nonzeros")
     return 0
 
 

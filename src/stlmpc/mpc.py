@@ -247,8 +247,9 @@ def run(system: LtiSystem, phi: Formula, table: PredicateTable, config: RunConfi
             objectives[k0] = best.objective
             statuses.append(status)
             u = np.clip(best.first_input, compiled.lo, compiled.hi)
-            plan = np.clip(best.inputs, compiled.lo, compiled.hi)
-            plan_start = k0
+            if not config.resolve_each_step:
+                plan = np.clip(best.inputs, compiled.lo, compiled.hi)
+                plan_start = k0
         inputs[k0] = u
         noises[k0] = noise_samples[k0]
         states[k0 + 1] = system.step(states[k0], inputs[k0], noises[k0])

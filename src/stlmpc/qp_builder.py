@@ -1,4 +1,4 @@
-"""Compilation of fragment formulas into quadratic (or linear) programs.
+"""Compilation of fragment formulas into linear (or quadratic) programs.
 
 The compiled problem maximizes the summed scheduled-average robustness of
 the formula over its anchor steps, minus an optional quadratic input
@@ -12,37 +12,37 @@ penalty, subject to
 
 Disjunctions produce one problem per branch; the caller solves all branches
 and applies the input of the best one.  Decision vectors are laid out as
-``[epigraph | stacked inputs | slack]``.
+``[epigraph | stacked inputs | slack]``; the constraints are stored once,
+row-wise (:class:`SparseRows`), which is the form the LP solver takes.
 
 Compilation has a per-run and a per-step phase.  :func:`compile_run`
-validates the formula against the grid and the horizon and computes what a
-closed-loop run keeps fixed (formula length, event step, witness schedule,
-DNF branches, stacked dynamics ``C A^k B``, input bounds, box rows and
-penalty) into a frozen :class:`CompiledRun`.  The per-step builders take it
-and share one path: ``_predict`` checks the history and writes every
-predicate at every step of the window as an affine function of the stacked
-inputs, ``_psi_terms`` lists the weighted (step, predicate) terms of one
-conjunct at every anchor (through the operator term builders that the
-single-operator ``build_E_*`` matrices share), ``_sat_points`` deduplicates
-them into the pairs satisfaction constrains, ``_stl_rows`` turns those into
-satisfaction rows and ``_input_rows`` places the box rows and adds the
-budget, extra and penalty terms.  The
-worst-case baseline (:func:`build_sr_baseline`) differs from a one-branch
-:func:`build_problem` only in its single epigraph variable and its cost.
+validates the formula against the grid and the horizon and tabulates what a
+closed-loop run keeps fixed.  A conjunct's terms at anchor step a depend on
+a only through its witness offset k1(a) - a: an always-operator has one
+offset, an eventually/until operator at most the schedule period.  Written
+relative to a, the same holds for the conjunct's coefficient on the input
+u(a + s), which is ``sum_t w_t (C A^(r_t - s - 1) B)[p_t]`` over its terms
+(weight w_t on predicate p_t at step a + r_t).  So for every conjunct and
+every offset, the run holds the relative terms, which are also the
+satisfaction pattern, the input-coefficient row and the predicate mass, one
+:class:`_BranchTable` per DNF branch, next to the rows of the stacked
+dynamics ``C A^k B`` and the input box rows.
 
-Assembly is array-built: the block-Toeplitz input matrix is gathered from
-the stacked ``C A^k B`` blocks, each conjunct's terms come from one array
-pass over all anchors (witnesses from :func:`~stlmpc.scheduling.k1_many`)
-and are accumulated into its E matrix with ``np.add.at``, and the epigraph
-rows come from one stack of vector-matrix products.  Products stay per row
-(epigraph rows) or per state (recorded predicate values), since a single
-matrix product over all of them rounds differently.
+A step (:func:`build_problem`) then only gathers: the offset of every anchor
+in its window, the table rows of every (conjunct, anchor) pair in one go,
+the right-hand sides from the recorded states, and the row-wise arrays of
+the problem.
+The worst-case baseline (:func:`build_sr_baseline`) differs from a
+one-branch :func:`build_problem` only in its single epigraph variable and
+its cost.  Sums over terms are numpy reductions, not BLAS products, so the
+problems do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,6 +71,7 @@ from .stl import (
 
 __all__ = [
     "VariableLayout",
+    "SparseRows",
     "QpProblem",
     "QpSolution",
     "StackedDynamics",
@@ -124,22 +125,112 @@ class VariableLayout:
         return slice(self.n_epigraph + self.n_u, self.total)
 
 
+def _ragged(begin: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions begin[r] .. begin[r] + lens[r] - 1 of every r, concatenated,
+    and where each r's positions start in the result."""
+    ends = lens.cumsum()
+    row_start = ends - lens
+    return np.arange(ends[-1] if ends.size else 0) + (begin - row_start).repeat(lens), row_start
+
+
 @dataclass(frozen=True)
+class SparseRows:
+    """A matrix stored row-wise (compressed sparse rows).
+
+    Row r holds ``value[start[r]:start[r + 1]]`` in the columns
+    ``index[start[r]:start[r + 1]]``, in ascending column order, with no
+    zero entries.
+    """
+
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+    n_cols: int
+
+    @classmethod
+    def from_dense(cls, A) -> "SparseRows":
+        A = np.asarray(A, dtype=float)
+        rows, cols = np.nonzero(A)
+        start = np.zeros(A.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(A, axis=1), out=start[1:])
+        return cls(start, cols, A[rows, cols], A.shape[1])
+
+    @classmethod
+    def stacked(cls, blocks, n_cols: int) -> "SparseRows":
+        """Rows of consecutive (lens, index, value) blocks, one row per entry of lens."""
+        lens = np.concatenate([b[0] for b in blocks])
+        start = np.zeros(lens.size + 1, dtype=np.int64)
+        np.cumsum(lens, out=start[1:])
+        return cls(start, np.concatenate([b[1] for b in blocks]),
+                   np.concatenate([b[2] for b in blocks]), n_cols)
+
+    @property
+    def n_rows(self) -> int:
+        return self.start.size - 1
+
+    @property
+    def nnz(self) -> int:
+        return int(self.start[-1])
+
+    @property
+    def lens(self) -> np.ndarray:
+        return self.start[1:] - self.start[:-1]
+
+    def dense(self) -> np.ndarray:
+        A = np.zeros((self.n_rows, self.n_cols))
+        A[np.arange(self.n_rows).repeat(self.lens), self.index] = self.value
+        return A
+
+    def appended(self, lens: np.ndarray, index: np.ndarray, value: np.ndarray,
+                 n_cols: int) -> "SparseRows":
+        """These rows with lens[r] more entries at the end of row r, given in row order.
+
+        Entries of lens past the last row add new rows.
+        """
+        old = np.zeros(lens.size, dtype=np.int64)
+        old[:self.n_rows] = self.lens
+        start = np.zeros(lens.size + 1, dtype=np.int64)
+        np.cumsum(old + lens, out=start[1:])
+        new = _ragged(start[:-1] + old, lens)[0]
+        kept = np.ones(start[-1], dtype=bool)
+        kept[new] = False
+        out_index = np.empty(start[-1], dtype=np.int64)
+        out_value = np.empty(start[-1])
+        out_index[kept], out_index[new] = self.index, index
+        out_value[kept], out_value[new] = self.value, value
+        return SparseRows(start, out_index, out_value, n_cols)
+
+
+def _frozen(a) -> np.ndarray:
+    arr = np.asarray(a, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, init=False)
 class QpProblem:
     """maximize lin @ y - y @ quad @ y + const  subject to  A_ub @ y <= b_ub.
 
-    ``quad`` is positive semidefinite, so the problem is concave; with a zero
-    quadratic block it is a linear program.  ``stl_row_info`` maps the index
-    of each satisfaction row to its (predicate id, time step);
-    ``cost_pred_mass`` and ``epigraph_pred_mass`` record how much cost /
-    epigraph weight rests on each predicate, which is what the slack
-    relaxation needs to shift predicates consistently.
+    The constraint matrix is stored once, row-wise, in ``rows``; ``A_ub`` is
+    its dense view, built on first use.  A problem may instead be
+    constructed from a dense ``A_ub``, which then is its own dense view.
+    ``quad`` is positive semidefinite, so the problem is concave; it is None
+    in the linear programs the builders compile without an input penalty.
+
+    ``stl_row_info`` maps the index of each satisfaction row to its
+    (predicate id, time step); ``cost_pred_mass`` and ``epigraph_pred_mass``
+    record how much cost / epigraph weight rests on each predicate, which is
+    what the slack relaxation needs to shift predicates consistently.
+    ``debug``, built on first use by ``explain``, holds the builder's
+    matrices over the predicate window: ``E`` and ``E_per_conjunct`` (one
+    row per anchor, one column per predicate sample), the ``anchors``, the
+    prediction ``z_const + z_coeff @ u`` of every sample and the window's
+    first step ``t_lo``.
     """
 
-    quad: np.ndarray
     lin: np.ndarray
     const: float
-    A_ub: np.ndarray
+    rows: SparseRows
     b_ub: np.ndarray
     layout: VariableLayout
     row_kinds: tuple[str, ...]
@@ -148,13 +239,33 @@ class QpProblem:
     cost_pred_mass: np.ndarray
     epigraph_pred_mass: np.ndarray | None = None
     branch: int = 0
-    debug: dict | None = None
+    quad: np.ndarray | None = None
+    explain: Callable[[], dict] | None = None
 
-    def __post_init__(self) -> None:
-        for name in ("quad", "lin", "A_ub", "b_ub", "cost_pred_mass"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    def __init__(self, lin, const, b_ub, layout, row_kinds, stl_row_info, n_predicates,
+                 cost_pred_mass, epigraph_pred_mass=None, branch=0, quad=None,
+                 rows: SparseRows | None = None, A_ub=None, explain=None) -> None:
+        if (rows is None) == (A_ub is None):
+            raise TypeError("give the constraints either as rows or as a dense A_ub")
+        if rows is None:
+            A_ub = _frozen(A_ub)
+            rows = SparseRows.from_dense(A_ub)
+            object.__setattr__(self, "A_ub", A_ub)
+        fields = dict(lin=_frozen(lin), const=const, rows=rows, b_ub=_frozen(b_ub),
+                      layout=layout, row_kinds=row_kinds, stl_row_info=stl_row_info,
+                      n_predicates=n_predicates, cost_pred_mass=_frozen(cost_pred_mass),
+                      epigraph_pred_mass=epigraph_pred_mass, branch=branch,
+                      quad=None if quad is None else _frozen(quad), explain=explain)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def A_ub(self) -> np.ndarray:
+        return _frozen(self.rows.dense())
+
+    @functools.cached_property
+    def debug(self) -> dict | None:
+        return None if self.explain is None else self.explain()
 
     @property
     def n_vars(self) -> int:
@@ -162,9 +273,11 @@ class QpProblem:
 
     @property
     def n_rows(self) -> int:
-        return self.A_ub.shape[0]
+        return self.rows.n_rows
 
     def objective_value(self, y: np.ndarray) -> float:
+        if self.quad is None:
+            return float(self.lin @ y + self.const)
         return float(self.lin @ y - y @ self.quad @ y + self.const)
 
 
@@ -246,26 +359,7 @@ def stack_dynamics(A: np.ndarray, B: np.ndarray, C: np.ndarray, c: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# General compilation machinery
-
-
-@dataclass(frozen=True)
-class _Layout:
-    t_lo: int
-    t_hi: int
-    n_mu: int
-
-    @property
-    def n_cols(self) -> int:
-        return (self.t_hi - self.t_lo + 1) * self.n_mu
-
-    def cols(self, k: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Column of every (step k[i], predicate p[i]) pair."""
-        outside = np.flatnonzero((k < self.t_lo) | (k > self.t_hi))
-        if outside.size:
-            raise ValueError(f"time {k[outside[0]]} outside the predicate window "
-                             f"[{self.t_lo}, {self.t_hi}]")
-        return (k - self.t_lo) * self.n_mu + p
+# Conjunct terms
 
 
 def _atom_pred(g: Formula, role: str) -> int:
@@ -316,34 +410,6 @@ def _dnf(theta: Formula):
     return walk(theta)
 
 
-def _psi_terms(psi: Formula, op_index: int | None, anchors: range,
-               schedule: Schedule | None, grid: SamplingGrid):
-    """Scheduled-average robustness of one conjunct at every anchor, as weighted columns.
-
-    Returns arrays (row, k, p, w): term t adds w[t] times predicate p[t] at
-    step k[t] to the robustness at anchor ``anchors[row[t]]``.  Terms run
-    anchor by anchor, each anchor's in the order the average sums them.
-    """
-    a = np.asarray(anchors, dtype=np.int64)
-    if not a.size:
-        return a, a, a, np.zeros(0)
-    if isinstance(psi, (Eventually, Until)) and schedule is None:
-        raise ValueError("eventually/until operators need a witness schedule")
-
-    if isinstance(psi, Always):
-        window = omega(psi.a, psi.b, grid)
-        return _always_terms(_atom_pred(psi.child, "always-operand"),
-                             a + window.start, a + window.stop - 1)
-    if isinstance(psi, Eventually):
-        return _eventually_terms(_atom_pred(psi.child, "eventually-operand"),
-                                 k1_many(schedule, op_index, a))
-    if isinstance(psi, Until):
-        return _until_terms(_atom_pred(psi.left, "until left operand"),
-                            _atom_pred(psi.right, "until right operand"),
-                            a, k1_many(schedule, op_index, a))
-    raise FragmentError(f"conjuncts must be temporal operators, got {type(psi).__name__}")
-
-
 def _runs(span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row of every term and its position within the row, for span[r] terms in row r."""
     row = np.repeat(np.arange(span.size), span)
@@ -380,26 +446,22 @@ def _until_terms(p_left: int, p_right: int, anchors: np.ndarray, k1: np.ndarray)
             np.where(right, 0.5, 0.5 / span[row]))
 
 
-def _sat_points(terms) -> tuple[np.ndarray, np.ndarray]:
-    """(step, predicate) pairs that satisfaction requires to be non-negative.
+def _window_cols(k: np.ndarray, p: np.ndarray, t_lo: int, t_hi: int, n_mu: int) -> np.ndarray:
+    """Column of every (step k[i], predicate p[i]) pair among the samples of steps t_lo..t_hi."""
+    outside = np.flatnonzero((k < t_lo) | (k > t_hi))
+    if outside.size:
+        raise ValueError(f"time {k[outside[0]]} outside the predicate window [{t_lo}, {t_hi}]")
+    return (k - t_lo) * n_mu + p
 
-    These are the columns the conjuncts' terms weigh, deduplicated in
-    first-seen order; each one becomes one satisfaction row.  Returns the
-    steps and the predicates as two arrays.
+
+def _weights(terms, n_rows: int, t_lo: int, t_hi: int, n_mu: int) -> np.ndarray:
+    """E matrix of weighted (row, step, predicate) terms over the samples of steps t_lo..t_hi.
+
+    Each entry sums its terms in their order.
     """
-    k = np.concatenate([t[1] for t in terms])
-    p = np.concatenate([t[2] for t in terms])
-    if not k.size:
-        return k, p
-    first = np.unique((k - k.min()) * (p.max() + 1) + p, return_index=True)[1]
-    first.sort()
-    return k[first], p[first]
-
-
-def _e_matrix(terms, n_anchor: int, layout: _Layout) -> np.ndarray:
     row, k, p, w = terms
-    E = np.zeros((n_anchor, layout.n_cols))
-    np.add.at(E, (row, layout.cols(k, p)), w)
+    E = np.zeros((n_rows, (t_hi - t_lo + 1) * n_mu))
+    np.add.at(E, (row, _window_cols(k, p, t_lo, t_hi, n_mu)), w)
     return E
 
 
@@ -412,14 +474,14 @@ def build_E_until(N: int, h_d: int, k0: int, k1_fn) -> np.ndarray:
     k_l = k0 - h_d + 1
     anchors = np.arange(k_l, k_l + N)
     k1 = np.array([int(k1_fn(i_k)) for i_k in anchors.tolist()], dtype=np.int64)
-    return _e_matrix(_until_terms(0, 1, anchors, k1), N, _Layout(k_l, k_l + N + h_d - 1, 2))
+    return _weights(_until_terms(0, 1, anchors, k1), N, k_l, k_l + N + h_d - 1, 2)
 
 
 def build_E_eventually(N: int, h_d: int, k0: int, k1_fn) -> np.ndarray:
     """Cost matrix for a single eventually-operator, one predicate."""
     k_l = k0 - h_d + 1
     k1 = np.array([int(k1_fn(i_k)) for i_k in range(k_l, k_l + N)], dtype=np.int64)
-    return _e_matrix(_eventually_terms(0, k1), N, _Layout(k_l, k_l + N + h_d - 1, 1))
+    return _weights(_eventually_terms(0, k1), N, k_l, k_l + N + h_d - 1, 1)
 
 
 def build_E_always(N: int, h_d: int, k0: int, window_fn) -> np.ndarray:
@@ -431,35 +493,188 @@ def build_E_always(N: int, h_d: int, k0: int, window_fn) -> np.ndarray:
     k_l = k0 - h_d + 1
     k_min, k_max = np.array([window_fn(i_k) for i_k in range(k_l, k_l + N)],
                             dtype=np.int64).reshape(N, 2).T
-    return _e_matrix(_always_terms(0, k_min, k_max), N, _Layout(k_l, k_l + N + h_d - 1, 1))
+    return _weights(_always_terms(0, k_min, k_max), N, k_l, k_l + N + h_d - 1, 1)
 
 
-def _pred_mass(E: np.ndarray, n_mu: int) -> np.ndarray:
-    """Per row of E, the summed weight on each predicate (columns p, p + n_mu, ...)."""
-    per_pred = E.reshape(E.shape[0], -1, n_mu).transpose(0, 2, 1)
-    return np.ascontiguousarray(per_pred).sum(axis=2)
+# ---------------------------------------------------------------------------
+# Per-run tables
+
+
+@dataclass(frozen=True)
+class _RowTable:
+    """The nonzero entries of a matrix's rows, each row led by one spare slot.
+
+    Row r's entries sit at positions start[r] .. stop[r] - 1 of ``index``
+    (their columns) and ``value``; the spare slot lets :func:`_gather` read
+    one position before any row's first entry.
+    """
+
+    start: np.ndarray
+    stop: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+
+    @classmethod
+    def of(cls, M: np.ndarray) -> "_RowTable":
+        row, col = np.nonzero(M)
+        count = np.count_nonzero(M, axis=1)
+        stop = np.cumsum(count + 1)
+        pos = np.arange(row.size) + row + 1
+        index = np.zeros(stop[-1], dtype=np.int64)
+        value = np.zeros(stop[-1])
+        index[pos] = col
+        value[pos] = M[row, col]
+        return cls(stop - count, stop, index, value)
+
+
+def _gather(table: _RowTable, keys: np.ndarray, shift, first: np.ndarray | None = None,
+            lead=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows made of the table rows ``keys``, as (lens, index, value).
+
+    Row r takes the entries of table row keys[r] from position first[r]
+    (default: all of them), with columns moved by ``shift`` (a number or
+    one per row).  With ``lead``, each row starts with a 1 in column
+    lead[r] (a number or one per row).
+    """
+    begin = table.start[keys] if first is None else first
+    lens = table.stop[keys] - begin
+    if lead is not None:
+        begin = begin - 1
+        lens = lens + 1
+    src, row_start = _ragged(begin, lens)
+    index = table.index[src] + (shift.repeat(lens) if isinstance(shift, np.ndarray) else shift)
+    value = table.value[src]
+    if lead is not None:
+        index[row_start] = lead
+        value[row_start] = 1.0
+    return lens, index, value
+
+
+@dataclass(frozen=True)
+class _BranchTable:
+    """A branch's conjuncts at an anchor step a, one row per conjunct and witness offset.
+
+    Conjunct j's row at anchor a is ``row_of[j, a % period]``, where the
+    period (the number of columns) is the schedule's, or 1 without
+    eventually/until operators.  ``cols`` and ``w`` list a row's terms, as
+    the predicate samples ``r * n_mu + p`` of the steps a + r and their
+    weights (all positive); rows are padded to a common width by repeating
+    their first sample at weight zero.  ``mass`` sums a row's weights per
+    predicate.
+
+    ``inputs`` (None when tabulated without dynamics) holds per row the
+    negated coefficients on u(a + s) for the N steps s = h_d - N + i that a
+    step can leave free, input j at column ``i * m + j``; the entries with
+    s >= h_d - N + i start at ``first[row, i]`` (i = N: none).
+    """
+
+    row_of: np.ndarray
+    cols: np.ndarray
+    w: np.ndarray
+    mass: np.ndarray
+    inputs: _RowTable | None = None
+    first: np.ndarray | None = None
+
+
+def _offset_terms(psi: Formula, op_index: int | None, schedule: Schedule | None,
+                  grid: SamplingGrid, period: int):
+    """A conjunct's terms at anchor 0, one row per witness offset, and the row of
+    every anchor residue modulo the period."""
+    if isinstance(psi, Always):
+        window = omega(psi.a, psi.b, grid)
+        return np.zeros(period, dtype=np.int64), _always_terms(
+            _atom_pred(psi.child, "always-operand"),
+            np.array([window.start]), np.array([window.stop - 1]))
+    if not isinstance(psi, (Eventually, Until)):
+        raise FragmentError(f"conjuncts must be temporal operators, got {type(psi).__name__}")
+    if schedule is None:
+        raise ValueError("eventually/until operators need a witness schedule")
+    # an operator's witness offsets k1(a) - a lie in base .. base + delta - 1 and
+    # repeat with period delta in a >= 0 (its baseline lies less than one
+    # period past the window start)
+    base = omega(*schedule.op_windows[op_index], grid).start
+    a = np.arange(period)
+    row_of = k1_many(schedule, op_index, a) - a - base
+    if isinstance(psi, Eventually):
+        return row_of, _eventually_terms(_atom_pred(psi.child, "eventually-operand"), base + a)
+    return row_of, _until_terms(_atom_pred(psi.left, "until left operand"),
+                                _atom_pred(psi.right, "until right operand"),
+                                np.zeros_like(a), base + a)
+
+
+def _tabulate(branch, schedule: Schedule | None, grid: SamplingGrid, n_mu: int,
+              G: np.ndarray | None = None, h_d: int = 0) -> _BranchTable:
+    """Table of a branch's (conjunct, op_index) pairs; with the blocks
+    G[q] = C A^q B, q < N, also their input rows.
+
+    A row's input coefficients sum its terms' contributions in numpy, not
+    through a BLAS product.
+    """
+    period = schedule.delta if schedule is not None else 1
+    row_of, terms, n_rows = [], [], 0
+    for psi, op_index in branch:
+        rows, (row, k, p, w) = _offset_terms(psi, op_index, schedule, grid, period)
+        row_of.append(rows + n_rows)
+        terms.append((row + n_rows, k, p, w))
+        n_rows += int(row[-1]) + 1
+    row, k, p, w = (np.concatenate(x) for x in zip(*terms))
+
+    count = np.bincount(row)
+    head = np.cumsum(count) - count
+    j = np.arange(row.size) - head[row]
+    sample = k * n_mu + p
+    cols = np.repeat(sample[head][:, None], count.max(), axis=1)
+    cols[row, j] = sample
+    weights = np.zeros(cols.shape)
+    weights[row, j] = w
+    mass = np.zeros((n_rows, n_mu))
+    np.add.at(mass, (row, p), w)
+    table = _BranchTable(np.array(row_of), cols, weights, mass)
+    if G is None:
+        return table
+
+    N, _, m = G.shape
+    r, p_pad = np.divmod(cols, n_mu)
+    # term t reaches u(a + s) through C A^(r_t - s - 1) B, s = h_d - N + i, and not
+    # at all when r_t <= s (block N of G_ext is zero)
+    q = r[:, :, None] - (h_d - N + 1) - np.arange(N)
+    G_ext = np.concatenate([G, np.zeros((1,) + G.shape[1:])])
+    reach = G_ext[np.where(q >= 0, q, N), p_pad[:, :, None]]
+    coeff = (weights[:, :, None, None] * reach).sum(axis=1)
+    inputs = _RowTable.of(-coeff.reshape(n_rows, N * m))
+    first = np.zeros((n_rows, N + 1), dtype=np.int64)
+    np.cumsum(np.count_nonzero(coeff, axis=2), axis=1, out=first[:, 1:])
+    return replace(table, inputs=inputs, first=first + inputs.start[:, None])
 
 
 def build_R(theta: Formula, schedule: Schedule | None, N: int, k_l: int, k_h: int,
             grid: SamplingGrid, table: PredicateTable):
     """Satisfaction rows over the stacked predicate vector.
 
-    Returns (R, meta): one row per deduplicated (predicate, step) inequality,
-    with meta listing the (predicate id, step) of every row in order.  The
+    Returns (R, meta): one row per (predicate, step) inequality, in
+    (step, predicate) order, with meta listing the (predicate id, step) of
+    every row.  The columns are the predicate samples of steps
+    k_l .. k_l + N + h_d - 1; anchors k_l .. k_h must be steps >= 0.  The
     formula must be a conjunction (use one branch of the DNF for
     disjunctions).
     """
     branches = _dnf(theta)
     if len(branches) != 1:
-        raise FragmentError("build_R expects a conjunction; compile disjunction branches separately")
+        raise FragmentError(
+            "build_R expects a conjunction; compile disjunction branches separately")
     h_d = discrete_length(theta, grid)
-    layout = _Layout(k_l, k_l + N + h_d - 1, table.size)
-    anchors = range(k_l, k_h + 1)
-    ks, ps = _sat_points([_psi_terms(psi, op_index, anchors, schedule, grid)
-                          for psi, op_index in branches[0]])
-    R = np.zeros((ks.size, layout.n_cols))
-    R[np.arange(ks.size), layout.cols(ks, ps)] = 1.0
-    return R, list(zip(ps.tolist(), ks.tolist()))
+    n_mu = table.size
+    t_hi = k_l + N + h_d - 1
+    anchors = np.arange(k_l, k_h + 1)
+    hit = np.zeros((t_hi - k_l + 1) * n_mu, dtype=bool)
+    samples = _terms_at(_tabulate(branches[0], schedule, grid, n_mu), anchors, 0, n_mu)[1]
+    k, p = np.divmod(samples, n_mu)
+    hit[_window_cols(k, p, k_l, t_hi, n_mu)] = True
+    cols = np.flatnonzero(hit)
+    R = np.zeros((cols.size, hit.size))
+    R[np.arange(cols.size), cols] = 1.0
+    ks, ps = np.divmod(cols, n_mu)
+    return R, list(zip(ps.tolist(), (ks + k_l).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +733,12 @@ class CompiledRun:
     """What :func:`compile_run` fixes for a whole run.
 
     ``k_event`` is None for all-time formulas; each DNF branch lists
-    (conjunct, op_index) pairs; ``M`` is the input penalty; ``box_A @ u_st
-    <= box_b`` are the input box rows over the stacked inputs.
+    (conjunct, op_index) pairs, and ``tables`` holds one table of its
+    conjuncts per branch; ``M`` is
+    the input penalty, ``quad`` its block over the stacked inputs (None
+    without a penalty); ``box_rows @ u_st <= box_b`` are the input box rows;
+    ``dyn_rows`` holds the rows of ``-H2``, keyed from 1 (key 0 is an empty
+    row, for a recorded sample).
     """
 
     phi: Formula
@@ -531,11 +750,14 @@ class CompiledRun:
     k_event: int | None
     schedule: Schedule | None
     branches: tuple[tuple[tuple[Formula, int | None], ...], ...]
+    tables: tuple[_BranchTable, ...]
     dyn: StackedDynamics
+    dyn_rows: _RowTable
     lo: np.ndarray
     hi: np.ndarray
     M: np.ndarray
-    box_A: np.ndarray
+    quad: np.ndarray | None
+    box_rows: SparseRows
     box_b: np.ndarray
 
 
@@ -549,21 +771,31 @@ def compile_run(phi: Formula, system, table: PredicateTable, config: ControlConf
     validate_windows(phi, grid)
     theta = unwrap(phi)
     h_d = discrete_length(theta, grid)
-    if config.horizon < h_d:
-        raise ValueError(f"prediction horizon N={config.horizon} is shorter than the formula "
+    N = config.horizon
+    if N < h_d:
+        raise ValueError(f"prediction horizon N={N} is shorter than the formula "
                          f"length {h_d}")
-    dyn = stack_dynamics(system.A, system.B, table.C, table.c, config.horizon)
-    lo, hi = config.bounds(dyn.m)
-    M = config.penalty(dyn.m)
+    dyn = stack_dynamics(system.A, system.B, table.C, table.c, N)
+    m = dyn.m
+    lo, hi = config.bounds(m)
+    M = config.penalty(m)
     if config.budget_end is not None and config.budget_end < 0:
         raise ValueError(f"budget_end must be a step >= 0, got {config.budget_end}")
     k_event = event_index(phi, grid) if isinstance(phi, OneTime) else None
     windows = collect_event_ops(theta)
     if windows and schedule is None:
         schedule = compute_schedule(windows, grid)
-    return CompiledRun(phi, table, grid, np.asarray(system.x0, dtype=float), config, h_d, k_event,
-                       schedule, tuple(map(tuple, _dnf(theta))), dyn, lo, hi, M,
-                       *_box_rows(lo, hi, config.horizon))
+
+    branches = tuple(map(tuple, _dnf(theta)))
+    G = dyn.H2[:, :m].reshape(N, table.size, m)
+    quad = np.kron(np.eye(N), M) if np.any(M) else None
+    box_A, box_b = _box_rows(lo, hi, N)
+    return CompiledRun(phi, table, grid, np.asarray(system.x0, dtype=float), config, h_d,
+                       k_event, schedule, branches,
+                       tuple(_tabulate(branch, schedule, grid, table.size, G, h_d)
+                             for branch in branches),
+                       dyn, _RowTable.of(np.vstack([np.zeros((1, N * m)), -dyn.H2])),
+                       lo, hi, M, quad, SparseRows.from_dense(box_A), box_b)
 
 
 def _box_rows(lo: np.ndarray, hi: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -578,23 +810,21 @@ def _box_rows(lo: np.ndarray, hi: np.ndarray, N: int) -> tuple[np.ndarray, np.nd
     return A, np.tile(limits[:, 2], N)
 
 
-@dataclass(frozen=True)
-class _Prediction:
+class _Step(NamedTuple):
     """Set-up shared by both builders for one step k0.
 
-    ``z_const + z_coeff @ u_st`` predicts the stacked predicate vector over
-    the columns of ``cols``: recorded constants up to k0, affine in the
-    stacked inputs after it.
+    ``z_const`` predicts every predicate sample of the steps t_lo..k0+N at
+    zero future input: the first ``n_past`` (steps up to k0) are recorded.
     """
 
     k0: int
-    anchors: range
-    cols: _Layout
+    anchors: np.ndarray
+    t_lo: int
+    n_past: int
     z_const: np.ndarray
-    z_coeff: np.ndarray
 
 
-def _predict(run: CompiledRun, k0: int, state_history: np.ndarray | None) -> _Prediction:
+def _predict(run: CompiledRun, k0: int, state_history: np.ndarray | None) -> _Step:
     if state_history is None:
         if k0 != 0:
             raise ValueError("state_history is required when k0 > 0")
@@ -609,42 +839,50 @@ def _predict(run: CompiledRun, k0: int, state_history: np.ndarray | None) -> _Pr
     if k_h > k0 + N - h_d:
         raise ValueError(f"event step {k_h} plus formula length {h_d} exceeds the horizon at "
                          f"step {k0}")
-    cols = _Layout(min(k_l, k0), k0 + N, table.size)
+    t_lo = min(k_l, k0)
 
     # past/current entries are recorded constants, future entries depend on u_st;
     # the past block takes one C @ x(k) per recorded step, like table.z (a single
     # matrix product over all steps would round differently)
-    n_past = (k0 + 1 - cols.t_lo) * table.size
-    z_const = np.empty(cols.n_cols)
-    z_const[:n_past] = (np.matmul(table.C, state_history[cols.t_lo:k0 + 1, :, None])[:, :, 0]
+    n_past = (k0 + 1 - t_lo) * table.size
+    z_const = np.empty(n_past + N * table.size)
+    z_const[:n_past] = (np.matmul(table.C, state_history[t_lo:k0 + 1, :, None])[:, :, 0]
                         + table.c).reshape(-1)
     z_const[n_past:] = dyn.H1 @ x_now + dyn.offset
-    z_coeff = np.zeros((cols.n_cols, N * dyn.m))
-    z_coeff[n_past:] = dyn.H2
-    return _Prediction(k0, range(k_l, k_h + 1), cols, z_const, z_coeff)
+    return _Step(k0, np.arange(k_l, k_h + 1), t_lo, n_past, z_const)
 
 
-def _stl_rows(pred: _Prediction, points: tuple[np.ndarray, np.ndarray], layout: VariableLayout):
-    """Rows -z_coeff[col] @ u_st <= z_const[col], one per (step, predicate) point.
+def _terms_at(tab: _BranchTable, anchors: np.ndarray, t_lo: int, n_mu: int):
+    """Table row of every (conjunct, anchor) pair, conjunct by conjunct, and the
+    samples of its terms in a window that starts at step t_lo."""
+    rows = tab.row_of[:, anchors % tab.row_of.shape[1]].reshape(-1)
+    at = np.concatenate([(anchors - t_lo) * n_mu] * tab.row_of.shape[0])
+    return rows, tab.cols[rows] + at[:, None]
 
-    Returns (A, b, stl_row_info); the epigraph and slack columns are zero.
+
+def _stl_rows(run: CompiledRun, step: _Step, hit: np.ndarray, n_epi: int, lead=None):
+    """Satisfaction rows -z_coeff[col] @ u_st <= z_const[col] of the samples hit,
+    in (step, predicate) order.
+
+    Returns (samples, (lens, index, value), stl_row_info); the input columns
+    start at n_epi, and with ``lead`` each row starts with a 1 in that column.
     """
-    ks, ps = points
-    ix = pred.cols.cols(ks, ps)
-    A = np.zeros((ks.size, layout.total))
-    A[:, layout.u_slice] = -pred.z_coeff[ix]
-    return A, pred.z_const[ix], dict(enumerate(zip(ps.tolist(), ks.tolist())))
+    samples = np.flatnonzero(hit)
+    ks, ps = np.divmod(samples, run.table.size)
+    info = dict(enumerate(zip(ps.tolist(), (ks + step.t_lo).tolist())))
+    keys = np.maximum(samples - (step.n_past - 1), 0)
+    return samples, _gather(run.dyn_rows, keys, n_epi, lead=lead), info
 
 
-def _input_rows(run: CompiledRun, k0: int, layout: VariableLayout,
-                input_history: np.ndarray | None):
-    """Box, budget and extra rows over the inputs, and the input penalty.
+def _input_rows(run: CompiledRun, k0: int, input_history: np.ndarray | None):
+    """Box, budget and extra rows over the stacked inputs (columns from 0).
 
-    Returns (A, b, kinds, quad) with every block placed at ``layout.u_slice``.
+    Returns a list of (lens, index, value) blocks, their bounds and their kinds.
     """
     config = run.config
     N, m = config.horizon, run.dyn.m
-    n_u, n_y, u = layout.n_u, layout.total, layout.u_slice
+    n_u = N * m
+    box = run.box_rows
 
     extra: list[tuple[np.ndarray, float]] = []
     # input budget over absolute steps [0, budget_end]
@@ -664,17 +902,14 @@ def _input_rows(run: CompiledRun, k0: int, layout: VariableLayout,
         if coeffs.shape[0] != n_u:
             raise ValueError(f"extra constraint has {coeffs.shape[0]} coefficients, expected {n_u}")
         extra.append((coeffs, float(bound)))
-    n_box = run.box_b.size
-    A = np.zeros((n_box + len(extra), n_y))
-    A[:n_box, u] = run.box_A
-    for r, (coeffs, _) in enumerate(extra):
-        A[n_box + r, u] = coeffs
-
-    quad = np.zeros((n_y, n_y))
-    if np.any(run.M):
-        quad[u, u] = np.kron(np.eye(N), run.M)
-    return (A, np.concatenate([run.box_b, [b for _, b in extra]]),
-            ["box"] * n_box + ["extra"] * len(extra), quad)
+    blocks = [(box.lens, box.index, box.value)]
+    kinds = ("box",) * box.n_rows
+    if extra:
+        rows = SparseRows.from_dense([c for c, _ in extra])
+        blocks.append((rows.lens, rows.index, rows.value))
+        return (blocks, np.concatenate([run.box_b, [b for _, b in extra]]),
+                kinds + ("extra",) * len(extra))
+    return blocks, run.box_b, kinds
 
 
 def build_problem(run: CompiledRun, k0: int = 0, state_history: np.ndarray | None = None,
@@ -684,70 +919,98 @@ def build_problem(run: CompiledRun, k0: int = 0, state_history: np.ndarray | Non
     ``state_history`` holds the recorded states x(0..k0) (default: x0 at
     k0 = 0); ``input_history`` the applied inputs u(0..k0-1), which a budget needs.
     """
-    pred = _predict(run, k0, state_history)
-    return [_assemble_branch(run, branch, branch_ix, pred, input_history)
-            for branch_ix, branch in enumerate(run.branches)]
+    step = _predict(run, k0, state_history)
+    inputs = _input_rows(run, k0, input_history)
+    return [_assemble(run, tab, branch_ix, step, inputs)
+            for branch_ix, tab in enumerate(run.tables)]
 
 
-def _assemble_branch(run: CompiledRun, branch, branch_ix: int, pred: _Prediction,
-                     input_history) -> QpProblem:
-    n_anchor = len(pred.anchors)
-    multi = len(branch) > 1
-    layout = VariableLayout(n_anchor if multi else 0, run.config.horizon, run.dyn.m)
-    u = layout.u_slice
+def _assemble(run: CompiledRun, tab: _BranchTable, branch_ix: int, step: _Step,
+              inputs) -> QpProblem:
+    N, m, n_mu = run.config.horizon, run.dyn.m, run.table.size
+    z_const = step.z_const
+    n_anchor = step.anchors.size
+    n_conj = tab.row_of.shape[0]
+    multi = n_conj > 1
+    layout = VariableLayout(n_anchor if multi else 0, N, m)
+    n_epi = layout.n_epigraph
 
-    terms = []
-    E_per_conjunct = []
-    for psi, op_index in branch:
-        terms.append(_psi_terms(psi, op_index, pred.anchors, run.schedule, run.grid))
-        E_per_conjunct.append(_e_matrix(terms[-1], n_anchor, pred.cols))
-    E_total = sum(E_per_conjunct)
+    rows, cols = _terms_at(tab, step.anchors, step.t_lo, n_mu)
+    w = tab.w[rows]
+    hit = np.zeros(z_const.size, dtype=bool)
+    hit[cols] = True
+    # the rows of conjunct j read u_x[i] - (coefficients on u_st) <= (E_j z_const)(i);
+    # u(k0) is u(a + s) for s = h_d - N + free[i] among the tabulated steps of anchor a
+    b_epi = (w * z_const[cols]).sum(axis=1)
+    free = np.concatenate([np.minimum(step.k0 - step.anchors + (N - run.h_d), N)] * n_conj)
+    epi_block = _gather(tab.inputs, rows, n_epi - m * free, first=tab.first[rows, free],
+                        lead=np.concatenate([np.arange(n_anchor)] * n_conj) if multi else None)
+    mass = tab.mass[rows]
 
     lin = np.zeros(layout.total)
     const = 0.0
-    cost_pred_mass = np.zeros(run.table.size)
+    cost_pred_mass = np.zeros(n_mu)
     epigraph_pred_mass = None
     if multi:
         lin[:n_anchor] = 1.0
+        epigraph_pred_mass = mass
+        epi_blocks, b_epi = [epi_block], [b_epi]
     else:
-        w = E_total.sum(axis=0)
-        lin[u] = w @ pred.z_coeff
-        const += float(w @ pred.z_const)
-        cost_pred_mass = _pred_mass(w[None], run.table.size)[0]
+        # one conjunct: its summed robustness is the cost itself, no epigraph rows
+        _, index, value = epi_block
+        lin[layout.u_slice] = -np.bincount(index, weights=value, minlength=N * m)
+        const = float(b_epi.sum())
+        cost_pred_mass = mass.sum(axis=0)
+        epi_blocks, b_epi = [], []
 
-    points = _sat_points(terms)
-    A_stl, b_stl, stl_row_info = _stl_rows(pred, points, layout)
+    samples, stl_block, stl_row_info = _stl_rows(run, step, hit, n_epi)
+    b_stl = z_const[samples]
     # the margin is planning headroom; recorded steps only need z >= 0
-    b_stl = b_stl - np.where(points[0] > pred.k0, run.config.constraint_margin, 0.0)
-
-    # epigraph rows: u_x[i] <= (E_j z)(i) for every conjunct j; the products are
-    # taken row by row (a stack of vector-matrix products), as one matrix
-    # product would round differently
-    A_epi = np.zeros((len(branch) * n_anchor if multi else 0, layout.total))
-    b_epi = np.zeros(A_epi.shape[0])
-    if multi:
-        E_rows = np.concatenate(E_per_conjunct)[:, None, :]
-        A_epi[np.arange(A_epi.shape[0]), np.tile(np.arange(n_anchor), len(branch))] = 1.0
-        A_epi[:, u] = -np.matmul(E_rows, pred.z_coeff)[:, 0]
-        b_epi = np.matmul(E_rows, pred.z_const)[:, 0]
-        epigraph_pred_mass = _pred_mass(E_rows[:, 0], run.table.size)
-
-    A_in, b_in, in_kinds, quad = _input_rows(run, pred.k0, layout, input_history)
-    debug = {
-        "E": E_total,
-        "E_per_conjunct": E_per_conjunct,
-        "anchors": tuple(pred.anchors),
-        "z_const": pred.z_const,
-        "z_coeff": pred.z_coeff,
-        "t_lo": pred.cols.t_lo,
-    }
+    b_stl[np.searchsorted(samples, step.n_past):] -= run.config.constraint_margin
+    in_blocks, b_in, in_kinds = inputs
+    in_blocks = [(lens, index + n_epi, value) for lens, index, value in in_blocks]
     return QpProblem(
-        quad=quad, lin=lin, const=const,
-        A_ub=np.vstack([A_stl, A_epi, A_in]), b_ub=np.concatenate([b_stl, b_epi, b_in]),
-        layout=layout,
-        row_kinds=tuple(["stl"] * A_stl.shape[0] + ["epigraph"] * A_epi.shape[0] + in_kinds),
-        stl_row_info=stl_row_info, n_predicates=run.table.size, cost_pred_mass=cost_pred_mass,
-        epigraph_pred_mass=epigraph_pred_mass, branch=branch_ix, debug=debug)
+        quad=_quad(run, layout), lin=lin, const=const,
+        rows=SparseRows.stacked([stl_block, *epi_blocks, *in_blocks], layout.total),
+        b_ub=np.concatenate([b_stl, *b_epi, b_in]), layout=layout,
+        row_kinds=(("stl",) * samples.size + ("epigraph",) * (len(epi_blocks) * rows.size)
+                   + in_kinds),
+        stl_row_info=stl_row_info, n_predicates=n_mu, cost_pred_mass=cost_pred_mass,
+        epigraph_pred_mass=epigraph_pred_mass, branch=branch_ix,
+        explain=lambda: _debug(run, step, cols, w))
+
+
+def _quad(run: CompiledRun, layout: VariableLayout) -> np.ndarray | None:
+    """The input penalty over the whole decision vector, None without one."""
+    if run.quad is None:
+        return None
+    quad = np.zeros((layout.total, layout.total))
+    quad[layout.u_slice, layout.u_slice] = run.quad
+    return quad
+
+
+def _debug(run: CompiledRun, step: _Step, cols: np.ndarray, w: np.ndarray) -> dict:
+    """The dense matrices behind one problem (see :class:`QpProblem`), from the
+    samples and weights of its (conjunct, anchor) rows."""
+    n_mu, n_anchor = run.table.size, step.anchors.size
+    t_hi = step.k0 + run.config.horizon
+    k, p = np.divmod(cols, n_mu)
+    row = np.arange(n_anchor).repeat(cols.shape[1])
+    E_per_conjunct = []
+    for j in range(0, cols.shape[0], n_anchor):
+        block = slice(j, j + n_anchor)
+        terms = (row, k[block].reshape(-1) + step.t_lo, p[block].reshape(-1), w[block].reshape(-1))
+        E_per_conjunct.append(_weights(terms, n_anchor, step.t_lo, t_hi, n_mu))
+    z_coeff = np.zeros((step.z_const.size, run.dyn.H2.shape[1]))
+    z_coeff[step.n_past:] = run.dyn.H2
+    return {
+        "E": sum(E_per_conjunct),
+        "E_per_conjunct": E_per_conjunct,
+        "anchors": tuple(step.anchors.tolist()),
+        "z_const": step.z_const,
+        "z_coeff": z_coeff,
+        "t_lo": step.t_lo,
+    }
 
 
 def add_slack_relaxation(p: QpProblem, s: float) -> QpProblem:
@@ -756,7 +1019,8 @@ def add_slack_relaxation(p: QpProblem, s: float) -> QpProblem:
     Every satisfaction row may be violated by at most its predicate's slack,
     and the robustness terms in the cost and the epigraph rows see the
     shifted predicates as well, so the solution is least-violating for
-    sufficiently large ``s``.
+    sufficiently large ``s``.  The slack entries go at the end of their
+    rows, followed by one row -slack <= 0 per predicate.
     """
     if s <= 0:
         raise ValueError("slack weight must be positive")
@@ -766,25 +1030,26 @@ def add_slack_relaxation(p: QpProblem, s: float) -> QpProblem:
     layout = replace(p.layout, n_slack=n_mu)
     n_old = p.n_vars
 
-    quad = np.zeros((n_old + n_mu, n_old + n_mu))
-    quad[:n_old, :n_old] = p.quad
+    quad = None
+    if p.quad is not None:
+        quad = np.zeros((n_old + n_mu, n_old + n_mu))
+        quad[:n_old, :n_old] = p.quad
     lin = np.concatenate([p.lin, p.cost_pred_mass - s])
 
-    A_old = np.hstack([p.A_ub, np.zeros((p.n_rows, n_mu))])
+    # slack coefficients of every row, old rows then the non-negativity rows
+    S = np.zeros((p.n_rows + n_mu, n_mu))
     stl_rows = np.fromiter(p.stl_row_info, dtype=np.intp, count=len(p.stl_row_info))
     stl_preds = np.array(list(p.stl_row_info.values()), dtype=np.intp).reshape(-1, 2)[:, 0]
-    A_old[stl_rows, n_old + stl_preds] = -1.0
+    S[stl_rows, stl_preds] = -1.0
     if p.epigraph_pred_mass is not None:
-        epi_rows = np.flatnonzero(np.array(p.row_kinds) == "epigraph")
-        A_old[epi_rows, n_old:] = -p.epigraph_pred_mass
-
-    nonneg = np.zeros((n_mu, n_old + n_mu))
-    nonneg[:, n_old:] = -np.eye(n_mu)
-    A_ub = np.vstack([A_old, nonneg])
-    b_ub = np.concatenate([p.b_ub, np.zeros(n_mu)])
-    kinds = p.row_kinds + ("slack",) * n_mu
-
-    return replace(p, quad=quad, lin=lin, A_ub=A_ub, b_ub=b_ub, layout=layout, row_kinds=kinds)
+        S[np.flatnonzero(np.array(p.row_kinds) == "epigraph")] = -p.epigraph_pred_mass
+    S[p.n_rows:] = -np.eye(n_mu)
+    row, col = np.nonzero(S)
+    rows = p.rows.appended(np.bincount(row, minlength=S.shape[0]), col + n_old, S[row, col],
+                           layout.total)
+    return replace(p, quad=quad, lin=lin, rows=rows,
+                   b_ub=np.concatenate([p.b_ub, np.zeros(n_mu)]), layout=layout,
+                   row_kinds=p.row_kinds + ("slack",) * n_mu)
 
 
 def build_sr_baseline(run: CompiledRun, k0: int = 0, state_history: np.ndarray | None = None,
@@ -807,23 +1072,23 @@ def build_sr_baseline(run: CompiledRun, k0: int = 0, state_history: np.ndarray |
             raise FragmentError(
                 f"predicate {table.names[g.child.pred_id]!r} is not axis-aligned with unit normal")
 
-    pred = _predict(run, k0, state_history)
+    step = _predict(run, k0, state_history)
     layout = VariableLayout(1, run.config.horizon, run.dyn.m)
-    points = _sat_points([_psi_terms(g, None, pred.anchors, None, run.grid) for g in gs])
-    A_stl, b_stl, stl_row_info = _stl_rows(pred, points, layout)
-    A_stl[:, 0] = 1.0
-    # rows at recorded steps have no input terms; writing +0 there rather
-    # than -0 keeps the baseline's dump_problem text stable
-    A_stl[points[0] <= k0, layout.u_slice] = 0.0
-    A_in, b_in, in_kinds, quad = _input_rows(run, k0, layout, input_history)
+    hit = np.zeros(step.z_const.size, dtype=bool)
+    hit[_terms_at(run.tables[0], step.anchors, step.t_lo, table.size)[1]] = True
+    samples, stl_block, stl_row_info = _stl_rows(run, step, hit, 1, lead=0)
+    in_blocks, b_in, in_kinds = _input_rows(run, k0, input_history)
 
     lin = np.zeros(layout.total)
     lin[0] = 1.0
     return QpProblem(
-        quad=quad, lin=lin, const=0.0,
-        A_ub=np.vstack([A_stl, A_in]), b_ub=np.concatenate([b_stl, b_in]),
-        layout=layout, row_kinds=tuple(["stl"] * A_stl.shape[0] + in_kinds),
-        stl_row_info=stl_row_info, n_predicates=table.size, cost_pred_mass=np.zeros(table.size))
+        quad=_quad(run, layout), lin=lin, const=0.0,
+        rows=SparseRows.stacked([stl_block, *((lens, index + 1, value)
+                                              for lens, index, value in in_blocks)],
+                                layout.total),
+        b_ub=np.concatenate([step.z_const[samples], b_in]), layout=layout,
+        row_kinds=("stl",) * samples.size + in_kinds, stl_row_info=stl_row_info,
+        n_predicates=table.size, cost_pred_mass=np.zeros(table.size))
 
 
 def dump_problem(p: QpProblem) -> str:
@@ -834,7 +1099,8 @@ def dump_problem(p: QpProblem) -> str:
         body = "\n".join(" ".join(f"{v:.17g}" for v in row) for row in a)
         return f"{name} {a.shape[0]}x{a.shape[1]}\n{body}"
 
-    parts = [mat("lin", p.lin), mat("quad", p.quad), mat("A_ub", p.A_ub), mat("b_ub", p.b_ub)]
+    quad = np.zeros((p.n_vars, p.n_vars)) if p.quad is None else p.quad
+    parts = [mat("lin", p.lin), mat("quad", quad), mat("A_ub", p.A_ub), mat("b_ub", p.b_ub)]
     if p.debug:
         parts.insert(0, mat("E", p.debug["E"]))
     parts.append(f"const {p.const:.17g}")

@@ -170,7 +170,7 @@ def solve(problem: QpProblem, settings: SolverSettings | None = None) -> QpSolut
 
     Linear programs go to HiGHS, which ``settings`` do not govern.
     """
-    if not np.any(problem.quad):
+    if problem.quad is None or not np.any(problem.quad):
         return _solve_lp(problem)
     return _solve_admm(problem, settings or SolverSettings())
 
@@ -180,8 +180,11 @@ def _solve_admm(problem: QpProblem, settings: SolverSettings) -> QpSolution:
     n = problem.n_vars
 
     # internal minimize form: 1/2 x' P x + q' x  s.t.  A x <= b
-    P = np.asarray(2.0 * problem.quad, dtype=float)
-    P = 0.5 * (P + P.T)
+    if problem.quad is None:
+        P = np.zeros((n, n))
+    else:
+        P = np.asarray(2.0 * problem.quad, dtype=float)
+        P = 0.5 * (P + P.T)
     q = -np.asarray(problem.lin, dtype=float)
     if n and np.linalg.eigvalsh(P).min() < -1e-8 * max(1.0, np.abs(P).max()):
         raise SolverError("quadratic block is not positive semidefinite")
@@ -348,22 +351,19 @@ def _solve_lp(problem: QpProblem) -> QpSolution:
     The model replaces the previous one on this thread's instance in one
     call of the array ``passModel``: free continuous columns (an empty
     integrality array would be rejected), rows ``-inf <= A y <= b`` with
-    ``A`` row-wise.
+    ``A`` passed as the problem stores it, row-wise.
     """
     h = _highs()
     highs = _instance(h)
     status_of = {h.HighsModelStatus.kOptimal: "optimal",
                  h.HighsModelStatus.kModelEmpty: "optimal",
                  h.HighsModelStatus.kInfeasible: "infeasible"}
-    A = np.ascontiguousarray(problem.A_ub, dtype=float)
-    m, n = A.shape
-    rows, cols = np.nonzero(A)
-    start = np.zeros(m + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=m), out=start[1:])
-    model = (n, m, rows.size, h.MatrixFormat.kRowwise, h.ObjSense.kMinimize, 0.0,
-             -np.asarray(problem.lin, dtype=float), np.full(n, -np.inf), np.full(n, np.inf),
-             np.full(m, -np.inf), np.asarray(problem.b_ub, dtype=float),
-             start, cols.astype(np.int32), A[rows, cols], np.zeros(n, dtype=np.int32))
+    rows = problem.rows
+    n, m = problem.n_vars, rows.n_rows
+    model = (n, m, rows.nnz, h.MatrixFormat.kRowwise, h.ObjSense.kMinimize, 0.0,
+             -problem.lin, np.full(n, -np.inf), np.full(n, np.inf), np.full(m, -np.inf),
+             problem.b_ub, rows.start.astype(np.int32), rows.index.astype(np.int32), rows.value,
+             np.zeros(n, dtype=np.int32))
 
     def pass_and_run() -> None:
         # a rejected model would leave the previous one in place; a warning

@@ -1,6 +1,7 @@
 """Configuration ingestion, trace files, presets, and command behavior."""
 
 import math
+import re
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import trace_reference
-from stlmpc import SamplingGrid, Trace, run
+from stlmpc import SamplingGrid, Trace, cli, run
 from stlmpc.cli import (
     ScenarioConfig,
     emit_trace,
@@ -344,6 +345,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "branch 0:" in out
         assert ("first solved step" in out) == preset.startswith(("two_tank_phi1", "example2"))
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_check_counts_nonzeros(self, preset, capsys, monkeypatch):
+        # each branch's printed nonzeros are those of its dense constraint matrix
+        built = []
+        for name in ("build_problem", "build_sr_baseline"):
+            def record(*args, _build=getattr(cli, name), **kwargs):
+                problems = _build(*args, **kwargs)
+                built.extend(problems if isinstance(problems, list) else [problems])
+                return problems
+            monkeypatch.setattr(cli, name, record)
+        assert main(["check", preset]) == 0
+        counts = [int(c) for c in re.findall(r"(\d+) nonzeros", capsys.readouterr().out)]
+        assert counts == [np.count_nonzero(p.A_ub) for p in built]
+        assert all(count > 0 for count in counts)
 
     def test_monitor_recorded_trace(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

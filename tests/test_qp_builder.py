@@ -415,7 +415,8 @@ class TestArrayAssembly:
                         points.setdefault((pid, k))
                 assert np.array_equal(E_j, E_ref)
                 op_index += len(collect_event_ops(psi))
-            assert list(p.stl_row_info.values()) == list(points)
+            # one satisfaction row per sample the terms weigh, in (step, predicate) order
+            assert list(p.stl_row_info.values()) == sorted(points, key=lambda pk: pk[::-1])
 
 
 class TestConstraintSemanticsAgreement:
@@ -503,14 +504,21 @@ class TestSlackRelaxation:
 
     def test_zero_slack_reproduces_original_blocks(self, tank):
         phi, table = _parse_pnf("G[0,inf]((x1 >= 0) U[120,240] (x1 <= 5))")
-        p = build_problem(compile_run(phi, tank, table,
-                                      ControlConfig(horizon=20, u_min=0, u_max=6)))[0]
-        relaxed = add_slack_relaxation(p, s=1e4)
-        n = p.n_vars
-        np.testing.assert_array_equal(relaxed.A_ub[:p.n_rows, :n], p.A_ub)
-        np.testing.assert_array_equal(relaxed.b_ub[:p.n_rows], p.b_ub)
-        np.testing.assert_array_equal(relaxed.lin[:n], p.lin)
-        np.testing.assert_array_equal(relaxed.quad[:n, :n], p.quad)
+        for penalty in (None, 0.01 * np.eye(1)):
+            p = build_problem(compile_run(phi, tank, table,
+                                          ControlConfig(horizon=20, u_min=0, u_max=6,
+                                                        input_penalty=penalty)))[0]
+            relaxed = add_slack_relaxation(p, s=1e4)
+            n = p.n_vars
+            np.testing.assert_array_equal(relaxed.A_ub[:p.n_rows, :n], p.A_ub)
+            np.testing.assert_array_equal(relaxed.b_ub[:p.n_rows], p.b_ub)
+            np.testing.assert_array_equal(relaxed.lin[:n], p.lin)
+            if penalty is None:
+                # a linear program stays one
+                assert p.quad is None and relaxed.quad is None
+            else:
+                np.testing.assert_array_equal(relaxed.quad[:n, :n], p.quad)
+                assert not relaxed.quad[n:].any() and not relaxed.quad[:, n:].any()
 
     def test_double_relaxation_rejected(self, tank):
         phi, table = _parse_pnf("G[0,inf]((x1 >= 0) U[120,240] (x1 <= 5))")
