@@ -56,7 +56,7 @@ from .qp_builder import (
     compile_run,
     stack_dynamics,
 )
-from .qp_solver import SolverError, SolverSettings, solve
+from .qp_solver import SolverError, solve
 from .mpc import ControlError, LtiSystem, NoiseModel, RunConfig, Trace, run, snr_db
 
 __version__ = "0.1.0"

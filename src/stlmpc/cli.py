@@ -24,7 +24,6 @@ Scenarios are flat INI files (see ``presets/`` for complete examples)::
     slack_weight = auto        ; auto | positive float
     resolve_each_step = yes    ; no = keep executing the first plan
     constraint_margin = 1e-9   ; satisfaction rows require z >= margin at future steps
-    solver_tol = 1e-8          ; splitting solver (QPs) only: absolute and relative tolerance
 
     [simulation]
     duration = 600             ; seconds
@@ -58,7 +57,6 @@ import numpy as np
 from .mpc import LtiSystem, NoiseModel, RunConfig, Trace, readouts, run
 from .parser import ParseError, parse
 from .qp_builder import ControlConfig, build_problem, build_sr_baseline, compile_run
-from .qp_solver import SolverSettings
 from .scheduling import compute_schedule
 # the readout functions stay importable here: perfbench/workloads.py times
 # what `monitor` computes by calling them one at a time through this module
@@ -167,14 +165,12 @@ class ScenarioConfig:
             seed=int(sim.get("seed", 0)),
         )
 
-        solver_tol = float(ctrl.get("solver_tol", 1e-8))
         run_config = RunConfig(
             control=control,
             sim_steps=sim_steps,
             slack_enabled=_as_bool(ctrl.get("slack", "on")),
             objective=ctrl.get("objective", "dsasr").strip(),
             resolve_each_step=_as_bool(ctrl.get("resolve_each_step", "yes")),
-            solver=SolverSettings(abs_tol=solver_tol, rel_tol=solver_tol),
         )
 
         out = cp["output"] if cp.has_section("output") else {}

@@ -11,7 +11,7 @@ slack policy is enabled, the step is re-solved in the relaxed
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .qp_builder import (
     compile_run,
     default_slack_weight,
 )
-from .qp_solver import SolverSettings, solve
+from .qp_solver import solve
 from .scheduling import Schedule, compute_schedule
 from .semantics import (
     RobustnessReadout,
@@ -122,7 +122,6 @@ class RunConfig:
     slack_enabled: bool = True
     objective: str = "dsasr"        # dsasr | sr-baseline
     resolve_each_step: bool = True
-    solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self) -> None:
         if self.objective not in ("dsasr", "sr-baseline"):
@@ -223,7 +222,7 @@ def run(system: LtiSystem, phi: Formula, table: PredicateTable, config: RunConfi
             else:
                 problems = build_problem(compiled, k0=k0, state_history=history,
                                          input_history=past_u)
-            solutions = [solve(p, config.solver) for p in problems]
+            solutions = [solve(p) for p in problems]
             best = _pick_best(solutions)
             status = "optimal"
             if best is None and all(s.status == "infeasible" for s in solutions):
@@ -235,7 +234,7 @@ def run(system: LtiSystem, phi: Formula, table: PredicateTable, config: RunConfi
                     scale = float(np.abs(states[:k0 + 1]).max(initial=1.0))
                     slack_weight = default_slack_weight(table, scale)
                 relaxed = [add_slack_relaxation(p, slack_weight) for p in problems]
-                solutions = [solve(p, config.solver) for p in relaxed]
+                solutions = [solve(p) for p in relaxed]
                 best = _pick_best(solutions)
                 status = "relaxed"
             if best is None:

@@ -13,7 +13,7 @@ penalty, subject to
 Disjunctions produce one problem per branch; the caller solves all branches
 and applies the input of the best one.  Decision vectors are laid out as
 ``[epigraph | stacked inputs | slack]``; the constraints are stored once,
-row-wise (:class:`SparseRows`), which is the form the LP solver takes.
+row-wise (:class:`SparseRows`), which is the form the solver takes.
 
 Compilation has a per-run and a per-step phase.  :func:`compile_run`
 validates the formula against the grid and the horizon and tabulates what a

@@ -27,18 +27,27 @@ from stlmpc import qp_builder
 GRID1 = SamplingGrid(1.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# prints one hash of states, inputs and statuses per closed-loop run
+# prints one hash of states, inputs and statuses per closed-loop run: the LPs
+# of two presets, then their QPs under an input penalty of 0.01 I at seed 0
 TRACE_HASHES = """
 import dataclasses, hashlib
+import numpy as np
 from stlmpc import cli, mpc
-for name in ("two_tank_phi3", "two_tank_phi3_noisy"):
-    cfg = cli.ScenarioConfig.from_file(cli.preset_path(name))
-    for seed in (range(4) if cfg.noise.kind != "none" else [0]):
-        trace = mpc.run(cfg.system, cfg.formula, cfg.table, cfg.run_config,
-                        dataclasses.replace(cfg.noise, seed=seed))
-        digest = hashlib.sha256(trace.states.tobytes() + trace.inputs.tobytes()
-                                + " ".join(trace.statuses).encode()).hexdigest()
-        print(name, seed, digest)
+for penalty in (None, 0.01):
+    for name in ("two_tank_phi3", "two_tank_phi3_noisy"):
+        cfg = cli.ScenarioConfig.from_file(cli.preset_path(name))
+        config = cfg.run_config
+        seeds = range(4) if cfg.noise.kind != "none" else [0]
+        if penalty is not None:
+            control = dataclasses.replace(config.control,
+                                          input_penalty=penalty * np.eye(cfg.system.m))
+            config, seeds = dataclasses.replace(config, control=control), [0]
+        for seed in seeds:
+            trace = mpc.run(cfg.system, cfg.formula, cfg.table, config,
+                            dataclasses.replace(cfg.noise, seed=seed))
+            digest = hashlib.sha256(trace.states.tobytes() + trace.inputs.tobytes()
+                                    + " ".join(trace.statuses).encode()).hexdigest()
+            print(name, penalty, seed, digest)
 """
 
 
@@ -99,7 +108,7 @@ class TestDeterminismAndRecording:
             return out.stdout.splitlines()
 
         one = hashes(1)
-        assert len(one) == 5
+        assert len(one) == 7
         assert one == hashes(2)
 
     def test_recursion_replay(self, tank):

@@ -1,13 +1,14 @@
-"""Solver correctness against analytic optima and a brute-force oracle."""
+"""Solver correctness against analytic optima, a brute-force oracle and the ADMM oracle."""
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from stlmpc import QpProblem, SolverSettings, VariableLayout, cli, solve
+from stlmpc import QpProblem, VariableLayout, cli, solve
 from stlmpc.qp_builder import (
     add_slack_relaxation,
     build_problem,
@@ -15,8 +16,9 @@ from stlmpc.qp_builder import (
     compile_run,
     default_slack_weight,
 )
-from stlmpc.qp_solver import SolverError, _highs, _solve_admm
+from stlmpc.qp_solver import SolverError, _highs
 
+from admm_reference import AdmmSettings, solve_admm
 from conftest import projected_gradient_oracle
 
 
@@ -69,7 +71,22 @@ class TestAnalyticToys:
     def test_unbounded_detected(self):
         p = make_problem(np.zeros((1, 1)), [1.0], [[-1.0]], [0.0])
         with pytest.raises(SolverError):
-            solve(p, SolverSettings(max_iterations=20_000))
+            solve(p)
+
+    def test_unbounded_qp_detected(self):
+        # minimize x1^2/2 - x2 s.t. x1 <= 1: HiGHS reports it optimal at x2 = 1e7
+        p = make_problem(np.diag([0.5, 0.0]), [0.0, 1.0], [[1.0, 0.0]], [1.0])
+        with pytest.raises(SolverError, match="unbounded"):
+            solve(p)
+
+    def test_non_convex_past_the_eigenvalue_tolerance_rejected(self):
+        # eigenvalue -5e-5 against a tolerance of -1e-8 * 2e4: HiGHS sees the negative diagonal
+        quad = np.diag([1e4, -2.5e-5])
+        P = quad + quad.T
+        assert np.linalg.eigvalsh(P).min() >= -1e-8 * np.abs(P).max()
+        box = np.vstack([np.eye(2), -np.eye(2)])
+        with pytest.raises(SolverError, match="not convex"):
+            solve(make_problem(quad, [0.0, 0.0], box, np.ones(4)))
 
 
 def random_instance(rng: np.random.Generator, n: int, lp: bool):
@@ -106,14 +123,13 @@ class TestRandomInstances:
 
     def test_returned_point_feasible(self):
         rng = np.random.default_rng(321)
-        settings = SolverSettings()
         for trial in range(25):
             n = int(rng.integers(2, 15))
             p = random_instance(rng, n, lp=bool(trial % 2))
-            sol = solve(p, settings)
+            sol = solve(p)
             assert sol.status == "optimal"
             resid = np.asarray(p.A_ub) @ sol.y - np.asarray(p.b_ub)
-            assert resid.max(initial=0.0) <= 10 * settings.abs_tol
+            assert resid.max(initial=0.0) <= 1e-7
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
@@ -156,10 +172,17 @@ PRESETS = sorted(p.name.removesuffix(".ini")
                  if p.name.endswith(".ini"))
 
 
-def preset_lps(name: str) -> list[QpProblem]:
-    """Plain and relaxed LPs a preset compiles at three steps of an idle rollout."""
+def preset_lps(name: str, penalty: float | None = None) -> list[QpProblem]:
+    """Plain and relaxed LPs a preset compiles at three steps of an idle rollout.
+
+    With a ``penalty`` the preset's inputs are penalised by ``penalty * I``,
+    which turns the problems into QPs.
+    """
     cfg = cli.ScenarioConfig.from_file(cli.preset_path(name))
-    run = compile_run(cfg.formula, cfg.system, cfg.table, cfg.control)
+    control = cfg.control
+    if penalty is not None:
+        control = replace(control, input_penalty=penalty * np.eye(cfg.system.m))
+    run = compile_run(cfg.formula, cfg.system, cfg.table, control)
     first = run.k_event or 0
     problems = []
     for k0 in (first, first + run.h_d // 2, first + run.h_d - 1):
@@ -177,27 +200,30 @@ def preset_lps(name: str) -> list[QpProblem]:
     return problems
 
 
+def assert_same_optimum(p: QpProblem) -> None:
+    """HiGHS and the ADMM oracle agree on the status, and on the objective to 1e-6."""
+    exact, admm = solve(p), solve_admm(p, AdmmSettings())
+    assert exact.status == admm.status
+    if admm.status == "optimal":
+        scale = max(1.0, abs(admm.objective))
+        assert abs(exact.objective - admm.objective) <= 1e-6 * scale
+
+
 class TestExactLp:
     """HiGHS against the splitting solver forced onto the same linear program."""
-
-    @staticmethod
-    def assert_same_optimum(p: QpProblem) -> None:
-        assert not np.any(p.quad)
-        exact, admm = solve(p), _solve_admm(p, SolverSettings())
-        assert exact.status == admm.status
-        if admm.status == "optimal":
-            scale = max(1.0, abs(admm.objective))
-            assert abs(exact.objective - admm.objective) <= 1e-6 * scale
 
     def test_random_lps_match_the_splitting_solver(self):
         rng = np.random.default_rng(2024)
         for _ in range(40):
-            self.assert_same_optimum(random_instance(rng, int(rng.integers(2, 21)), lp=True))
+            p = random_instance(rng, int(rng.integers(2, 21)), lp=True)
+            assert not np.any(p.quad)
+            assert_same_optimum(p)
 
     @pytest.mark.parametrize("preset", PRESETS)
     def test_preset_lps_match_the_splitting_solver(self, preset):
         for p in preset_lps(preset):
-            self.assert_same_optimum(p)
+            assert p.quad is None
+            assert_same_optimum(p)
 
     def test_undecided_interior_point_is_settled(self):
         # primal and dual infeasible: the interior point alone cannot tell which
@@ -268,6 +294,30 @@ class TestExactLp:
         with ThreadPoolExecutor(max_workers=1) as pool:
             pool.submit(lambda: [solve(p) for p in problems]).result()
         assert len(made) == 1
+
+
+class TestExactQp:
+    """HiGHS's QP solver against the splitting solver on the same quadratic program."""
+
+    def test_random_qps_match_the_splitting_solver(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(40):
+            assert_same_optimum(random_instance(rng, int(rng.integers(2, 21)), lp=False))
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_penalised_preset_qps_match_the_splitting_solver(self, preset):
+        for p in preset_lps(preset, penalty=0.01):
+            assert np.any(p.quad)
+            assert_same_optimum(p)
+
+    def test_no_state_carries_between_qps_and_lps(self):
+        rng = np.random.default_rng(6)
+        qp, lp = random_instance(rng, 10, lp=False), random_instance(rng, 10, lp=True)
+        first_qp, first_lp = solve(qp), solve(lp)
+        again_qp, again_lp = solve(qp), solve(lp)
+        for a, b in ((first_qp, again_qp), (first_lp, again_lp)):
+            assert np.array_equal(a.y, b.y)
+            assert a.iterations == b.iterations
 
 
 class TestSolutionExtraction:
