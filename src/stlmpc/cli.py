@@ -35,6 +35,9 @@ Scenarios are flat INI files (see ``presets/`` for complete examples)::
     trace = two_tank_phi2.csv
     plot_script = no           ; yes = emit a gnuplot script next to the CSV
 
+The boolean keys (``slack``, ``resolve_each_step``, ``plot_script``) take
+1/0, yes/no, true/false or on/off in any case; any other word is an error.
+
 Commands: ``run <preset|config>``, ``check <preset|config>``,
 ``monitor <preset|config> <trace.csv>``.  Set STLMPC_LOG=debug for verbose
 logging.
@@ -168,9 +171,9 @@ class ScenarioConfig:
         run_config = RunConfig(
             control=control,
             sim_steps=sim_steps,
-            slack_enabled=_as_bool(ctrl.get("slack", "on")),
+            slack_enabled=_as_bool("slack", ctrl.get("slack", "on")),
             objective=ctrl.get("objective", "dsasr").strip(),
-            resolve_each_step=_as_bool(ctrl.get("resolve_each_step", "yes")),
+            resolve_each_step=_as_bool("resolve_each_step", ctrl.get("resolve_each_step", "yes")),
         )
 
         out = cp["output"] if cp.has_section("output") else {}
@@ -178,12 +181,20 @@ class ScenarioConfig:
         return cls(system=system, formula=formula, table=table, control=control,
                    run_config=run_config, noise=noise,
                    trace_path=out.get("trace", default_trace),
-                   plot_script=_as_bool(out.get("plot_script", "no")),
+                   plot_script=_as_bool("plot_script", out.get("plot_script", "no")),
                    source=str(path))
 
 
-def _as_bool(text: str) -> bool:
-    return text.strip().lower() in ("1", "yes", "true", "on")
+_BOOLEANS = {"1": True, "yes": True, "true": True, "on": True,
+             "0": False, "no": False, "false": False, "off": False}
+
+
+def _as_bool(key: str, text: str) -> bool:
+    value = _BOOLEANS.get(text.strip().lower())
+    if value is None:
+        raise ValueError(f"{key} = {text.strip()!r} is not a boolean; use one of "
+                         "1/0, yes/no, true/false, on/off")
+    return value
 
 
 def _as_penalty(text: str | None, m: int) -> np.ndarray | None:

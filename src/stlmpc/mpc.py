@@ -11,11 +11,14 @@ slack policy is enabled, the step is re-solved in the relaxed
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .qp_builder import (
+    CompiledRun,
     ControlConfig,
     add_slack_relaxation,
     build_problem,
@@ -172,6 +175,50 @@ def _pick_best(solutions, statuses=("optimal",)):
     return best
 
 
+# the compiled runs of the last few distinct scenarios, by the value of their
+# compile inputs
+_KEPT_RUNS = 8
+_runs: OrderedDict[tuple, CompiledRun] = OrderedDict()
+_runs_lock = threading.Lock()
+
+
+def _value(v):
+    """A hashable stand-in for v, equal exactly when the values are: arrays and
+    numbers by their float64 bytes, tuples item by item."""
+    if v is None:
+        return None
+    if isinstance(v, tuple):
+        return tuple(map(_value, v))
+    arr = np.asarray(v, dtype=float)
+    return arr.shape, arr.tobytes()
+
+
+def _compile(phi: Formula, system: LtiSystem, table: PredicateTable, control: ControlConfig,
+             schedule: Schedule | None) -> CompiledRun:
+    """``compile_run``, reused while the same compile inputs (by value) come back.
+
+    A simulation of a known scenario, such as another noise seed, thus skips
+    the compile and finds the step templates of the earlier runs.  The
+    compiled run holds its own read-only copies of the arrays, so a caller
+    editing an array in place changes the key, never a kept run.
+    """
+    key = (phi, schedule, system.grid, table.names,
+           *map(_value, (system.A, system.B, system.x0, table.C, table.c)),
+           *(_value(getattr(control, f.name)) for f in fields(control)))
+    with _runs_lock:
+        compiled = _runs.get(key)
+        if compiled is not None:
+            _runs.move_to_end(key)
+            return compiled
+    compiled = compile_run(phi, system, table, control, schedule)
+    with _runs_lock:
+        compiled = _runs.setdefault(key, compiled)
+        _runs.move_to_end(key)
+        while len(_runs) > _KEPT_RUNS:
+            _runs.popitem(last=False)
+    return compiled
+
+
 def run(system: LtiSystem, phi: Formula, table: PredicateTable, config: RunConfig,
         noise: NoiseModel | None = None) -> Trace:
     """Simulate the closed loop and return the recorded trace with readouts."""
@@ -188,7 +235,7 @@ def run(system: LtiSystem, phi: Formula, table: PredicateTable, config: RunConfi
 
     windows = collect_event_ops(theta)
     schedule = compute_schedule(windows, grid) if windows else None
-    compiled = compile_run(phi, system, table, config.control, schedule)
+    compiled = _compile(phi, system, table, config.control, schedule)
     k_event = compiled.k_event
 
     K = config.sim_steps

@@ -28,10 +28,13 @@ satisfaction pattern, the input-coefficient row and the predicate mass, one
 :class:`_BranchTable` per DNF branch, next to the rows of the stacked
 dynamics ``C A^k B`` and the input box rows.
 
-A step (:func:`build_problem`) then only gathers: the offset of every anchor
-in its window, the table rows of every (conjunct, anchor) pair in one go,
-the right-hand sides from the recorded states, and the row-wise arrays of
-the problem.
+A step's problem depends on its step k0 only through the step's shape
+(the number of recorded steps in its window, and where its anchors start
+relative to the window and to the schedule period) and through its
+right-hand side.  :func:`build_problem` therefore gathers the table rows of
+every (conjunct, anchor) pair and emits the row-wise arrays of the problem
+once per shape, as a template kept in the compiled run; a step then computes
+only the right-hand sides from the recorded states.
 The worst-case baseline (:func:`build_sr_baseline`) differs from a
 one-branch :func:`build_problem` only in its single epigraph variable and
 its cost.  Sums over terms are numpy reductions, not BLAS products, so the
@@ -41,7 +44,7 @@ problems do not depend on the BLAS thread count.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -738,7 +741,9 @@ class CompiledRun:
     the input penalty, ``quad`` its block over the stacked inputs (None
     without a penalty); ``box_rows @ u_st <= box_b`` are the input box rows;
     ``dyn_rows`` holds the rows of ``-H2``, keyed from 1 (key 0 is an empty
-    row, for a recorded sample).
+    row, for a recorded sample).  ``templates`` memoizes the steps' problems
+    short of their right-hand sides, per step shape (see :func:`build_problem`).
+    Its ``config`` and ``x0`` hold read-only copies of the caller's arrays.
     """
 
     phi: Formula
@@ -759,6 +764,12 @@ class CompiledRun:
     quad: np.ndarray | None
     box_rows: SparseRows
     box_b: np.ndarray
+    templates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+def _owned(v):
+    """A read-only copy of an array-like value; None and numbers as they are."""
+    return v if v is None or np.isscalar(v) else _frozen(np.array(v, dtype=float))
 
 
 def compile_run(phi: Formula, system, table: PredicateTable, config: ControlConfig,
@@ -769,6 +780,9 @@ def compile_run(phi: Formula, system, table: PredicateTable, config: ControlConf
     """
     grid = system.grid
     validate_windows(phi, grid)
+    config = replace(config, u_min=_owned(config.u_min), u_max=_owned(config.u_max),
+                     input_penalty=_owned(config.input_penalty),
+                     extra_ineqs=tuple((_owned(c), _owned(b)) for c, b in config.extra_ineqs))
     theta = unwrap(phi)
     h_d = discrete_length(theta, grid)
     N = config.horizon
@@ -790,7 +804,7 @@ def compile_run(phi: Formula, system, table: PredicateTable, config: ControlConf
     G = dyn.H2[:, :m].reshape(N, table.size, m)
     quad = np.kron(np.eye(N), M) if np.any(M) else None
     box_A, box_b = _box_rows(lo, hi, N)
-    return CompiledRun(phi, table, grid, np.asarray(system.x0, dtype=float), config, h_d,
+    return CompiledRun(phi, table, grid, _owned(system.x0), config, h_d,
                        k_event, schedule, branches,
                        tuple(_tabulate(branch, schedule, grid, table.size, G, h_d)
                              for branch in branches),
@@ -864,52 +878,68 @@ def _stl_rows(run: CompiledRun, step: _Step, hit: np.ndarray, n_epi: int, lead=N
     """Satisfaction rows -z_coeff[col] @ u_st <= z_const[col] of the samples hit,
     in (step, predicate) order.
 
-    Returns (samples, (lens, index, value), stl_row_info); the input columns
-    start at n_epi, and with ``lead`` each row starts with a 1 in that column.
+    Returns (samples, (lens, index, value), preds, steps): each row's
+    predicate and its step relative to the window start, as lists.  The
+    input columns start at n_epi, and with ``lead`` each row starts with a 1
+    in that column.
     """
     samples = np.flatnonzero(hit)
     ks, ps = np.divmod(samples, run.table.size)
-    info = dict(enumerate(zip(ps.tolist(), (ks + step.t_lo).tolist())))
     keys = np.maximum(samples - (step.n_past - 1), 0)
-    return samples, _gather(run.dyn_rows, keys, n_epi, lead=lead), info
+    return samples, _gather(run.dyn_rows, keys, n_epi, lead=lead), ps.tolist(), ks.tolist()
 
 
-def _input_rows(run: CompiledRun, k0: int, input_history: np.ndarray | None):
-    """Box, budget and extra rows over the stacked inputs (columns from 0).
+def _row_info(preds: list[int], steps: list[int], t_lo: int) -> dict[int, tuple[int, int]]:
+    """``stl_row_info``: (predicate, absolute step) of every satisfaction row."""
+    return dict(enumerate(zip(preds, map(t_lo.__add__, steps))))
 
-    Returns a list of (lens, index, value) blocks, their bounds and their kinds.
+
+def _input_bounds(run: CompiledRun, k0: int, input_history: np.ndarray | None):
+    """Right-hand sides of the box, budget and extra rows at step k0, and how
+    many stacked inputs the budget row covers (None without a budget).
+
+    The input budget covers the absolute steps [0, budget_end].
     """
     config = run.config
+    extra = [float(b) for _, b in config.extra_ineqs]
+    if config.budget_total is None:
+        return None, np.concatenate([run.box_b, extra])
     N, m = config.horizon, run.dyn.m
-    n_u = N * m
-    box = run.box_rows
+    end = config.budget_end if config.budget_end is not None else k0 + N - 1
+    hist = (np.zeros((0, m)) if input_history is None
+            else np.atleast_2d(np.asarray(input_history, dtype=float)))
+    if hist.shape[0] < k0:
+        raise ValueError(f"input_history must hold u(0..{k0 - 1}) to count the budget "
+                         f"spent, got {hist.shape[0]} rows")
+    spent = float(hist[:k0][:min(k0, end + 1)].sum())
+    return (min(N, max(0, end - k0 + 1)) * m,
+            np.concatenate([run.box_b, [float(config.budget_total) - spent], extra]))
 
-    extra: list[tuple[np.ndarray, float]] = []
-    # input budget over absolute steps [0, budget_end]
-    if config.budget_total is not None:
-        end = config.budget_end if config.budget_end is not None else k0 + N - 1
-        hist = (np.zeros((0, m)) if input_history is None
-                else np.atleast_2d(np.asarray(input_history, dtype=float)))
-        if hist.shape[0] < k0:
-            raise ValueError(f"input_history must hold u(0..{k0 - 1}) to count the budget "
-                             f"spent, got {hist.shape[0]} rows")
-        spent = float(hist[:k0][:min(k0, end + 1)].sum())
+
+def _input_rows(run: CompiledRun, budget_cols: int | None, n_epi: int):
+    """Box, budget and extra rows over the stacked inputs, whose columns start at n_epi.
+
+    The budget row covers the first ``budget_cols`` inputs (no row when
+    None).  Returns a list of (lens, index, value) blocks and the rows' kinds.
+    """
+    config = run.config
+    n_u = config.horizon * run.dyn.m
+    box = run.box_rows
+    extra = []
+    if budget_cols is not None:
         coeffs = np.zeros(n_u)
-        coeffs[:min(N, max(0, end - k0 + 1)) * m] = 1.0
-        extra.append((coeffs, float(config.budget_total) - spent))
-    for coeffs, bound in config.extra_ineqs:
+        coeffs[:budget_cols] = 1.0
+        extra.append(coeffs)
+    for coeffs, _ in config.extra_ineqs:
         coeffs = np.asarray(coeffs, dtype=float).reshape(-1)
         if coeffs.shape[0] != n_u:
             raise ValueError(f"extra constraint has {coeffs.shape[0]} coefficients, expected {n_u}")
-        extra.append((coeffs, float(bound)))
-    blocks = [(box.lens, box.index, box.value)]
-    kinds = ("box",) * box.n_rows
+        extra.append(coeffs)
+    blocks = [(box.lens, box.index + n_epi, box.value)]
     if extra:
-        rows = SparseRows.from_dense([c for c, _ in extra])
-        blocks.append((rows.lens, rows.index, rows.value))
-        return (blocks, np.concatenate([run.box_b, [b for _, b in extra]]),
-                kinds + ("extra",) * len(extra))
-    return blocks, run.box_b, kinds
+        rows = SparseRows.from_dense(extra)
+        blocks.append((rows.lens, rows.index + n_epi, rows.value))
+    return blocks, ("box",) * box.n_rows + ("extra",) * len(extra)
 
 
 def build_problem(run: CompiledRun, k0: int = 0, state_history: np.ndarray | None = None,
@@ -918,17 +948,70 @@ def build_problem(run: CompiledRun, k0: int = 0, state_history: np.ndarray | Non
 
     ``state_history`` holds the recorded states x(0..k0) (default: x0 at
     k0 = 0); ``input_history`` the applied inputs u(0..k0-1), which a budget needs.
+
+    A step's rows, costs and row kinds depend on k0 only through the step's
+    shape (:func:`_templates`), so they are built once per shape and run;
+    a step computes only the right-hand side from the recorded states.
     """
     step = _predict(run, k0, state_history)
-    inputs = _input_rows(run, k0, input_history)
-    return [_assemble(run, tab, branch_ix, step, inputs)
-            for branch_ix, tab in enumerate(run.tables)]
+    budget_cols, b_in = _input_bounds(run, k0, input_history)
+    return [_assemble(run, tpl, branch_ix, step, b_in)
+            for branch_ix, tpl in enumerate(_templates(run, step, budget_cols))]
 
 
-def _assemble(run: CompiledRun, tab: _BranchTable, branch_ix: int, step: _Step,
-              inputs) -> QpProblem:
+class _Template(NamedTuple):
+    """A branch's problem at one step shape, short of the right-hand side.
+
+    ``rows``, ``lin``, ``quad``, ``layout``, ``row_kinds`` and the predicate
+    masses are the problem's own (read-only, shared by every step of the
+    shape).  The right-hand side reads the prediction z_const: the
+    satisfaction rows take the ``samples`` (the constraint margin applies
+    from position ``planned`` on, to the unrecorded ones), and the weights
+    ``w`` on the samples ``cols`` give each (conjunct, anchor) row's
+    robustness at zero future input: the epigraph rows' bounds, or summed,
+    the constant cost of a one-conjunct branch.  ``preds`` and ``steps``
+    give each satisfaction row's predicate and its step relative to the
+    window start.
+    """
+
+    rows: SparseRows
+    lin: np.ndarray
+    quad: np.ndarray | None
+    layout: VariableLayout
+    row_kinds: tuple[str, ...]
+    cost_pred_mass: np.ndarray
+    epigraph_pred_mass: np.ndarray | None
+    samples: np.ndarray
+    planned: int
+    cols: np.ndarray
+    w: np.ndarray
+    preds: list[int]
+    steps: list[int]
+
+
+def _templates(run: CompiledRun, step: _Step, budget_cols: int | None) -> tuple[_Template, ...]:
+    """One template per branch for the shape of this step, built at its first use.
+
+    The shape is everything a template reads of the step: k0 and the first
+    anchor relative to the window start, the number of anchors, the first
+    anchor's residue modulo the schedule period, and the budget row's
+    length.  An all-time formula thus has (h_d - 1) + delta shapes (h_d - 1
+    before its first full window, then one per residue), a one-time formula
+    one per k0 - k_event; a budget with ``budget_end`` adds its length.
+    """
+    a0 = int(step.anchors[0])
+    shape = (step.k0 - step.t_lo, a0 - step.t_lo, step.anchors.size,
+             a0 % run.tables[0].row_of.shape[1], budget_cols)
+    templates = run.templates.get(shape)
+    if templates is None:
+        templates = run.templates.setdefault(shape, tuple(
+            _template(run, tab, step, budget_cols) for tab in run.tables))
+    return templates
+
+
+def _template(run: CompiledRun, tab: _BranchTable, step: _Step,
+              budget_cols: int | None) -> _Template:
     N, m, n_mu = run.config.horizon, run.dyn.m, run.table.size
-    z_const = step.z_const
     n_anchor = step.anchors.size
     n_conj = tab.row_of.shape[0]
     multi = n_conj > 1
@@ -937,47 +1020,63 @@ def _assemble(run: CompiledRun, tab: _BranchTable, branch_ix: int, step: _Step,
 
     rows, cols = _terms_at(tab, step.anchors, step.t_lo, n_mu)
     w = tab.w[rows]
-    hit = np.zeros(z_const.size, dtype=bool)
+    hit = np.zeros(step.z_const.size, dtype=bool)
     hit[cols] = True
     # the rows of conjunct j read u_x[i] - (coefficients on u_st) <= (E_j z_const)(i);
     # u(k0) is u(a + s) for s = h_d - N + free[i] among the tabulated steps of anchor a
-    b_epi = (w * z_const[cols]).sum(axis=1)
     free = np.concatenate([np.minimum(step.k0 - step.anchors + (N - run.h_d), N)] * n_conj)
     epi_block = _gather(tab.inputs, rows, n_epi - m * free, first=tab.first[rows, free],
                         lead=np.concatenate([np.arange(n_anchor)] * n_conj) if multi else None)
     mass = tab.mass[rows]
 
     lin = np.zeros(layout.total)
-    const = 0.0
     cost_pred_mass = np.zeros(n_mu)
     epigraph_pred_mass = None
+    epi_blocks = []
     if multi:
         lin[:n_anchor] = 1.0
         epigraph_pred_mass = mass
-        epi_blocks, b_epi = [epi_block], [b_epi]
+        epi_blocks = [epi_block]
     else:
         # one conjunct: its summed robustness is the cost itself, no epigraph rows
         _, index, value = epi_block
         lin[layout.u_slice] = -np.bincount(index, weights=value, minlength=N * m)
-        const = float(b_epi.sum())
         cost_pred_mass = mass.sum(axis=0)
-        epi_blocks, b_epi = [], []
 
-    samples, stl_block, stl_row_info = _stl_rows(run, step, hit, n_epi)
-    b_stl = z_const[samples]
-    # the margin is planning headroom; recorded steps only need z >= 0
-    b_stl[np.searchsorted(samples, step.n_past):] -= run.config.constraint_margin
-    in_blocks, b_in, in_kinds = inputs
-    in_blocks = [(lens, index + n_epi, value) for lens, index, value in in_blocks]
-    return QpProblem(
-        quad=_quad(run, layout), lin=lin, const=const,
-        rows=SparseRows.stacked([stl_block, *epi_blocks, *in_blocks], layout.total),
-        b_ub=np.concatenate([b_stl, *b_epi, b_in]), layout=layout,
+    samples, stl_block, preds, steps = _stl_rows(run, step, hit, n_epi)
+    in_blocks, in_kinds = _input_rows(run, budget_cols, n_epi)
+    problem_rows = SparseRows.stacked([stl_block, *epi_blocks, *in_blocks], layout.total)
+    quad = _quad(run, layout)
+    for arr in (problem_rows.start, problem_rows.index, problem_rows.value, lin, cost_pred_mass,
+                mass, samples, cols, w, *(() if quad is None else (quad,))):
+        arr.setflags(write=False)
+    return _Template(
+        rows=problem_rows, lin=lin, quad=quad, layout=layout,
         row_kinds=(("stl",) * samples.size + ("epigraph",) * (len(epi_blocks) * rows.size)
                    + in_kinds),
-        stl_row_info=stl_row_info, n_predicates=n_mu, cost_pred_mass=cost_pred_mass,
-        epigraph_pred_mass=epigraph_pred_mass, branch=branch_ix,
-        explain=lambda: _debug(run, step, cols, w))
+        cost_pred_mass=cost_pred_mass, epigraph_pred_mass=epigraph_pred_mass,
+        samples=samples, planned=int(np.searchsorted(samples, step.n_past)), cols=cols, w=w,
+        preds=preds, steps=steps)
+
+
+def _assemble(run: CompiledRun, tpl: _Template, branch_ix: int, step: _Step,
+              b_in: np.ndarray) -> QpProblem:
+    """A branch's problem at this step: the template and the step's right-hand side."""
+    z_const = step.z_const
+    b_stl = z_const[tpl.samples]
+    # the margin is planning headroom; recorded steps only need z >= 0
+    b_stl[tpl.planned:] -= run.config.constraint_margin
+    b_epi = (tpl.w * z_const[tpl.cols]).sum(axis=1)
+    if tpl.epigraph_pred_mass is None:
+        const, b_ub = float(b_epi.sum()), np.concatenate([b_stl, b_in])
+    else:
+        const, b_ub = 0.0, np.concatenate([b_stl, b_epi, b_in])
+    return QpProblem(
+        quad=tpl.quad, lin=tpl.lin, const=const, rows=tpl.rows, b_ub=b_ub, layout=tpl.layout,
+        row_kinds=tpl.row_kinds, stl_row_info=_row_info(tpl.preds, tpl.steps, step.t_lo),
+        n_predicates=run.table.size, cost_pred_mass=tpl.cost_pred_mass,
+        epigraph_pred_mass=tpl.epigraph_pred_mass, branch=branch_ix,
+        explain=lambda: _debug(run, step, tpl.cols, tpl.w))
 
 
 def _quad(run: CompiledRun, layout: VariableLayout) -> np.ndarray | None:
@@ -1076,19 +1175,19 @@ def build_sr_baseline(run: CompiledRun, k0: int = 0, state_history: np.ndarray |
     layout = VariableLayout(1, run.config.horizon, run.dyn.m)
     hit = np.zeros(step.z_const.size, dtype=bool)
     hit[_terms_at(run.tables[0], step.anchors, step.t_lo, table.size)[1]] = True
-    samples, stl_block, stl_row_info = _stl_rows(run, step, hit, 1, lead=0)
-    in_blocks, b_in, in_kinds = _input_rows(run, k0, input_history)
+    samples, stl_block, preds, steps = _stl_rows(run, step, hit, 1, lead=0)
+    budget_cols, b_in = _input_bounds(run, k0, input_history)
+    in_blocks, in_kinds = _input_rows(run, budget_cols, 1)
 
     lin = np.zeros(layout.total)
     lin[0] = 1.0
     return QpProblem(
         quad=_quad(run, layout), lin=lin, const=0.0,
-        rows=SparseRows.stacked([stl_block, *((lens, index + 1, value)
-                                              for lens, index, value in in_blocks)],
-                                layout.total),
-        b_ub=np.concatenate([step.z_const[samples], b_in]), layout=layout,
-        row_kinds=("stl",) * samples.size + in_kinds, stl_row_info=stl_row_info,
-        n_predicates=table.size, cost_pred_mass=np.zeros(table.size))
+        rows=SparseRows.stacked([stl_block, *in_blocks], layout.total),
+        b_ub=np.concatenate([step.z_const[samples], b_in]),
+        layout=layout, row_kinds=("stl",) * samples.size + in_kinds,
+        stl_row_info=_row_info(preds, steps, step.t_lo), n_predicates=table.size,
+        cost_pred_mass=np.zeros(table.size))
 
 
 def dump_problem(p: QpProblem) -> str:

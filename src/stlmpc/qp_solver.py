@@ -50,6 +50,9 @@ _HIGHS_OPTIONS = {"output_flag": False, "threads": 1, "solver": "ipm", "run_cros
 # a QP reported optimal whose relative stationarity residual exceeds this is
 # unbounded: HiGHS stopped on its internal bound along a descent ray
 _STATIONARITY_TOL = 1e-5
+# HiGHS's default small_matrix_value: matrix and Hessian entries of at most
+# this magnitude are dropped when the model is passed
+_SMALL_MATRIX_VALUE = 1e-9
 _local = threading.local()
 
 
@@ -139,10 +142,17 @@ def solve(problem: QpProblem) -> QpSolution:
 
 
 def _hessian(problem: QpProblem) -> np.ndarray | None:
-    """The minimize-form Hessian ``quad + quad.T``; None for a linear program."""
-    if problem.quad is None or not np.any(problem.quad):
+    """The minimize-form Hessian ``quad + quad.T``; None for a linear program.
+
+    HiGHS drops every entry of magnitude up to its ``small_matrix_value``,
+    so a Hessian made only of such entries is solved as the linear program
+    it becomes.
+    """
+    if problem.quad is None:
         return None
     P = problem.quad + problem.quad.T
+    if np.abs(P).max(initial=0.0) <= _SMALL_MATRIX_VALUE:
+        return None
     if np.linalg.eigvalsh(P).min() < -1e-8 * max(1.0, np.abs(P).max()):
         raise SolverError("quadratic block is not positive semidefinite")
     return P

@@ -6,7 +6,12 @@ per run.  Both must compile the same problems to rounding: rows are matched
 by kind and key (satisfaction rows by (predicate, step), epigraph rows by
 (conjunct, anchor), box, extra and slack rows by position), and every
 array must agree within 1e-12 of its largest reference entry.  The debug
-matrices agree exactly.
+matrices and the satisfaction rows' (predicate, step) pairs agree exactly.
+
+The builder keeps one template per step shape in the compiled run and fills
+in only the right-hand side per step, so every case runs a whole range of
+steps on one compiled run, twice over with different recorded histories:
+each template is compared both when it is built and when it is reused.
 """
 
 from importlib import resources
@@ -94,6 +99,10 @@ def assert_same_problem(new, old) -> None:
     assert (new.quad is None) == (not np.any(old.quad))
     if new.quad is not None:
         assert np.array_equal(new.quad, old.quad)
+    # satisfaction rows come first, in (step, predicate) order
+    info = list(new.stl_row_info.items())
+    assert [r for r, _ in info] == list(range(len(info)))
+    assert [pk for _, pk in info] == sorted(old.stl_row_info.values(), key=lambda pk: pk[::-1])
     # the row-wise store holds no zero and no repeated column
     assert new.rows.nnz == np.count_nonzero(new.A_ub)
 
@@ -108,9 +117,10 @@ def assert_same_debug(new, old) -> None:
         assert np.array_equal(E_new, E_old)
 
 
-def compare_step(run, system: LtiSystem, k0: int) -> int:
-    """Compare both builders (and their relaxations) at step k0; returns problems compared."""
-    states, inputs = history(system, run.lo, run.hi, k0, seed=k0)
+def compare_step(run, system: LtiSystem, k0: int, seed: int) -> int:
+    """Compare both builders (and their relaxations) at step k0 of a rollout drawn
+    from seed; returns problems compared."""
+    states, inputs = history(system, run.lo, run.hi, k0, seed=seed)
     try:
         old = ref.build_problem(run, k0, states, inputs)
     except ValueError as exc:
@@ -130,14 +140,18 @@ def tank(T=12.0, x0=(0.0, 0.0), B=TANK_B):
     return LtiSystem(TANK_A, B, np.array(x0), SamplingGrid(T))
 
 
+def compare_steps(run, system: LtiSystem, steps: range) -> int:
+    """Compare every step, first on one rollout per step, then on another."""
+    return sum(compare_step(run, system, k0, seed=k0 + shift)
+               for shift in (0, 1000) for k0 in steps)
+
+
 @pytest.mark.parametrize("preset", PRESETS)
 def test_presets_match_the_reference(preset):
     cfg = cli.ScenarioConfig.from_file(cli.preset_path(preset))
     run = compile_run(cfg.formula, cfg.system, cfg.table, cfg.control)
-    delta = run.schedule.delta if run.schedule else 0
-    compared = sum(compare_step(run, cfg.system, k0)
-                   for k0 in sorted({0, 1, run.h_d - 1, run.h_d, run.h_d + delta, 49}))
-    assert compared >= 3
+    compared = compare_steps(run, cfg.system, range(cfg.run_config.sim_steps))
+    assert compared >= 6
 
 
 def _pnf(text, **kw):
@@ -170,8 +184,8 @@ def test_synthetic_cases_match_the_reference(case):
     phi, table = _pnf(text, **parse_kw)
     system = tank(x0=(0.5, 0.1), B=TWO_INPUTS_B if case == "two_inputs" else TANK_B)
     run = compile_run(phi, system, table, ControlConfig(**config))
-    compared = sum(compare_step(run, system, k0) for k0 in range(0, 16))
-    assert compared >= 8
+    compared = compare_steps(run, system, range(0, 30))
+    assert compared >= 16
 
 
 def test_input_penalty_qp_matches_through_the_dense_view():
@@ -179,7 +193,7 @@ def test_input_penalty_qp_matches_through_the_dense_view():
     run = compile_run(phi, tank(), table, ControlConfig(horizon=6, u_min=0, u_max=6,
                                                         input_penalty=0.01 * np.eye(1)))
     for k0 in (0, 3, 7):
-        assert compare_step(run, tank(), k0) == 1
+        assert compare_step(run, tank(), k0, seed=k0) == 1
         states, inputs = history(tank(), run.lo, run.hi, k0, seed=k0)
         new = build_problem(run, k0, states, inputs)[0]
         old = ref.build_problem(run, k0, states, inputs)[0]

@@ -304,6 +304,25 @@ class TestScenarioConfig:
         with pytest.raises(FileNotFoundError):
             preset_path("no_such_preset")
 
+    @pytest.mark.parametrize("key, section, read", [
+        ("slack", "control", lambda cfg: cfg.run_config.slack_enabled),
+        ("resolve_each_step", "control", lambda cfg: cfg.run_config.resolve_each_step),
+        ("plot_script", "output", lambda cfg: cfg.plot_script),
+    ])
+    def test_boolean_keys(self, key, section, read, tmp_path):
+        def load(word):
+            path = write_mini(tmp_path)
+            text = path.read_text().replace(f"[{section}]\n", f"[{section}]\n{key} = {word}\n")
+            path.write_text(text)
+            return ScenarioConfig.from_file(path)
+
+        for word, value in (("1", True), ("YES", True), ("True", True), ("on", True),
+                            ("0", False), ("No", False), ("FALSE", False), ("off", False)):
+            assert read(load(word)) is value
+        for word in ("onn", "yse", "2", "enabled"):
+            with pytest.raises(ValueError, match=f"{key} = '{word}' is not a boolean"):
+                load(word)
+
 
 class TestCommands:
     def test_run_writes_artifacts(self, tmp_path, capsys, monkeypatch):

@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from stlmpc import (
     ControlError,
     LtiSystem,
     NoiseModel,
+    PredicateTable,
     RunConfig,
     SamplingGrid,
     Trace,
@@ -22,7 +25,9 @@ from stlmpc import (
     run,
     snr_db,
 )
-from stlmpc import qp_builder
+from stlmpc import cli, mpc, qp_builder
+
+from conftest import TANK_A, TANK_B
 
 GRID1 = SamplingGrid(1.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -163,6 +168,7 @@ class TestCompileOnce:
             return stack(*args, **kwargs)
 
         monkeypatch.setattr(qp_builder, "stack_dynamics", counting)
+        mpc._runs.clear()       # an earlier test may have compiled this scenario
         phi, table = parse("G[0,inf](F[0,2](x1 >= 0.5))")
         cfg = RunConfig(control=ControlConfig(horizon=3, u_min=0, u_max=1), sim_steps=4)
         trace = run(scalar_system(), phi, table, cfg)
@@ -177,6 +183,132 @@ class TestCompileOnce:
                         sim_steps=3)
         with pytest.raises(ValueError, match="input penalty must be 1x1"):
             run(tank, phi, table, cfg)
+
+
+def same_trace(a: Trace, b: Trace) -> bool:
+    return (np.array_equal(a.states, b.states) and np.array_equal(a.inputs, b.inputs)
+            and a.statuses == b.statuses
+            and np.array_equal(a.objectives, b.objectives, equal_nan=True)
+            and a.readout == b.readout)
+
+
+def reuse_scenario():
+    system = LtiSystem(TANK_A, TANK_B, np.array([0.5, 0.1]), SamplingGrid(12.0))
+    phi, table = parse("G[0,inf](F[12,48](x1 >= 1) & G[0,24](x1 <= 4))", n_states=2)
+    control = ControlConfig(horizon=6, u_min=0, u_max=6, budget_total=30.0)
+    return system, phi, table, RunConfig(control=control, sim_steps=14)
+
+
+def with_control(config: RunConfig, **change) -> RunConfig:
+    return replace(config, control=replace(config.control, **change))
+
+
+class TestCompileReuse:
+    """``mpc.run`` keeps compiled runs by the value of their compile inputs."""
+
+    NOISE = NoiseModel("gaussian", 0.05, seed=3)
+
+    def test_repeated_runs_match_a_cold_compile(self):
+        cfg = cli.ScenarioConfig.from_file(cli.preset_path("two_tank_phi3_noisy"))
+        args = (cfg.system, cfg.formula, cfg.table, cfg.run_config)
+        mpc._runs.clear()
+        first = run(*args, replace(cfg.noise, seed=5))
+        run(*args, replace(cfg.noise, seed=6))
+        second = run(*args, replace(cfg.noise, seed=5))
+        assert len(mpc._runs) == 1
+        mpc._runs.clear()
+        cold = run(*args, replace(cfg.noise, seed=5))
+        assert same_trace(first, second) and same_trace(second, cold)
+
+    @pytest.mark.parametrize("change", [
+        "horizon", "u_max", "table_offset", "x0", "input_penalty", "constraint_margin",
+        "budget_end", "extra_ineqs"])
+    def test_any_changed_input_compiles_anew(self, change):
+        system, phi, table, config = reuse_scenario()
+        if change == "table_offset":
+            table = PredicateTable(table.C, table.c + 0.25, table.names)
+        elif change == "x0":
+            system = LtiSystem(system.A, system.B, np.array([0.6, 0.1]), system.grid)
+        else:
+            value = {"horizon": 7, "u_max": 5.0, "input_penalty": 0.01 * np.eye(1),
+                     "constraint_margin": 0.05, "budget_end": 5,
+                     "extra_ineqs": ((np.arange(6.0) - 2.0, 4.0),)}[change]
+            config = with_control(config, **{change: value})
+        mpc._runs.clear()
+        base = reuse_scenario()
+        run(*base, self.NOISE)
+        warm = run(system, phi, table, config, self.NOISE)
+        assert len(mpc._runs) == 2
+        mpc._runs.clear()
+        assert same_trace(warm, run(system, phi, table, config, self.NOISE))
+
+    def test_editing_a_callers_array_cannot_reach_a_kept_run(self):
+        system, phi, table, config = reuse_scenario()
+
+        def arrays(penalty, coeffs):
+            return with_control(config, input_penalty=penalty, extra_ineqs=((coeffs, 4.0),))
+
+        penalty, coeffs = 0.01 * np.eye(1), np.arange(6.0) - 2.0
+        mpc._runs.clear()
+        # two steps keep a run of the original values with only its first templates
+        run(system, phi, table, replace(arrays(penalty, coeffs), sim_steps=2), self.NOISE)
+        original = arrays(penalty.copy(), coeffs.copy())
+        penalty *= 50.0
+        coeffs[:] = coeffs[::-1]
+        edited = run(system, phi, table, arrays(penalty, coeffs), self.NOISE)
+        # the kept run builds its remaining templates from its own copies
+        again = run(system, phi, table, original, self.NOISE)
+        assert len(mpc._runs) == 2
+        for kept in mpc._runs.values():
+            held = (kept.config.input_penalty, kept.config.extra_ineqs[0][0])
+            assert held[0] is not penalty and held[1] is not coeffs
+            assert not any(a.flags.writeable for a in held)
+        mpc._runs.clear()
+        assert same_trace(again, run(system, phi, table, original, self.NOISE))
+        mpc._runs.clear()
+        assert same_trace(edited, run(system, phi, table, arrays(penalty.copy(), coeffs.copy()),
+                                      self.NOISE))
+        assert not same_trace(again, edited)
+
+    def test_templates_per_step_shape(self):
+        # an all-time formula has (h_d - 1) + delta step shapes, one template each
+        cfg = cli.ScenarioConfig.from_file(cli.preset_path("two_tank_phi3_noisy"))
+        mpc._runs.clear()
+        run(cfg.system, cfg.formula, cfg.table, replace(cfg.run_config, sim_steps=120),
+            cfg.noise)
+        (kept,) = mpc._runs.values()
+        assert (kept.h_d, kept.schedule.delta) == (35, 11)
+        assert len(kept.templates) == 45
+        assert all(len(branches) == 1 for branches in kept.templates.values())
+
+    def test_kept_runs_are_bounded(self):
+        system, phi, table, config = reuse_scenario()
+        mpc._runs.clear()
+        for margin in range(mpc._KEPT_RUNS + 3):
+            run(system, phi, table, with_control(config, constraint_margin=0.01 * margin))
+        assert len(mpc._runs) == mpc._KEPT_RUNS
+
+    def test_threads_share_the_kept_runs(self):
+        # more threads than cores and frequent switches, over more scenarios than
+        # are kept: every trace must still equal its cold, single-threaded run
+        system, phi, table, config = reuse_scenario()
+        jobs = [(with_control(config, constraint_margin=0.01 * (i % (mpc._KEPT_RUNS + 2))),
+                 replace(self.NOISE, seed=i)) for i in range(24)]
+        mpc._runs.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(lambda job: run(system, phi, table, *job), jobs,
+                                         timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(mpc._runs) == mpc._KEPT_RUNS
+        for kept in mpc._runs.values():
+            assert len(kept.templates) <= kept.h_d - 1 + kept.schedule.delta
+        for job, trace in zip(jobs, threaded):
+            mpc._runs.clear()
+            assert same_trace(trace, run(system, phi, table, *job))
 
 
 class TestHorizonChecks:

@@ -16,7 +16,7 @@ from stlmpc.qp_builder import (
     compile_run,
     default_slack_weight,
 )
-from stlmpc.qp_solver import SolverError, _highs
+from stlmpc.qp_solver import SolverError, _hessian, _highs
 
 from admm_reference import AdmmSettings, solve_admm
 from conftest import projected_gradient_oracle
@@ -274,6 +274,18 @@ class TestExactLp:
         sol = solve(p)
         assert sol.status == "optimal"
         assert sol.y == pytest.approx([3.0, 2.0], abs=1e-8)
+
+    def test_hessian_below_the_drop_threshold_is_an_lp(self):
+        # HiGHS drops Hessian entries of magnitude up to 1e-9, so quad + quad.T
+        # = [[-1e-9]] is solved as an LP; 1.2e-9 stays a QP
+        assert _hessian(make_problem([[-5e-10]], [0.0], [[1.0]], [1.0])) is None
+        assert np.array_equal(_hessian(make_problem([[6e-10]], [0.0], [[1.0]], [1.0])),
+                              [[1.2e-9]])
+        # an undecided interior-point result gets the LP path's crossover retry
+        undecided = ([[1.0, -1.0], [-1.0, 1.0]], [-1.0, -1.0])
+        for scale in (5e-10, 6e-10):
+            p = make_problem(scale * np.eye(2), [1.0, 1.0], *undecided)
+            assert solve(p).status == "infeasible"
 
     def test_two_threads_solve_like_one(self):
         problems = [p for preset in PRESETS for p in preset_lps(preset)]
