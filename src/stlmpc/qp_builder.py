@@ -24,17 +24,18 @@ relative to a, the same holds for the conjunct's coefficient on the input
 u(a + s), which is ``sum_t w_t (C A^(r_t - s - 1) B)[p_t]`` over its terms
 (weight w_t on predicate p_t at step a + r_t).  So for every conjunct and
 every offset, the run holds the relative terms, which are also the
-satisfaction pattern, the input-coefficient row and the predicate mass, one
-:class:`_BranchTable` per DNF branch, next to the rows of the stacked
-dynamics ``C A^k B`` and the input box rows.
+satisfaction pattern, the dense input coefficients and the predicate mass,
+one :class:`_BranchTable` per DNF branch, next to the stacked dynamics
+``C A^k B`` and the input box rows.
 
 A step's problem depends on its step k0 only through the step's shape
 (the number of recorded steps in its window, and where its anchors start
 relative to the window and to the schedule period) and through its
-right-hand side.  :func:`build_problem` therefore gathers the table rows of
-every (conjunct, anchor) pair and emits the row-wise arrays of the problem
-once per shape, as a template kept in the compiled run; a step then computes
-only the right-hand sides from the recorded states.
+right-hand side.  :func:`build_problem` therefore lays out the dense
+constraint matrix of every shape once, from the table rows of its
+(conjunct, anchor) pairs and the prediction's coefficients, and keeps its
+rows (:meth:`SparseRows.from_dense`) as a template in the compiled run; a
+step then computes only the right-hand sides from the recorded states.
 The worst-case baseline (:func:`build_sr_baseline`) differs from a
 one-branch :func:`build_problem` only in its single epigraph variable and
 its cost.  Sums over terms are numpy reductions, not BLAS products, so the
@@ -128,14 +129,6 @@ class VariableLayout:
         return slice(self.n_epigraph + self.n_u, self.total)
 
 
-def _ragged(begin: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions begin[r] .. begin[r] + lens[r] - 1 of every r, concatenated,
-    and where each r's positions start in the result."""
-    ends = lens.cumsum()
-    row_start = ends - lens
-    return np.arange(ends[-1] if ends.size else 0) + (begin - row_start).repeat(lens), row_start
-
-
 @dataclass(frozen=True)
 class SparseRows:
     """A matrix stored row-wise (compressed sparse rows).
@@ -153,19 +146,10 @@ class SparseRows:
     @classmethod
     def from_dense(cls, A) -> "SparseRows":
         A = np.asarray(A, dtype=float)
-        rows, cols = np.nonzero(A)
-        start = np.zeros(A.shape[0] + 1, dtype=np.int64)
-        np.cumsum(np.count_nonzero(A, axis=1), out=start[1:])
-        return cls(start, cols, A[rows, cols], A.shape[1])
-
-    @classmethod
-    def stacked(cls, blocks, n_cols: int) -> "SparseRows":
-        """Rows of consecutive (lens, index, value) blocks, one row per entry of lens."""
-        lens = np.concatenate([b[0] for b in blocks])
-        start = np.zeros(lens.size + 1, dtype=np.int64)
-        np.cumsum(lens, out=start[1:])
-        return cls(start, np.concatenate([b[1] for b in blocks]),
-                   np.concatenate([b[2] for b in blocks]), n_cols)
+        n_rows, n_cols = A.shape
+        flat = np.flatnonzero(A != 0)
+        start = np.searchsorted(flat, np.arange(n_rows + 1) * n_cols)
+        return cls(start, flat % n_cols, A.ravel()[flat], n_cols)
 
     @property
     def n_rows(self) -> int:
@@ -184,25 +168,6 @@ class SparseRows:
         A[np.arange(self.n_rows).repeat(self.lens), self.index] = self.value
         return A
 
-    def appended(self, lens: np.ndarray, index: np.ndarray, value: np.ndarray,
-                 n_cols: int) -> "SparseRows":
-        """These rows with lens[r] more entries at the end of row r, given in row order.
-
-        Entries of lens past the last row add new rows.
-        """
-        old = np.zeros(lens.size, dtype=np.int64)
-        old[:self.n_rows] = self.lens
-        start = np.zeros(lens.size + 1, dtype=np.int64)
-        np.cumsum(old + lens, out=start[1:])
-        new = _ragged(start[:-1] + old, lens)[0]
-        kept = np.ones(start[-1], dtype=bool)
-        kept[new] = False
-        out_index = np.empty(start[-1], dtype=np.int64)
-        out_value = np.empty(start[-1])
-        out_index[kept], out_index[new] = self.index, index
-        out_value[kept], out_value[new] = self.value, value
-        return SparseRows(start, out_index, out_value, n_cols)
-
 
 def _frozen(a) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
@@ -210,15 +175,15 @@ def _frozen(a) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class QpProblem:
     """maximize lin @ y - y @ quad @ y + const  subject to  A_ub @ y <= b_ub.
 
     The constraint matrix is stored once, row-wise, in ``rows``; ``A_ub`` is
-    its dense view, built on first use.  A problem may instead be
-    constructed from a dense ``A_ub``, which then is its own dense view.
-    ``quad`` is positive semidefinite, so the problem is concave; it is None
-    in the linear programs the builders compile without an input penalty.
+    its dense view, built on first use.  ``quad`` is positive semidefinite,
+    so the problem is concave; it is None in the linear programs the
+    builders compile without an input penalty.  ``lin``, ``b_ub``,
+    ``cost_pred_mass`` and ``quad`` are read-only.
 
     ``stl_row_info`` maps the index of each satisfaction row to its
     (predicate id, time step); ``cost_pred_mass`` and ``epigraph_pred_mass``
@@ -245,22 +210,10 @@ class QpProblem:
     quad: np.ndarray | None = None
     explain: Callable[[], dict] | None = None
 
-    def __init__(self, lin, const, b_ub, layout, row_kinds, stl_row_info, n_predicates,
-                 cost_pred_mass, epigraph_pred_mass=None, branch=0, quad=None,
-                 rows: SparseRows | None = None, A_ub=None, explain=None) -> None:
-        if (rows is None) == (A_ub is None):
-            raise TypeError("give the constraints either as rows or as a dense A_ub")
-        if rows is None:
-            A_ub = _frozen(A_ub)
-            rows = SparseRows.from_dense(A_ub)
-            object.__setattr__(self, "A_ub", A_ub)
-        fields = dict(lin=_frozen(lin), const=const, rows=rows, b_ub=_frozen(b_ub),
-                      layout=layout, row_kinds=row_kinds, stl_row_info=stl_row_info,
-                      n_predicates=n_predicates, cost_pred_mass=_frozen(cost_pred_mass),
-                      epigraph_pred_mass=epigraph_pred_mass, branch=branch,
-                      quad=None if quad is None else _frozen(quad), explain=explain)
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+    def __post_init__(self) -> None:
+        for name in ("lin", "b_ub", "cost_pred_mass", "quad"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @functools.cached_property
     def A_ub(self) -> np.ndarray:
@@ -504,56 +457,6 @@ def build_E_always(N: int, h_d: int, k0: int, window_fn) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _RowTable:
-    """The nonzero entries of a matrix's rows, each row led by one spare slot.
-
-    Row r's entries sit at positions start[r] .. stop[r] - 1 of ``index``
-    (their columns) and ``value``; the spare slot lets :func:`_gather` read
-    one position before any row's first entry.
-    """
-
-    start: np.ndarray
-    stop: np.ndarray
-    index: np.ndarray
-    value: np.ndarray
-
-    @classmethod
-    def of(cls, M: np.ndarray) -> "_RowTable":
-        row, col = np.nonzero(M)
-        count = np.count_nonzero(M, axis=1)
-        stop = np.cumsum(count + 1)
-        pos = np.arange(row.size) + row + 1
-        index = np.zeros(stop[-1], dtype=np.int64)
-        value = np.zeros(stop[-1])
-        index[pos] = col
-        value[pos] = M[row, col]
-        return cls(stop - count, stop, index, value)
-
-
-def _gather(table: _RowTable, keys: np.ndarray, shift, first: np.ndarray | None = None,
-            lead=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows made of the table rows ``keys``, as (lens, index, value).
-
-    Row r takes the entries of table row keys[r] from position first[r]
-    (default: all of them), with columns moved by ``shift`` (a number or
-    one per row).  With ``lead``, each row starts with a 1 in column
-    lead[r] (a number or one per row).
-    """
-    begin = table.start[keys] if first is None else first
-    lens = table.stop[keys] - begin
-    if lead is not None:
-        begin = begin - 1
-        lens = lens + 1
-    src, row_start = _ragged(begin, lens)
-    index = table.index[src] + (shift.repeat(lens) if isinstance(shift, np.ndarray) else shift)
-    value = table.value[src]
-    if lead is not None:
-        index[row_start] = lead
-        value[row_start] = 1.0
-    return lens, index, value
-
-
-@dataclass(frozen=True)
 class _BranchTable:
     """A branch's conjuncts at an anchor step a, one row per conjunct and witness offset.
 
@@ -566,17 +469,16 @@ class _BranchTable:
     predicate.
 
     ``inputs`` (None when tabulated without dynamics) holds per row the
-    negated coefficients on u(a + s) for the N steps s = h_d - N + i that a
-    step can leave free, input j at column ``i * m + j``; the entries with
-    s >= h_d - N + i start at ``first[row, i]`` (i = N: none).
+    negated coefficients ``inputs[row, i, j]`` on input j of u(a + s) for
+    the N steps s = h_d - N + i that a step can leave free, and a zero step
+    at i = N.
     """
 
     row_of: np.ndarray
     cols: np.ndarray
     w: np.ndarray
     mass: np.ndarray
-    inputs: _RowTable | None = None
-    first: np.ndarray | None = None
+    inputs: np.ndarray | None = None
 
 
 def _offset_terms(psi: Formula, op_index: int | None, schedule: Schedule | None,
@@ -643,11 +545,9 @@ def _tabulate(branch, schedule: Schedule | None, grid: SamplingGrid, n_mu: int,
     q = r[:, :, None] - (h_d - N + 1) - np.arange(N)
     G_ext = np.concatenate([G, np.zeros((1,) + G.shape[1:])])
     reach = G_ext[np.where(q >= 0, q, N), p_pad[:, :, None]]
-    coeff = (weights[:, :, None, None] * reach).sum(axis=1)
-    inputs = _RowTable.of(-coeff.reshape(n_rows, N * m))
-    first = np.zeros((n_rows, N + 1), dtype=np.int64)
-    np.cumsum(np.count_nonzero(coeff, axis=2), axis=1, out=first[:, 1:])
-    return replace(table, inputs=inputs, first=first + inputs.start[:, None])
+    inputs = np.zeros((n_rows, N + 1, m))
+    inputs[:, :N] = -(weights[:, :, None, None] * reach).sum(axis=1)
+    return replace(table, inputs=inputs)
 
 
 def build_R(theta: Formula, schedule: Schedule | None, N: int, k_l: int, k_h: int,
@@ -737,12 +637,11 @@ class CompiledRun:
 
     ``k_event`` is None for all-time formulas; each DNF branch lists
     (conjunct, op_index) pairs, and ``tables`` holds one table of its
-    conjuncts per branch; ``M`` is
-    the input penalty, ``quad`` its block over the stacked inputs (None
-    without a penalty); ``box_rows @ u_st <= box_b`` are the input box rows;
-    ``dyn_rows`` holds the rows of ``-H2``, keyed from 1 (key 0 is an empty
-    row, for a recorded sample).  ``templates`` memoizes the steps' problems
-    short of their right-hand sides, per step shape (see :func:`build_problem`).
+    conjuncts per branch; ``M`` is the input penalty, ``quad`` its block
+    over the stacked inputs (None without a penalty); ``box_rows @ u_st <=
+    box_b`` are the input box rows.  ``templates`` memoizes the steps'
+    problems short of their right-hand sides, per step shape (see
+    :func:`build_problem`).
     Its ``config`` and ``x0`` hold read-only copies of the caller's arrays.
     """
 
@@ -757,7 +656,6 @@ class CompiledRun:
     branches: tuple[tuple[tuple[Formula, int | None], ...], ...]
     tables: tuple[_BranchTable, ...]
     dyn: StackedDynamics
-    dyn_rows: _RowTable
     lo: np.ndarray
     hi: np.ndarray
     M: np.ndarray
@@ -793,6 +691,10 @@ def compile_run(phi: Formula, system, table: PredicateTable, config: ControlConf
     m = dyn.m
     lo, hi = config.bounds(m)
     M = config.penalty(m)
+    for coeffs, _ in config.extra_ineqs:
+        if np.size(coeffs) != N * m:
+            raise ValueError(f"extra constraint has {np.size(coeffs)} coefficients, "
+                             f"expected {N * m}")
     if config.budget_end is not None and config.budget_end < 0:
         raise ValueError(f"budget_end must be a step >= 0, got {config.budget_end}")
     k_event = event_index(phi, grid) if isinstance(phi, OneTime) else None
@@ -808,8 +710,7 @@ def compile_run(phi: Formula, system, table: PredicateTable, config: ControlConf
                        k_event, schedule, branches,
                        tuple(_tabulate(branch, schedule, grid, table.size, G, h_d)
                              for branch in branches),
-                       dyn, _RowTable.of(np.vstack([np.zeros((1, N * m)), -dyn.H2])),
-                       lo, hi, M, quad, SparseRows.from_dense(box_A), box_b)
+                       dyn, lo, hi, M, quad, SparseRows.from_dense(box_A), box_b)
 
 
 def _box_rows(lo: np.ndarray, hi: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -874,19 +775,24 @@ def _terms_at(tab: _BranchTable, anchors: np.ndarray, t_lo: int, n_mu: int):
     return rows, tab.cols[rows] + at[:, None]
 
 
-def _stl_rows(run: CompiledRun, step: _Step, hit: np.ndarray, n_epi: int, lead=None):
+def _z_coeff(run: CompiledRun, step: _Step) -> np.ndarray:
+    """Coefficients of every predicate sample of the window on the stacked
+    inputs: zero for the recorded samples, then the rows of H2."""
+    z_coeff = np.zeros((step.z_const.size, run.dyn.H2.shape[1]))
+    z_coeff[step.n_past:] = run.dyn.H2
+    return z_coeff
+
+
+def _stl_rows(run: CompiledRun, step: _Step, hit: np.ndarray):
     """Satisfaction rows -z_coeff[col] @ u_st <= z_const[col] of the samples hit,
     in (step, predicate) order.
 
-    Returns (samples, (lens, index, value), preds, steps): each row's
-    predicate and its step relative to the window start, as lists.  The
-    input columns start at n_epi, and with ``lead`` each row starts with a 1
-    in that column.
+    Returns (samples, rows over the stacked inputs, preds, steps): each
+    row's predicate and its step relative to the window start, as lists.
     """
     samples = np.flatnonzero(hit)
     ks, ps = np.divmod(samples, run.table.size)
-    keys = np.maximum(samples - (step.n_past - 1), 0)
-    return samples, _gather(run.dyn_rows, keys, n_epi, lead=lead), ps.tolist(), ks.tolist()
+    return samples, -_z_coeff(run, step)[samples], ps.tolist(), ks.tolist()
 
 
 def _row_info(preds: list[int], steps: list[int], t_lo: int) -> dict[int, tuple[int, int]]:
@@ -916,30 +822,16 @@ def _input_bounds(run: CompiledRun, k0: int, input_history: np.ndarray | None):
             np.concatenate([run.box_b, [float(config.budget_total) - spent], extra]))
 
 
-def _input_rows(run: CompiledRun, budget_cols: int | None, n_epi: int):
-    """Box, budget and extra rows over the stacked inputs, whose columns start at n_epi.
+def _input_rows(run: CompiledRun, budget_cols: int | None):
+    """Box, budget and extra rows over the stacked inputs, and the rows' kinds.
 
-    The budget row covers the first ``budget_cols`` inputs (no row when
-    None).  Returns a list of (lens, index, value) blocks and the rows' kinds.
+    The budget row covers the first ``budget_cols`` inputs (no row when None).
     """
-    config = run.config
-    n_u = config.horizon * run.dyn.m
-    box = run.box_rows
-    extra = []
-    if budget_cols is not None:
-        coeffs = np.zeros(n_u)
-        coeffs[:budget_cols] = 1.0
-        extra.append(coeffs)
-    for coeffs, _ in config.extra_ineqs:
-        coeffs = np.asarray(coeffs, dtype=float).reshape(-1)
-        if coeffs.shape[0] != n_u:
-            raise ValueError(f"extra constraint has {coeffs.shape[0]} coefficients, expected {n_u}")
-        extra.append(coeffs)
-    blocks = [(box.lens, box.index + n_epi, box.value)]
-    if extra:
-        rows = SparseRows.from_dense(extra)
-        blocks.append((rows.lens, rows.index + n_epi, rows.value))
-    return blocks, ("box",) * box.n_rows + ("extra",) * len(extra)
+    box = run.box_rows.dense()
+    budget = np.zeros((0 if budget_cols is None else 1, box.shape[1]))
+    budget[:, :budget_cols] = 1.0
+    rows = np.vstack([box, budget, *(np.reshape(c, -1) for c, _ in run.config.extra_ineqs)])
+    return rows, ("box",) * box.shape[0] + ("extra",) * (rows.shape[0] - box.shape[0])
 
 
 def build_problem(run: CompiledRun, k0: int = 0, state_history: np.ndarray | None = None,
@@ -1023,37 +915,37 @@ def _template(run: CompiledRun, tab: _BranchTable, step: _Step,
     hit = np.zeros(step.z_const.size, dtype=bool)
     hit[cols] = True
     # the rows of conjunct j read u_x[i] - (coefficients on u_st) <= (E_j z_const)(i);
-    # u(k0) is u(a + s) for s = h_d - N + free[i] among the tabulated steps of anchor a
+    # the input u(k0 + i) is u(a + s) for s = h_d - N + free + i among the
+    # tabulated steps of anchor a (none past the last: the zero step N)
     free = np.concatenate([np.minimum(step.k0 - step.anchors + (N - run.h_d), N)] * n_conj)
-    epi_block = _gather(tab.inputs, rows, n_epi - m * free, first=tab.first[rows, free],
-                        lead=np.concatenate([np.arange(n_anchor)] * n_conj) if multi else None)
+    epi_u = tab.inputs[rows[:, None], np.minimum(free[:, None] + np.arange(N), N)]
+    epi_u = epi_u.reshape(rows.size, N * m)
     mass = tab.mass[rows]
+    samples, stl_u, preds, steps = _stl_rows(run, step, hit)
+    in_u, in_kinds = _input_rows(run, budget_cols)
 
+    blocks = (stl_u, epi_u, in_u) if multi else (stl_u, in_u)
+    A = np.zeros((sum(b.shape[0] for b in blocks), layout.total))
+    A[:, n_epi:] = np.concatenate(blocks)
     lin = np.zeros(layout.total)
-    cost_pred_mass = np.zeros(n_mu)
-    epigraph_pred_mass = None
-    epi_blocks = []
     if multi:
+        # each (conjunct, anchor) row also holds its anchor's epigraph variable
+        A[samples.size + np.arange(rows.size), np.arange(rows.size) % n_anchor] = 1.0
         lin[:n_anchor] = 1.0
-        epigraph_pred_mass = mass
-        epi_blocks = [epi_block]
+        cost_pred_mass, epigraph_pred_mass = np.zeros(n_mu), mass
     else:
         # one conjunct: its summed robustness is the cost itself, no epigraph rows
-        _, index, value = epi_block
-        lin[layout.u_slice] = -np.bincount(index, weights=value, minlength=N * m)
-        cost_pred_mass = mass.sum(axis=0)
-
-    samples, stl_block, preds, steps = _stl_rows(run, step, hit, n_epi)
-    in_blocks, in_kinds = _input_rows(run, budget_cols, n_epi)
-    problem_rows = SparseRows.stacked([stl_block, *epi_blocks, *in_blocks], layout.total)
+        coeffs = SparseRows.from_dense(epi_u)
+        lin[layout.u_slice] = -np.bincount(coeffs.index, weights=coeffs.value, minlength=N * m)
+        cost_pred_mass, epigraph_pred_mass = mass.sum(axis=0), None
+    problem_rows = SparseRows.from_dense(A)
     quad = _quad(run, layout)
     for arr in (problem_rows.start, problem_rows.index, problem_rows.value, lin, cost_pred_mass,
                 mass, samples, cols, w, *(() if quad is None else (quad,))):
         arr.setflags(write=False)
     return _Template(
         rows=problem_rows, lin=lin, quad=quad, layout=layout,
-        row_kinds=(("stl",) * samples.size + ("epigraph",) * (len(epi_blocks) * rows.size)
-                   + in_kinds),
+        row_kinds=("stl",) * samples.size + ("epigraph",) * (rows.size * multi) + in_kinds,
         cost_pred_mass=cost_pred_mass, epigraph_pred_mass=epigraph_pred_mass,
         samples=samples, planned=int(np.searchsorted(samples, step.n_past)), cols=cols, w=w,
         preds=preds, steps=steps)
@@ -1100,14 +992,12 @@ def _debug(run: CompiledRun, step: _Step, cols: np.ndarray, w: np.ndarray) -> di
         block = slice(j, j + n_anchor)
         terms = (row, k[block].reshape(-1) + step.t_lo, p[block].reshape(-1), w[block].reshape(-1))
         E_per_conjunct.append(_weights(terms, n_anchor, step.t_lo, t_hi, n_mu))
-    z_coeff = np.zeros((step.z_const.size, run.dyn.H2.shape[1]))
-    z_coeff[step.n_past:] = run.dyn.H2
     return {
         "E": sum(E_per_conjunct),
         "E_per_conjunct": E_per_conjunct,
         "anchors": tuple(step.anchors.tolist()),
         "z_const": step.z_const,
-        "z_coeff": z_coeff,
+        "z_coeff": _z_coeff(run, step),
         "t_lo": step.t_lo,
     }
 
@@ -1118,8 +1008,9 @@ def add_slack_relaxation(p: QpProblem, s: float) -> QpProblem:
     Every satisfaction row may be violated by at most its predicate's slack,
     and the robustness terms in the cost and the epigraph rows see the
     shifted predicates as well, so the solution is least-violating for
-    sufficiently large ``s``.  The slack entries go at the end of their
-    rows, followed by one row -slack <= 0 per predicate.
+    sufficiently large ``s``.  The constraints become ``[A_ub S; 0 -I]``:
+    the slack coefficients S of every row, then one row -slack <= 0 per
+    predicate.
     """
     if s <= 0:
         raise ValueError("slack weight must be positive")
@@ -1135,17 +1026,14 @@ def add_slack_relaxation(p: QpProblem, s: float) -> QpProblem:
         quad[:n_old, :n_old] = p.quad
     lin = np.concatenate([p.lin, p.cost_pred_mass - s])
 
-    # slack coefficients of every row, old rows then the non-negativity rows
-    S = np.zeros((p.n_rows + n_mu, n_mu))
+    S = np.zeros((p.n_rows, n_mu))
     stl_rows = np.fromiter(p.stl_row_info, dtype=np.intp, count=len(p.stl_row_info))
     stl_preds = np.array(list(p.stl_row_info.values()), dtype=np.intp).reshape(-1, 2)[:, 0]
     S[stl_rows, stl_preds] = -1.0
     if p.epigraph_pred_mass is not None:
         S[np.flatnonzero(np.array(p.row_kinds) == "epigraph")] = -p.epigraph_pred_mass
-    S[p.n_rows:] = -np.eye(n_mu)
-    row, col = np.nonzero(S)
-    rows = p.rows.appended(np.bincount(row, minlength=S.shape[0]), col + n_old, S[row, col],
-                           layout.total)
+    rows = SparseRows.from_dense(np.block([[p.rows.dense(), S],
+                                           [np.zeros((n_mu, n_old)), -np.eye(n_mu)]]))
     return replace(p, quad=quad, lin=lin, rows=rows,
                    b_ub=np.concatenate([p.b_ub, np.zeros(n_mu)]), layout=layout,
                    row_kinds=p.row_kinds + ("slack",) * n_mu)
@@ -1175,15 +1063,16 @@ def build_sr_baseline(run: CompiledRun, k0: int = 0, state_history: np.ndarray |
     layout = VariableLayout(1, run.config.horizon, run.dyn.m)
     hit = np.zeros(step.z_const.size, dtype=bool)
     hit[_terms_at(run.tables[0], step.anchors, step.t_lo, table.size)[1]] = True
-    samples, stl_block, preds, steps = _stl_rows(run, step, hit, 1, lead=0)
+    samples, stl_u, preds, steps = _stl_rows(run, step, hit)
     budget_cols, b_in = _input_bounds(run, k0, input_history)
-    in_blocks, in_kinds = _input_rows(run, budget_cols, 1)
+    in_u, in_kinds = _input_rows(run, budget_cols)
 
     lin = np.zeros(layout.total)
     lin[0] = 1.0
     return QpProblem(
         quad=_quad(run, layout), lin=lin, const=0.0,
-        rows=SparseRows.stacked([stl_block, *in_blocks], layout.total),
+        rows=SparseRows.from_dense(np.block([[np.ones((samples.size, 1)), stl_u],
+                                             [np.zeros((in_u.shape[0], 1)), in_u]])),
         b_ub=np.concatenate([step.z_const[samples], b_in]),
         layout=layout, row_kinds=("stl",) * samples.size + in_kinds,
         stl_row_info=_row_info(preds, steps, step.t_lo), n_predicates=table.size,

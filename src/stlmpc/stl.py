@@ -44,8 +44,6 @@ __all__ = [
     "iter_nodes",
     "predicate_ids",
     "is_gamma",
-    "is_psi",
-    "is_theta",
     "validate_windows",
     "unwrap",
 ]
@@ -306,22 +304,6 @@ def is_gamma(f: Formula) -> bool:
     if isinstance(f, (TrueNode, Pred)):
         return True
     return isinstance(f, Not) and isinstance(f.child, Pred)
-
-
-def is_psi(f: Formula) -> bool:
-    if isinstance(f, Until):
-        return is_gamma(f.left) and is_gamma(f.right)
-    if isinstance(f, (Eventually, Always)):
-        return is_gamma(f.child)
-    return False
-
-
-def is_theta(f: Formula) -> bool:
-    if is_psi(f):
-        return True
-    if isinstance(f, (And, Or)):
-        return all(is_theta(ch) or is_gamma(ch) for ch in f.children)
-    return is_gamma(f)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import numpy as np
 from stlmpc.qp_builder import (
     CompiledRun,
     QpProblem,
+    SparseRows,
     VariableLayout,
     _always_terms,
     _atom_pred,
@@ -272,7 +273,8 @@ def _assemble_branch(run: CompiledRun, branch, branch_ix: int, pred: _Prediction
     }
     return QpProblem(
         quad=quad, lin=lin, const=const,
-        A_ub=np.vstack([A_stl, A_epi, A_in]), b_ub=np.concatenate([b_stl, b_epi, b_in]),
+        rows=SparseRows.from_dense(np.vstack([A_stl, A_epi, A_in])),
+        b_ub=np.concatenate([b_stl, b_epi, b_in]),
         layout=layout,
         row_kinds=tuple(["stl"] * A_stl.shape[0] + ["epigraph"] * A_epi.shape[0] + in_kinds),
         stl_row_info=stl_row_info, n_predicates=run.table.size, cost_pred_mass=cost_pred_mass,
@@ -313,7 +315,8 @@ def build_sr_baseline(run: CompiledRun, k0: int = 0, state_history: np.ndarray |
     lin[0] = 1.0
     return QpProblem(
         quad=quad, lin=lin, const=0.0,
-        A_ub=np.vstack([A_stl, A_in]), b_ub=np.concatenate([b_stl, b_in]),
+        rows=SparseRows.from_dense(np.vstack([A_stl, A_in])),
+        b_ub=np.concatenate([b_stl, b_in]),
         layout=layout, row_kinds=tuple(["stl"] * A_stl.shape[0] + in_kinds),
         stl_row_info=stl_row_info, n_predicates=table.size, cost_pred_mass=np.zeros(table.size))
 

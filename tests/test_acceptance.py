@@ -38,7 +38,7 @@ from stlmpc import (
     solve,
 )
 from stlmpc.cli import ScenarioConfig, preset_path
-from stlmpc.qp_builder import QpProblem, VariableLayout
+from stlmpc.qp_builder import QpProblem, SparseRows, VariableLayout
 
 from conftest import (
     bool_direct,
@@ -230,7 +230,7 @@ def test_08_solver_oracle():
         lin = np.asarray(lin, dtype=float)
         n = lin.shape[0]
         return QpProblem(quad=np.atleast_2d(np.asarray(quad, dtype=float)), lin=lin,
-                         const=0.0, A_ub=np.asarray(A, dtype=float).reshape(-1, n),
+                         const=0.0, rows=SparseRows.from_dense(np.reshape(A, (-1, n))),
                          b_ub=np.asarray(b, dtype=float).reshape(-1),
                          layout=VariableLayout(0, n, 1),
                          row_kinds=tuple("box" for _ in range(len(b))),

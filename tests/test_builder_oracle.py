@@ -7,6 +7,9 @@ by kind and key (satisfaction rows by (predicate, step), epigraph rows by
 (conjunct, anchor), box, extra and slack rows by position), and every
 array must agree within 1e-12 of its largest reference entry.  The debug
 matrices and the satisfaction rows' (predicate, step) pairs agree exactly.
+Every problem the builder makes, plain or relaxed, must keep the row form
+``SparseRows`` documents: strictly ascending columns within a row and no
+stored zero.
 
 The builder keeps one template per step shape in the compiled run and fills
 in only the right-hand side per step, so every case runs a whole range of
@@ -103,8 +106,19 @@ def assert_same_problem(new, old) -> None:
     info = list(new.stl_row_info.items())
     assert [r for r, _ in info] == list(range(len(info)))
     assert [pk for _, pk in info] == sorted(old.stl_row_info.values(), key=lambda pk: pk[::-1])
-    # the row-wise store holds no zero and no repeated column
-    assert new.rows.nnz == np.count_nonzero(new.A_ub)
+    assert_row_invariant(new.rows, new.layout.total)
+
+
+def assert_row_invariant(rows, n_cols: int) -> None:
+    """The form ``SparseRows`` documents: within each row strictly ascending
+    columns, and no stored zero."""
+    assert rows.n_cols == n_cols
+    assert rows.start[0] == 0 and np.all(rows.lens >= 0)
+    assert rows.index.size == rows.value.size == rows.nnz
+    assert np.all((rows.index >= 0) & (rows.index < n_cols))
+    row = np.arange(rows.n_rows).repeat(rows.lens)
+    assert np.all(np.diff(rows.index)[row[1:] == row[:-1]] > 0)
+    assert np.all(rows.value != 0)
 
 
 def assert_same_debug(new, old) -> None:

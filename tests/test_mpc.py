@@ -183,6 +183,11 @@ class TestCompileOnce:
                         sim_steps=3)
         with pytest.raises(ValueError, match="input penalty must be 1x1"):
             run(tank, phi, table, cfg)
+        phi, table = parse("event => F[120,240](x1 >= 2)", n_states=2, event_time=360.0)
+        cfg = RunConfig(control=ControlConfig(horizon=20, extra_ineqs=((np.ones(3), 1.0),)),
+                        sim_steps=3)
+        with pytest.raises(ValueError, match="extra constraint has 3 coefficients, expected 20"):
+            run(tank, phi, table, cfg)
 
 
 def same_trace(a: Trace, b: Trace) -> bool:

@@ -8,7 +8,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from stlmpc import QpProblem, VariableLayout, cli, solve
+from stlmpc import QpProblem, SparseRows, VariableLayout, cli, solve
 from stlmpc.qp_builder import (
     add_slack_relaxation,
     build_problem,
@@ -28,7 +28,7 @@ def make_problem(quad, lin, A, b, const=0.0):
     n = lin.shape[0]
     A = np.asarray(A, dtype=float).reshape(-1, n)
     return QpProblem(
-        quad=quad, lin=lin, const=const, A_ub=A,
+        quad=quad, lin=lin, const=const, rows=SparseRows.from_dense(A),
         b_ub=np.asarray(b, dtype=float).reshape(-1),
         layout=VariableLayout(0, n, 1), row_kinds=tuple("box" for _ in range(A.shape[0])),
         stl_row_info={}, n_predicates=0, cost_pred_mass=np.zeros(0))
@@ -338,7 +338,7 @@ class TestSolutionExtraction:
         layout = VariableLayout(1, 2, 1, 1)
         p = QpProblem(
             quad=np.zeros((4, 4)), lin=np.array([1.0, 0, 0, -10.0]), const=2.0,
-            A_ub=np.vstack([np.eye(4), -np.eye(4)]),
+            rows=SparseRows.from_dense(np.vstack([np.eye(4), -np.eye(4)])),
             b_ub=np.concatenate([np.ones(4), np.zeros(4)]),
             layout=layout, row_kinds=tuple("box" for _ in range(8)),
             stl_row_info={}, n_predicates=1, cost_pred_mass=np.zeros(1))

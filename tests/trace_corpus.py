@@ -5,7 +5,12 @@ Run from the repository root:
     PYTHONPATH=src python tests/trace_corpus.py > digests.txt
 
 and diff the output of two checkouts to show that a change keeps every
-trace bit-identical.  Each digest covers the states, inputs, noises,
+trace bit-identical, or compare with a saved list in one step:
+
+    PYTHONPATH=src python tests/trace_corpus.py --against digests.txt
+
+which prints each label whose digest differs from the saved one or is
+missing on either side, and exits 1 if there is any.  Each digest covers the states, inputs, noises,
 statuses and objectives of one ``mpc.run`` and its six readouts at
 ``%.17g``.  The corpus is run twice in one process: the ``cold`` pass meets
 each scenario for the first time, the ``warm`` pass repeats it, so a cache
@@ -22,8 +27,10 @@ import os
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
+import argparse  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
+import sys  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -64,12 +71,39 @@ def digest(trace: mpc.Trace) -> str:
     return h.hexdigest()
 
 
-def main() -> None:
+def digests():
+    """(pass, label, digest) of every run, cold pass first."""
     for pass_name in ("cold", "warm"):
         for label, cfg, config, noise in corpus():
             trace = mpc.run(cfg.system, cfg.formula, cfg.table, config, noise)
-            print(pass_name, label, digest(trace), flush=True)
+            yield pass_name, label, digest(trace)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--against", metavar="FILE",
+                        help="compare with a saved digest list instead of printing the digests")
+    args = parser.parse_args(argv)
+    if args.against is None:
+        for line in digests():
+            print(*line, flush=True)
+        return 0
+    with open(args.against) as f:
+        saved = {(p, label): d for p, label, d in (line.split() for line in f if line.strip())}
+    got = {(p, label): d for p, label, d in digests()}
+    keys = sorted(saved.keys() | got.keys())
+    bad = 0
+    for key in keys:
+        if key not in got or key not in saved:
+            print("missing", *key, "here" if key not in got else "in " + args.against)
+        elif got[key] != saved[key]:
+            print("differs", *key)
+        else:
+            continue
+        bad += 1
+    print(f"{len(keys) - bad} of {len(keys)} digests match")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
