@@ -286,13 +286,17 @@ def read_trace(path: str | Path):
 
     Columns after the objective are ignored.  Raises ``ValueError`` when the
     header lacks a column the format needs or a data row's field count differs
-    from the header's.
+    from the header's, and when a numeric field is not a decimal number
+    (unlike ``float()``, the reader takes no ``_`` digit separators).
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         body = fh.read()
-    n = sum(1 for h in header if h.startswith("x"))
-    m = sum(1 for h in header if h.startswith("u"))
+    # states and inputs are the x and u columns before the status, so a
+    # trailing column named like one does not change the layout
+    named = header[:header.index("status")] if "status" in header else header
+    n = sum(1 for h in named if h.startswith("x"))
+    m = sum(1 for h in named if h.startswith("u"))
     lines = [line for raw in body.split("\n")
              if (line := raw.strip()) and not line.startswith("#")]
     if not lines:
@@ -301,25 +305,23 @@ def read_trace(path: str | Path):
     if width < status + 2:
         raise ValueError(f"{path}: the header has {width} columns, fewer than the {status + 2} "
                          f"of k, t, {n} states, {m} inputs, {n} noises, status and objective")
-    # One flat field list.  Each row's first field carries the "\n" that joined
-    # it to the row before, so every row has the header's width exactly when
-    # each row-start slot after the first holds one.
-    fields = ",\n".join(lines).split(",")
-    if (len(fields) != len(lines) * width
-            or "".join(fields[width::width]).count("\n") != len(lines) - 1):
-        row, count = next((row, count) for row, line in enumerate(lines, 1)
-                          if (count := line.count(",") + 1) != width)
-        raise ValueError(f"{path}: data row {row} has {count} fields, the header has {width}")
-    statuses = tuple(fields[status::width])
-    # keep states, inputs, noises and objective: delete the columns after the
-    # objective, the status, t and k, from the last down, as each deletion
-    # narrows the stride by one
-    for col in [*range(width - 1, status + 1, -1), status, 1, 0]:
-        del fields[col::width]
-        width -= 1
-    values = np.fromiter(map(float, fields), dtype=float, count=len(fields)).reshape(-1, width)
-    return (values[:, :n].copy(), values[:, n:n + m].copy(), values[:, n + m:-1].copy(),
-            statuses, values[:, -1].copy())
+    # One field per column, so loadtxt rejects a row of another width.  k, t
+    # and the columns after the objective stay unparsed; the status is kept
+    # whole as an object.  loadtxt parses floats with the routine float() uses.
+    columns = np.dtype([("k", "U1"), ("t", "U1"), ("values", float, (status - 2,)),
+                        ("status", object), ("objective", float),
+                        ("rest", "U1", (width - status - 2,))])
+    try:
+        data = np.loadtxt(lines, dtype=columns, delimiter=",", comments=None, ndmin=1)
+    except ValueError as exc:
+        for row, line in enumerate(lines, 1):
+            if (count := line.count(",") + 1) != width:
+                raise ValueError(f"{path}: data row {row} has {count} fields, "
+                                 f"the header has {width}") from exc
+        raise
+    values = data["values"]
+    return (values[:, :n].copy(), values[:, n:n + m].copy(), values[:, n + m:].copy(),
+            tuple(data["status"]), data["objective"].copy())
 
 
 # ---------------------------------------------------------------------------

@@ -660,7 +660,7 @@ class CompiledRun:
     hi: np.ndarray
     M: np.ndarray
     quad: np.ndarray | None
-    box_rows: SparseRows
+    box_rows: np.ndarray
     box_b: np.ndarray
     templates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -710,7 +710,7 @@ def compile_run(phi: Formula, system, table: PredicateTable, config: ControlConf
                        k_event, schedule, branches,
                        tuple(_tabulate(branch, schedule, grid, table.size, G, h_d)
                              for branch in branches),
-                       dyn, lo, hi, M, quad, SparseRows.from_dense(box_A), box_b)
+                       dyn, lo, hi, M, quad, _frozen(box_A), box_b)
 
 
 def _box_rows(lo: np.ndarray, hi: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -827,7 +827,7 @@ def _input_rows(run: CompiledRun, budget_cols: int | None):
 
     The budget row covers the first ``budget_cols`` inputs (no row when None).
     """
-    box = run.box_rows.dense()
+    box = run.box_rows
     budget = np.zeros((0 if budget_cols is None else 1, box.shape[1]))
     budget[:, :budget_cols] = 1.0
     rows = np.vstack([box, budget, *(np.reshape(c, -1) for c, _ in run.config.extra_ineqs)])

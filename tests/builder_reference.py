@@ -196,7 +196,7 @@ def _input_rows(run: CompiledRun, k0: int, layout: VariableLayout,
         extra.append((coeffs, float(bound)))
     n_box = run.box_b.size
     A = np.zeros((n_box + len(extra), n_y))
-    A[:n_box, u] = run.box_rows.dense()
+    A[:n_box, u] = run.box_rows
     for r, (coeffs, _) in enumerate(extra):
         A[n_box + r, u] = coeffs
 

@@ -216,6 +216,28 @@ class TestTraceReaderOracle:
         for a, b in zip(got[:3] + got[4:], expect[:3] + expect[4:]):
             assert a.tobytes() == b.tobytes()
 
+    def test_long_and_spaced_statuses_come_back_verbatim(self, tmp_path):
+        statuses = ("s" * 40, "relaxed after 3 tries", "two  spaces", "idle")
+        path = tmp_path / "statuses.csv"
+        emit_trace(numeric_trace(np.ones((4, 6)), 2, 1, statuses), path)
+        assert read_trace(path)[3] == statuses
+        assert_reads_like_reference(path)
+
+    @pytest.mark.parametrize("names", [["xnote"], ["xnote", "unote", "x3", "u2"]])
+    def test_trailing_columns_named_like_states_or_inputs(self, names, tmp_path):
+        plain, path = tmp_path / "plain.csv", tmp_path / "trailing.csv"
+        emit_trace(recording(51), plain)
+        header, *rest = plain.read_text().split("\n")
+        path.write_text("\n".join(
+            [",".join([header, *names])]
+            + [line if not line or line.startswith("#") else ",".join([line, *["idle"] * len(names)])
+               for line in rest]))
+        got, expect = read_trace(path), read_trace(plain)
+        assert got[3] == expect[3]
+        for a, b in zip(got[:3] + got[4:], expect[:3] + expect[4:]):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), n=st.integers(1, 4), m=st.integers(1, 3), rows=st.integers(1, 8))
     def test_emit_then_read_round_trips(self, data, n, m, rows):
@@ -257,6 +279,17 @@ class TestMalformedTraces:
         path = tmp_path / "bad.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match=message):
+            read_trace(path)
+
+    # "1_5" is rejected on purpose: float() would read it as 15
+    @pytest.mark.parametrize("field", ["abc", "1_5", ""])
+    @pytest.mark.parametrize("column", [2, 8], ids=["state", "objective"])
+    def test_read_trace_rejects_a_non_number(self, field, column, tmp_path):
+        row = "1,12,1,2,3,4,5,idle,nan".split(",")
+        row[column] = field
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{HEADER}\n0,0,1,2,3,4,5,idle,nan\n{','.join(row)}\n")
+        with pytest.raises(ValueError):
             read_trace(path)
 
     @pytest.mark.parametrize("case", ["truncated", "extra field"])

@@ -10,11 +10,13 @@ trace bit-identical, or compare with a saved list in one step:
     PYTHONPATH=src python tests/trace_corpus.py --against digests.txt
 
 which prints each label whose digest differs from the saved one or is
-missing on either side, and exits 1 if there is any.  Each digest covers the states, inputs, noises,
-statuses and objectives of one ``mpc.run`` and its six readouts at
-``%.17g``.  The corpus is run twice in one process: the ``cold`` pass meets
-each scenario for the first time, the ``warm`` pass repeats it, so a cache
-kept between runs is covered both ways.  BLAS runs on one thread.
+missing on either side, and exits 1 if there is any.  Each digest covers
+the states, inputs, noises, statuses and objectives of one ``mpc.run`` and
+its six readouts at ``%.17g``, and the same five arrays after a
+``cli.emit_trace`` then ``cli.read_trace`` round trip, so it covers the
+trace reader too.  The corpus is run twice in one process: the ``cold``
+pass meets each scenario for the first time, the ``warm`` pass repeats it,
+so a cache kept between runs is covered both ways.  BLAS runs on one thread.
 
 The corpus: the five noise-free presets; the three noisy presets at noise
 seeds 0-15; ``two_tank_phi3`` under an input penalty of 0.01 I; and
@@ -31,6 +33,8 @@ import argparse  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -60,23 +64,33 @@ def corpus():
         yield label, cfg, dataclasses.replace(cfg.run_config, control=control), cfg.noise
 
 
-def digest(trace: mpc.Trace) -> str:
-    h = hashlib.sha256()
-    for arr in (trace.states, trace.inputs, trace.noises, trace.objectives):
+def _update(h, arrays, statuses) -> None:
+    for arr in arrays:
         h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
-    h.update(" ".join(trace.statuses).encode())
+    h.update(" ".join(statuses).encode())
+
+
+def digest(trace: mpc.Trace, csv: Path) -> str:
+    """Digest of a run and of its trace written to ``csv`` and read back."""
+    h = hashlib.sha256()
+    _update(h, (trace.states, trace.inputs, trace.noises, trace.objectives), trace.statuses)
     r = trace.readout
     h.update(" ".join(repr(v) if v is None or isinstance(v, bool) else "%.17g" % v
                       for v in (r.satisfied, r.sr, r.dasr, r.dsasr, r.prd, r.rd)).encode())
+    cli.emit_trace(trace, csv)
+    states, inputs, noises, statuses, objectives = cli.read_trace(csv)
+    _update(h, (states, inputs, noises, objectives), statuses)
     return h.hexdigest()
 
 
 def digests():
     """(pass, label, digest) of every run, cold pass first."""
-    for pass_name in ("cold", "warm"):
-        for label, cfg, config, noise in corpus():
-            trace = mpc.run(cfg.system, cfg.formula, cfg.table, config, noise)
-            yield pass_name, label, digest(trace)
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / "trace.csv"
+        for pass_name in ("cold", "warm"):
+            for label, cfg, config, noise in corpus():
+                trace = mpc.run(cfg.system, cfg.formula, cfg.table, config, noise)
+                yield pass_name, label, digest(trace, csv)
 
 
 def main(argv=None) -> int:

@@ -2,7 +2,7 @@
 
 This is the reader :func:`stlmpc.cli.read_trace` replaced: one list of fields
 per row, converted by ``np.array`` from nested lists of strings.  It is the
-oracle the flat single-pass reader must reproduce bit for bit on well-formed
+oracle the package's reader must reproduce bit for bit on well-formed
 files: the same dtypes, shapes and bytes, and the same statuses.
 """
 
