@@ -287,7 +287,8 @@ def read_trace(path: str | Path):
     Columns after the objective are ignored.  Raises ``ValueError`` when the
     header lacks a column the format needs or a data row's field count differs
     from the header's, and when a numeric field is not a decimal number
-    (unlike ``float()``, the reader takes no ``_`` digit separators).
+    (unlike ``float()``, the reader takes no ``_`` digit separators); the
+    message names the file, the 1-based data row and the header column.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -314,10 +315,17 @@ def read_trace(path: str | Path):
     try:
         data = np.loadtxt(lines, dtype=columns, delimiter=",", comments=None, ndmin=1)
     except ValueError as exc:
+        # name the first row that fails, by its field count or a field
         for row, line in enumerate(lines, 1):
-            if (count := line.count(",") + 1) != width:
-                raise ValueError(f"{path}: data row {row} has {count} fields, "
+            if len(fields := line.split(",")) != width:
+                raise ValueError(f"{path}: data row {row} has {len(fields)} fields, "
                                  f"the header has {width}") from exc
+            for col in (*range(2, status), status + 1):
+                try:
+                    np.loadtxt([line], delimiter=",", comments=None, usecols=col)
+                except ValueError:
+                    raise ValueError(f"{path}: data row {row} has {fields[col]!r} in column "
+                                     f"{header[col]}, not a number") from exc
         raise
     values = data["values"]
     return (values[:, :n].copy(), values[:, n:n + m].copy(), values[:, n + m:].copy(),

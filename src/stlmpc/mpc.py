@@ -3,9 +3,10 @@
 The run is compiled once; each sampling step builds its problems around the
 current state and recorded history, solves every disjunction branch, applies
 the first input of the best feasible branch, then advances the plant with
-optional additive Gaussian noise.  If every branch is infeasible and the
-slack policy is enabled, the step is re-solved in the relaxed
-(least-violating) form and marked accordingly.
+optional additive Gaussian noise.  If every branch is infeasible (no plan
+satisfies the formula after the current step) and the slack policy is
+enabled, the step is re-solved in the relaxed (least-violating) form and
+marked accordingly.
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@ The compiled problem maximizes the summed scheduled-average robustness of
 the formula over its anchor steps, minus an optional quadratic input
 penalty, subject to
 
-* one inequality per (predicate, step) pair that satisfaction requires,
+* one inequality per (predicate, future step) pair that satisfaction
+  requires (the samples up to k0 are recorded constants, which reach only
+  the cost and the epigraph bounds),
 * epigraph rows linking one auxiliary variable per anchor step to each
   conjunct for conjunctions,
 * input box bounds, an optional input budget, and arbitrary extra linear
@@ -37,9 +39,10 @@ constraint matrix of every shape once, from the table rows of its
 rows (:meth:`SparseRows.from_dense`) as a template in the compiled run; a
 step then computes only the right-hand sides from the recorded states.
 The worst-case baseline (:func:`build_sr_baseline`) differs from a
-one-branch :func:`build_problem` only in its single epigraph variable and
-its cost.  Sums over terms are numpy reductions, not BLAS products, so the
-problems do not depend on the BLAS thread count.
+one-branch :func:`build_problem` in its single epigraph variable, its cost
+and its rows for the recorded samples too.  Sums over terms are numpy
+reductions, not BLAS products, so the problems do not depend on the BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -269,12 +272,6 @@ class StackedDynamics:
     offset: np.ndarray
     N: int
     m: int
-
-    def z_st(self, x0: np.ndarray, u_st: np.ndarray) -> np.ndarray:
-        u = np.asarray(u_st, dtype=float).reshape(-1)
-        if u.shape[0] != self.N * self.m:
-            raise ValueError(f"expected {self.N * self.m} stacked inputs, got {u.shape[0]}")
-        return self.H1 @ np.asarray(x0, dtype=float) + self.H2 @ u + self.offset
 
 
 def stack_dynamics(A: np.ndarray, B: np.ndarray, C: np.ndarray, c: np.ndarray,
@@ -588,10 +585,11 @@ def build_R(theta: Formula, schedule: Schedule | None, N: int, k_l: int, k_h: in
 class ControlConfig:
     """Optimizer-facing knobs: horizon, input constraints, penalties, slack.
 
-    ``constraint_margin`` tightens every satisfaction row to z >= margin;
-    the default of 1e-9 is invisible at problem scales but keeps actively
-    pinned predicates boolean-true when the plan is re-simulated through the
-    plant recursion, whose rounding differs from the stacked prediction.
+    ``constraint_margin`` tightens every satisfaction row, each a sample
+    after the current step, to z >= margin; the default of 1e-9 is
+    invisible at problem scales but keeps actively pinned predicates
+    boolean-true when the plan is re-simulated through the plant recursion,
+    whose rounding differs from the stacked prediction.
     """
 
     horizon: int
@@ -783,16 +781,15 @@ def _z_coeff(run: CompiledRun, step: _Step) -> np.ndarray:
     return z_coeff
 
 
-def _stl_rows(run: CompiledRun, step: _Step, hit: np.ndarray):
-    """Satisfaction rows -z_coeff[col] @ u_st <= z_const[col] of the samples hit,
-    in (step, predicate) order.
+def _stl_rows(run: CompiledRun, step: _Step, samples: np.ndarray):
+    """Satisfaction rows -z_coeff[col] @ u_st <= z_const[col] of the ascending samples,
+    which is (step, predicate) order.
 
-    Returns (samples, rows over the stacked inputs, preds, steps): each
-    row's predicate and its step relative to the window start, as lists.
+    Returns (rows over the stacked inputs, preds, steps): each row's
+    predicate and its step relative to the window start, as lists.
     """
-    samples = np.flatnonzero(hit)
     ks, ps = np.divmod(samples, run.table.size)
-    return samples, -_z_coeff(run, step)[samples], ps.tolist(), ks.tolist()
+    return -_z_coeff(run, step)[samples], ps.tolist(), ks.tolist()
 
 
 def _row_info(preds: list[int], steps: list[int], t_lo: int) -> dict[int, tuple[int, int]]:
@@ -857,11 +854,10 @@ class _Template(NamedTuple):
     ``rows``, ``lin``, ``quad``, ``layout``, ``row_kinds`` and the predicate
     masses are the problem's own (read-only, shared by every step of the
     shape).  The right-hand side reads the prediction z_const: the
-    satisfaction rows take the ``samples`` (the constraint margin applies
-    from position ``planned`` on, to the unrecorded ones), and the weights
-    ``w`` on the samples ``cols`` give each (conjunct, anchor) row's
-    robustness at zero future input: the epigraph rows' bounds, or summed,
-    the constant cost of a one-conjunct branch.  ``preds`` and ``steps``
+    satisfaction rows take the ``samples`` after k0 less the constraint
+    margin, and the weights ``w`` on the samples ``cols`` give each
+    (conjunct, anchor) row's robustness at zero future input: the epigraph
+    rows' bounds, or summed, the constant cost of a one-conjunct branch.  ``preds`` and ``steps``
     give each satisfaction row's predicate and its step relative to the
     window start.
     """
@@ -874,7 +870,6 @@ class _Template(NamedTuple):
     cost_pred_mass: np.ndarray
     epigraph_pred_mass: np.ndarray | None
     samples: np.ndarray
-    planned: int
     cols: np.ndarray
     w: np.ndarray
     preds: list[int]
@@ -912,8 +907,6 @@ def _template(run: CompiledRun, tab: _BranchTable, step: _Step,
 
     rows, cols = _terms_at(tab, step.anchors, step.t_lo, n_mu)
     w = tab.w[rows]
-    hit = np.zeros(step.z_const.size, dtype=bool)
-    hit[cols] = True
     # the rows of conjunct j read u_x[i] - (coefficients on u_st) <= (E_j z_const)(i);
     # the input u(k0 + i) is u(a + s) for s = h_d - N + free + i among the
     # tabulated steps of anchor a (none past the last: the zero step N)
@@ -921,7 +914,9 @@ def _template(run: CompiledRun, tab: _BranchTable, step: _Step,
     epi_u = tab.inputs[rows[:, None], np.minimum(free[:, None] + np.arange(N), N)]
     epi_u = epi_u.reshape(rows.size, N * m)
     mass = tab.mass[rows]
-    samples, stl_u, preds, steps = _stl_rows(run, step, hit)
+    # satisfaction rows only after k0: no input changes the recorded samples
+    samples = np.unique(cols[cols >= step.n_past])
+    stl_u, preds, steps = _stl_rows(run, step, samples)
     in_u, in_kinds = _input_rows(run, budget_cols)
 
     blocks = (stl_u, epi_u, in_u) if multi else (stl_u, in_u)
@@ -947,17 +942,14 @@ def _template(run: CompiledRun, tab: _BranchTable, step: _Step,
         rows=problem_rows, lin=lin, quad=quad, layout=layout,
         row_kinds=("stl",) * samples.size + ("epigraph",) * (rows.size * multi) + in_kinds,
         cost_pred_mass=cost_pred_mass, epigraph_pred_mass=epigraph_pred_mass,
-        samples=samples, planned=int(np.searchsorted(samples, step.n_past)), cols=cols, w=w,
-        preds=preds, steps=steps)
+        samples=samples, cols=cols, w=w, preds=preds, steps=steps)
 
 
 def _assemble(run: CompiledRun, tpl: _Template, branch_ix: int, step: _Step,
               b_in: np.ndarray) -> QpProblem:
     """A branch's problem at this step: the template and the step's right-hand side."""
     z_const = step.z_const
-    b_stl = z_const[tpl.samples]
-    # the margin is planning headroom; recorded steps only need z >= 0
-    b_stl[tpl.planned:] -= run.config.constraint_margin
+    b_stl = z_const[tpl.samples] - run.config.constraint_margin
     b_epi = (tpl.w * z_const[tpl.cols]).sum(axis=1)
     if tpl.epigraph_pred_mass is None:
         const, b_ub = float(b_epi.sum()), np.concatenate([b_stl, b_in])
@@ -1045,9 +1037,10 @@ def build_sr_baseline(run: CompiledRun, k0: int = 0, state_history: np.ndarray |
 
     Only conjunctions of always-operators over axis-aligned unit-normal
     predicates are supported.  The problem is compiled like a one-branch
-    :func:`build_problem` with the same prediction, satisfaction points and
-    input rows, but with a single epigraph variable t as its cost: every
-    satisfaction row reads t <= z_p(k), without constraint margin.
+    :func:`build_problem` with the same prediction and input rows, but with
+    a single epigraph variable t as its cost: every sample the terms weigh,
+    recorded ones included, has a row t <= z_p(k), without constraint
+    margin, which bounds the cost and cannot make the problem infeasible.
     """
     table = run.table
     gs = [psi for psi, _ in run.branches[0]] if len(run.branches) == 1 else None
@@ -1061,9 +1054,8 @@ def build_sr_baseline(run: CompiledRun, k0: int = 0, state_history: np.ndarray |
 
     step = _predict(run, k0, state_history)
     layout = VariableLayout(1, run.config.horizon, run.dyn.m)
-    hit = np.zeros(step.z_const.size, dtype=bool)
-    hit[_terms_at(run.tables[0], step.anchors, step.t_lo, table.size)[1]] = True
-    samples, stl_u, preds, steps = _stl_rows(run, step, hit)
+    samples = np.unique(_terms_at(run.tables[0], step.anchors, step.t_lo, table.size)[1])
+    stl_u, preds, steps = _stl_rows(run, step, samples)
     budget_cols, b_in = _input_bounds(run, k0, input_history)
     in_u, in_kinds = _input_rows(run, budget_cols)
 

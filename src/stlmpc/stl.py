@@ -67,9 +67,6 @@ class SamplingGrid:
         if not self.T > 0:
             raise ValueError(f"sampling period must be positive, got {self.T}")
 
-    def tau(self, k: int) -> float:
-        return k * self.T
-
 
 # Relative slack when mapping continuous interval bounds onto the grid, so
 # that e.g. 216/12 lands on index 18 despite floating point rounding.

@@ -6,8 +6,10 @@ order and stacked dense row blocks.  The functions below are that code,
 kept as the oracle the table-driven builder in :mod:`stlmpc.qp_builder` must
 reproduce (to rounding; see ``tests/test_builder_oracle.py``).  They are
 unchanged except where the compiled run's interface moved: the box rows are
-read from ``run.box_rows`` and the debug matrices are handed over as
-``explain``.
+read from ``run.box_rows``, the debug matrices are handed over as
+``explain``, and ``build_problem`` keeps the satisfaction points of the
+steps after k0 only (the recorded samples are constants, so their rows no
+longer exist and every remaining row takes the constraint margin).
 ``build_problem`` and ``build_sr_baseline`` below are the reference
 counterparts of the package's builders.
 """
@@ -245,10 +247,11 @@ def _assemble_branch(run: CompiledRun, branch, branch_ix: int, pred: _Prediction
         const += float(w @ pred.z_const)
         cost_pred_mass = _pred_mass(w[None], run.table.size)[0]
 
-    points = _sat_points(terms)
-    A_stl, b_stl, stl_row_info = _stl_rows(pred, points, layout)
-    # the margin is planning headroom; recorded steps only need z >= 0
-    b_stl = b_stl - np.where(points[0] > pred.k0, run.config.constraint_margin, 0.0)
+    # recorded samples are constants: satisfaction rows only for the steps after k0
+    ks, ps = _sat_points(terms)
+    future = ks > pred.k0
+    A_stl, b_stl, stl_row_info = _stl_rows(pred, (ks[future], ps[future]), layout)
+    b_stl = b_stl - run.config.constraint_margin
 
     # epigraph rows: u_x[i] <= (E_j z)(i) for every conjunct j; the products are
     # taken row by row (a stack of vector-matrix products), as one matrix
@@ -287,9 +290,9 @@ def build_sr_baseline(run: CompiledRun, k0: int = 0, state_history: np.ndarray |
 
     Only conjunctions of always-operators over axis-aligned unit-normal
     predicates are supported.  The problem is compiled like a one-branch
-    :func:`build_problem` with the same prediction, satisfaction points and
-    input rows, but with a single epigraph variable t as its cost: every
-    satisfaction row reads t <= z_p(k), without constraint margin.
+    :func:`build_problem` with the same prediction and input rows, but with
+    a single epigraph variable t as its cost: every satisfaction point,
+    recorded ones included, has a row t <= z_p(k), without constraint margin.
     """
     table = run.table
     gs = [psi for psi, _ in run.branches[0]] if len(run.branches) == 1 else None

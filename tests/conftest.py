@@ -24,6 +24,7 @@ from stlmpc import (
     SamplingGrid,
     Signal,
     Until,
+    eval_bool,
 )
 
 
@@ -239,3 +240,24 @@ def rollout(A: np.ndarray, B: np.ndarray, x0: np.ndarray, u_st: np.ndarray,
     for k in range(u.shape[0]):
         states.append(A @ states[-1] + B @ u[k])
     return Signal(np.array(states), grid)
+
+
+def check_plan(p, theta, table: PredicateTable, full: Signal, k0: int, margin: float) -> bool:
+    """Assert what a plan that solved ``p``, the problem of step k0, guarantees.
+
+    ``full`` is the rollout of the recorded inputs and the plan.  Every
+    satisfaction row is a sample after k0 and is at least ``margin`` after
+    rollout, to the rounding by which the rollout and the prediction
+    differ.  When the recorded samples the formula weighs also meet their
+    predicates, the formula holds at every anchor.  Returns whether they do.
+    """
+    z = table.z(full.states)
+    for pid, k in p.stl_row_info.values():
+        assert k > k0 and z[k, pid] >= margin - 1e-12
+    E, z_const = p.debug["E"], p.debug["z_const"]
+    n_past = (k0 + 1 - p.debug["t_lo"]) * table.size
+    if np.any(z_const[:n_past][E[:, :n_past].any(axis=0)] < 0):
+        return False
+    for kk in p.debug["anchors"]:
+        assert eval_bool(full, kk, theta, table) is True
+    return True

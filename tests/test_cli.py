@@ -289,7 +289,9 @@ class TestMalformedTraces:
         row[column] = field
         path = tmp_path / "bad.csv"
         path.write_text(f"{HEADER}\n0,0,1,2,3,4,5,idle,nan\n{','.join(row)}\n")
-        with pytest.raises(ValueError):
+        name = HEADER.split(",")[column]
+        with pytest.raises(ValueError, match=f"bad.csv: data row 2 has '{field}' in column "
+                                             f"{name}, not a number"):
             read_trace(path)
 
     @pytest.mark.parametrize("case", ["truncated", "extra field"])

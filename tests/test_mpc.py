@@ -144,6 +144,17 @@ class TestRelaxation:
         assert set(trace.statuses[:-1]) == {"relaxed"}
         assert trace.readout.satisfied is False
 
+    def test_violated_past_does_not_relax(self):
+        # x(0) = 0 violates x1 >= 0.5 for good, but every later sample can meet it
+        system = LtiSystem(np.array([[0.5]]), np.array([[1.0]]), np.zeros(1), GRID1)
+        phi, table = parse("G[0,inf](G[0,2](x1 >= 0.5))")
+        cfg = RunConfig(control=ControlConfig(horizon=3, u_min=0, u_max=1), sim_steps=5,
+                        slack_enabled=False)
+        trace = run(system, phi, table, cfg)
+        assert set(trace.statuses[:-1]) == {"optimal"}
+        assert np.all(trace.states[1:, 0] >= 0.5)
+        assert trace.readout.satisfied is False
+
     def test_slack_disabled_raises(self):
         system = LtiSystem(np.eye(1), np.zeros((1, 1)), np.array([-1.0]), GRID1)
         phi, table = parse("G[0,inf](G[0,2](x1 >= 0))")

@@ -31,7 +31,8 @@ def layers(monkeypatch):
 def test_layer_spans_nest_under_mpc_run(layers):
     system = LtiSystem(np.array([[0.5]]), np.array([[1.0]]), np.zeros(1), SamplingGrid(1.0))
     phi, table = parse("G[0,inf](F[0,2](x1 >= 0.5))", n_states=1)
-    config = mpc.RunConfig(control=ControlConfig(horizon=3, u_min=0, u_max=1), sim_steps=4)
+    # u <= 0.2 keeps x1 below 0.4, so no plan can satisfy and every step relaxes
+    config = mpc.RunConfig(control=ControlConfig(horizon=3, u_min=0, u_max=0.2), sim_steps=4)
     originals = {name: getattr(mpc, name) for name in ("run", "solve", "eval_bool")}
 
     tracer = layers.Tracer()
