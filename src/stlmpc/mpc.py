@@ -165,15 +165,12 @@ def snr_db(trace: Trace) -> float:
     return 10.0 * math.log10(p_x / p_v)
 
 
-def _pick_best(solutions, statuses=("optimal",)):
-    """Best solution among the given statuses, ties broken by lowest branch index."""
-    best = None
-    for sol in solutions:
-        if sol.status not in statuses:
-            continue
-        if best is None or sol.objective > best.objective:
-            best = sol
-    return best
+def _pick_best(problems, solutions, statuses=("optimal",)):
+    """Best solution among the given statuses, ties to the lowest branch index; branches
+    with an intact past come first, since only they can still satisfy the formula."""
+    usable = [(p.past_violated, -sol.objective, i)
+              for i, (p, sol) in enumerate(zip(problems, solutions)) if sol.status in statuses]
+    return solutions[min(usable)[2]] if usable else None
 
 
 # the compiled runs of the last few distinct scenarios, by the value of their
@@ -271,7 +268,7 @@ def run(system: LtiSystem, phi: Formula, table: PredicateTable, config: RunConfi
                 problems = build_problem(compiled, k0=k0, state_history=history,
                                          input_history=past_u)
             solutions = [solve(p) for p in problems]
-            best = _pick_best(solutions)
+            best = _pick_best(problems, solutions)
             status = "optimal"
             if best is None and all(s.status == "infeasible" for s in solutions):
                 # relax only on reported infeasibility, never on slow convergence
@@ -281,12 +278,12 @@ def run(system: LtiSystem, phi: Formula, table: PredicateTable, config: RunConfi
                 if slack_weight is None:
                     scale = float(np.abs(states[:k0 + 1]).max(initial=1.0))
                     slack_weight = default_slack_weight(table, scale)
-                relaxed = [add_slack_relaxation(p, slack_weight) for p in problems]
-                solutions = [solve(p) for p in relaxed]
-                best = _pick_best(solutions)
+                problems = [add_slack_relaxation(p, slack_weight) for p in problems]
+                solutions = [solve(p) for p in problems]
+                best = _pick_best(problems, solutions)
                 status = "relaxed"
             if best is None:
-                best = _pick_best(solutions, statuses=("optimal", "iteration-limit"))
+                best = _pick_best(problems, solutions, statuses=("optimal", "iteration-limit"))
                 if status == "optimal":
                     status = "iteration-limit"
                 if best is None:

@@ -189,7 +189,8 @@ class QpProblem:
     ``cost_pred_mass`` and ``quad`` are read-only.
 
     ``stl_row_info`` maps the index of each satisfaction row to its
-    (predicate id, time step); ``cost_pred_mass`` and ``epigraph_pred_mass``
+    (predicate id, time step); ``past_violated``, whether a recorded sample
+    already violates the branch.  ``cost_pred_mass`` and ``epigraph_pred_mass``
     record how much cost / epigraph weight rests on each predicate, which is
     what the slack relaxation needs to shift predicates consistently.
     ``debug``, built on first use by ``explain``, holds the builder's
@@ -210,6 +211,7 @@ class QpProblem:
     cost_pred_mass: np.ndarray
     epigraph_pred_mass: np.ndarray | None = None
     branch: int = 0
+    past_violated: bool = False
     quad: np.ndarray | None = None
     explain: Callable[[], dict] | None = None
 
@@ -960,6 +962,7 @@ def _assemble(run: CompiledRun, tpl: _Template, branch_ix: int, step: _Step,
         row_kinds=tpl.row_kinds, stl_row_info=_row_info(tpl.preds, tpl.steps, step.t_lo),
         n_predicates=run.table.size, cost_pred_mass=tpl.cost_pred_mass,
         epigraph_pred_mass=tpl.epigraph_pred_mass, branch=branch_ix,
+        past_violated=bool((z_const[tpl.cols[tpl.cols < step.n_past]] < 0).any()),
         explain=lambda: _debug(run, step, tpl.cols, tpl.w))
 
 

@@ -68,8 +68,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seeds", type=seed_range, default=seed_range("0-19"),
                         help="noise seeds, A-B with both ends included (default 0-19)")
-    parser.add_argument("--presets", nargs="+", default=NOISY, metavar="NAME",
-                        help="presets to sweep (default: the three noisy ones)")
     parser.add_argument("--against", metavar="FILE",
                         help="show the saved line of the same preset and seeds under each line")
     args = parser.parse_args(argv)
@@ -77,7 +75,7 @@ def main(argv=None) -> int:
     if args.against is not None:
         with open(args.against) as f:
             saved = {tuple(line.split()[:2]): line.strip() for line in f if line.strip()}
-    for name in args.presets:
+    for name in NOISY:
         line = sweep(name, args.seeds)
         print(line, flush=True)
         if args.against is not None:

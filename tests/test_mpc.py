@@ -24,6 +24,7 @@ from stlmpc import (
     parse,
     run,
     snr_db,
+    to_pnf,
 )
 from stlmpc import cli, mpc, qp_builder
 
@@ -154,6 +155,24 @@ class TestRelaxation:
         assert set(trace.statuses[:-1]) == {"optimal"}
         assert np.all(trace.states[1:, 0] >= 0.5)
         assert trace.readout.satisfied is False
+
+    def test_branch_with_violated_past_loses_to_an_intact_one(self):
+        # x(0) = 0 breaks the branch x1 >= 0.5, whose plan scores far higher
+        # than that of x1 <= 1; only the intact branch keeps the formula
+        system = LtiSystem(np.array([[0.5]]), np.array([[1.0]]), np.zeros(1), GRID1)
+        phi, table = parse("G[0,inf](G[0,2](x1 <= 1) | G[0,2](x1 >= 0.5))")
+        cfg = RunConfig(control=ControlConfig(horizon=3, u_min=-0.1, u_max=5), sim_steps=6,
+                        slack_enabled=False)
+        pnf, pnf_table = to_pnf(phi, table)
+        problems = qp_builder.build_problem(
+            qp_builder.compile_run(pnf, system, pnf_table, cfg.control))
+        assert [p.past_violated for p in problems] == [False, True]
+        objectives = [mpc.solve(p).objective for p in problems]
+        assert objectives[1] > objectives[0]
+        trace = run(system, phi, table, cfg)
+        assert set(trace.statuses[:-1]) == {"optimal"}
+        assert np.all(trace.states[:, 0] <= 1)
+        assert trace.readout.satisfied is True
 
     def test_slack_disabled_raises(self):
         system = LtiSystem(np.eye(1), np.zeros((1, 1)), np.array([-1.0]), GRID1)

@@ -243,19 +243,22 @@ class TestBuildProblem:
                                 " | F[0,2](x1 >= 1))", n_states=1)
         run = compile_run(phi, system, table, ControlConfig(horizon=5, constraint_margin=0.25))
         history = np.random.default_rng(11).uniform(-1, 6, size=(9, 1))
-        recorded = 0
+        recorded, violated = 0, set()
         for k0 in range(history.shape[0]):
             for p in build_problem(run, k0=k0, state_history=history[:k0 + 1]):
                 weighed = np.flatnonzero(p.debug["E"].any(axis=0))
                 step = weighed // table.size + p.debug["t_lo"]
                 recorded += int(np.count_nonzero(step <= k0))
+                past = p.debug["z_const"][weighed[step <= k0]]
+                assert p.past_violated == bool(np.any(past < 0))
+                violated.add(p.past_violated)
                 cols = weighed[step > k0]
                 n = cols.size
                 assert list(p.stl_row_info.values()) == list(zip(
                     (cols % table.size).tolist(), step[step > k0].tolist()))
                 assert p.row_kinds[:n] == ("stl",) * n and "stl" not in p.row_kinds[n:]
                 assert np.array_equal(p.b_ub[:n], p.debug["z_const"][cols] - 0.25)
-        assert recorded > 0
+        assert recorded > 0 and violated == {False, True}
 
     def test_matches_literal_until_matrix(self):
         # the general compiler and each single-operator constructor agree on a
