@@ -14,14 +14,26 @@ Five readouts are provided:
 Evaluation is array-at-a-time.  The recursion runs over the formula tree,
 not over time: each node is evaluated once, as a numpy array over every
 anchor (evaluation step) it is needed at.  A temporal window becomes one
-vector operation per window offset, and an until keeps a running prefix of
-its left operand that is combined with the right operand at each offset of
-the window.  The results are bit-identical to applying the definitions one
-anchor at a time with Python floats:
+vector operation per window offset, folded into an array the fold owns
+(never into a child's values), and an until keeps a running prefix of its
+left operand that is combined with the right operand at each offset of the
+window.
+
+The scheduled readout fixes each until/eventually witness, so its anchors
+are arrays in the definitions' visit order.  A subformula without witnesses
+is evaluated once over the span of steps its anchors cover and read from
+there; for an until left operand that span runs from the first anchor to
+the last witness, and each anchor's mean is read from a table of the
+left-to-right window sums over the span.  A left operand with witnesses of
+its own is evaluated visit by visit, so the schedule is consulted, and the
+first error met, in the definitions' order.
+
+The results are bit-identical to applying the definitions one anchor at a
+time with Python floats:
 
 * min/max folds keep the first of equal operands, as Python's ``min`` and
-  ``max`` do (``np.where(v < acc, v, acc)``); this decides the sign of a
-  zero result and which NaN survives;
+  ``max`` do (``np.copyto(acc, v, where=v < acc)``); this decides the sign
+  of a zero result and which NaN survives;
 * every mean is accumulated left to right, one term at a time, starting
   from ``0.0`` (so a leading -0.0 becomes +0.0), never pairwise.
 
@@ -177,14 +189,26 @@ def _op_paths(f: Formula) -> dict[tuple, int]:
 # Folds with Python's operand order
 
 
-def _min(acc: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Elementwise ``min(acc, v)``: acc unless v is strictly smaller."""
-    return np.where(v < acc, v, acc)
+def _min(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise ``min(a, b)``, a unless b is strictly smaller; into ``out``
+    (which may be a) if given, as a ufunc would."""
+    if out is None:
+        return np.where(b < a, b, a)
+    if out is not a:
+        np.copyto(out, a)
+    np.copyto(out, b, where=b < a)
+    return out
 
 
-def _max(acc: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Elementwise ``max(acc, v)``: acc unless v is strictly larger."""
-    return np.where(v > acc, v, acc)
+def _max(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise ``max(a, b)``, a unless b is strictly larger; into ``out``
+    (which may be a) if given, as a ufunc would."""
+    if out is None:
+        return np.where(b > a, b, a)
+    if out is not a:
+        np.copyto(out, a)
+    np.copyto(out, b, where=b > a)
+    return out
 
 
 def _first_min(v: np.ndarray) -> float:
@@ -199,6 +223,22 @@ def _first_min(v: np.ndarray) -> float:
 def _sum(parts) -> float:
     """Left-to-right sum of the arrays' elements, starting from 0.0."""
     return float(np.cumsum(np.concatenate(([0.0], *parts)))[-1])
+
+
+def _prefix_sums(rows: np.ndarray) -> np.ndarray:
+    """Column j holds the left-to-right sum from 0.0 of each row's first j elements."""
+    return np.cumsum(np.concatenate((np.zeros((rows.shape[0], 1)), rows), axis=1), axis=1)
+
+
+def _window_sums(v: np.ndarray, width: int) -> np.ndarray:
+    """(width, v.size) array whose [j, p] is the left-to-right sum from 0.0 of
+    v[p .. p+j], for every p + j < v.size (the other entries are unset)."""
+    m = v.size
+    sums = np.empty((width, m))
+    np.add(0.0, v, out=sums[0])
+    for j in range(1, width):
+        np.add(sums[j - 1, :m - j], v[j:], out=sums[j, :m - j])
+    return sums
 
 
 def _column(z: np.ndarray, pred_id: int, lo: int, n: int) -> np.ndarray:
@@ -217,8 +257,8 @@ class _Semantics(NamedTuple):
 
     leaf: Callable[[np.ndarray], np.ndarray]    # predicate values -> node values
     neg: Callable[[np.ndarray], np.ndarray]
-    meet: Callable[[np.ndarray, np.ndarray], np.ndarray]    # and, always
-    join: Callable[[np.ndarray, np.ndarray], np.ndarray]    # or, eventually, until
+    meet: Callable[..., np.ndarray]     # and, always: meet(a, b[, out]) like a ufunc
+    join: Callable[..., np.ndarray]     # or, eventually, until
     top: bool | float       # value of true
     bottom: bool | float    # value of an until before any witness
     averaged: bool          # always-windows and until left operands use means
@@ -235,7 +275,9 @@ def _eval(g: Formula, lo: int, n: int, z: np.ndarray, grid: SamplingGrid,
     """Values of g at the anchors lo .. lo+n-1.
 
     Children are evaluated in the order the definitions visit them, so the
-    first malformed node raises the same error a time recursion would.
+    first malformed node raises the same error a time recursion would.  A
+    window fold accumulates into an array of its own, never into a child's
+    values (a predicate's values are a view of z).
     """
     if isinstance(g, TrueNode):
         return np.full(n, sem.top)
@@ -259,15 +301,24 @@ def _eval(g: Formula, lo: int, n: int, z: np.ndarray, grid: SamplingGrid,
         else:
             right = _eval(g.right, lo + win.start, span, z, grid, sem)
             left = _eval(g.left, lo, n + win[-1], z, grid, sem)
-            held = left[:n]
+            held = left[:n].copy()
         best = np.full(n, sem.bottom)
+        cand = np.empty_like(best)
         for j in range(win.stop):
             if j:
-                held = held + left[j:j + n] if sem.averaged else sem.meet(held, left[j:j + n])
+                if sem.averaged:
+                    held += left[j:j + n]
+                else:
+                    sem.meet(held, left[j:j + n], out=held)
             if j >= win.start:
                 r = right[j - win.start:j - win.start + n]
-                cand = 0.5 * (held / (j + 1) + r) if sem.averaged else sem.meet(r, held)
-                best = sem.join(best, cand)
+                if sem.averaged:
+                    np.divide(held, j + 1, out=cand)
+                    np.add(cand, r, out=cand)
+                    np.multiply(0.5, cand, out=cand)
+                else:
+                    sem.meet(r, held, out=cand)
+                sem.join(best, cand, out=best)
         return best
     if isinstance(g, (Eventually, Always)):
         win = _offsets(g, grid)
@@ -275,12 +326,13 @@ def _eval(g: Formula, lo: int, n: int, z: np.ndarray, grid: SamplingGrid,
         if isinstance(g, Always) and sem.averaged:
             total = 0.0 + child[:n]
             for j in range(1, len(win)):
-                total = total + child[j:j + n]
-            return total / len(win)
+                total += child[j:j + n]
+            total /= len(win)
+            return total
         fold = sem.join if isinstance(g, Eventually) else sem.meet
-        acc = child[:n]
+        acc = child[:n].copy()
         for j in range(1, len(win)):
-            acc = fold(acc, child[j:j + n])
+            fold(acc, child[j:j + n], out=acc)
         return acc
     raise TypeError(f"not a formula node: {g!r}")
 
@@ -377,11 +429,7 @@ class _Scheduled:
         if not _has_witness(g):
             # without witnesses below, dsasr is dasr: evaluate over the anchors' span
             lo = int(at.min())
-            try:
-                vals = _eval(g, lo, int(at.max()) - lo + 1, self.z, self.grid, _DASR)
-            except (ValueError, TypeError, IndexError) as exc:
-                raise self.first(chain(0) + (-1,), exc) from None
-            return vals[at - lo]
+            return self._span(g, lo, int(at.max()), chain(0))[at - lo]
         if isinstance(g, (Not, And, Or)):
             kids = (g.child,) if isinstance(g, Not) else g.children
             vals = [self.eval(ch, at, path + (i,),
@@ -395,6 +443,8 @@ class _Scheduled:
                 acc = fold(acc, v)
             return acc
         if isinstance(g, Always):
+            # the child has witnesses (else g would have none), so it is
+            # evaluated visit by visit
             try:
                 win = _offsets(g, self.grid)
             except ValueError as exc:
@@ -403,14 +453,18 @@ class _Scheduled:
             steps = (at[:, None] + np.arange(win.start, win.stop)).ravel()
             child = self.eval(g.child, steps, path + (0,),
                               lambda j: chain(j // width) + (0, int(steps[j])))
-            child = child.reshape(at.size, width)
-            total = 0.0 + child[:, 0]
-            for j in range(1, width):
-                total = total + child[:, j]
-            return total / width
+            return _prefix_sums(child.reshape(at.size, width))[:, -1] / width
         if isinstance(g, (Eventually, Until)):
             return self._witnessed(g, at, path, chain)
         raise self.first(chain(0) + (-1,), TypeError(f"not a formula node: {g!r}"))
+
+    def _span(self, g: Formula, lo: int, hi: int, visit: tuple) -> np.ndarray:
+        """Values of the witness-free g at the steps lo .. hi; an error is
+        raised as met at ``visit``, the position of g's first visit."""
+        try:
+            return _eval(g, lo, hi - lo + 1, self.z, self.grid, _DASR)
+        except (ValueError, TypeError, IndexError) as exc:
+            raise self.first(visit + (-1,), exc) from None
 
     def _witnessed(self, g: Eventually | Until, at: np.ndarray, path: tuple,
                    chain) -> np.ndarray:
@@ -431,24 +485,30 @@ class _Scheduled:
                 f"of operator at {path}")))
             kk, k1 = kk[:i], k1[:i]
         out = np.full(at.size, math.nan)
+        if k1.size == 0:
+            return out
         if isinstance(g, Eventually):
             out[:len(k1)] = self.eval(g.child, k1, path + (0,),
                                       lambda j: chain(j) + (0, int(k1[j])))
             return out
         # until: mean of the left operand from the anchor to the witness
         steps = k1 - kk
-        offs = np.arange(int(steps.max(initial=0)) + 1)
-        reached = offs <= steps[:, None]
-        visits = (kk[:, None] + offs)[reached]
-        left = np.zeros(reached.shape)
-        left[reached] = self.eval(
-            g.left, visits, path + (0,),
-            lambda j: chain(int(np.flatnonzero(reached)[j]) // offs.size) + (0, int(visits[j])))
-        total = 0.0 + left[:, 0]
-        held = total
-        for j in offs[1:]:
-            total = total + left[:, j]
-            held = np.where(steps == j, total, held)
+        if _has_witness(g.left):
+            # visit by visit, so its witnesses are consulted and its errors
+            # met in the definitions' order
+            offs = np.arange(int(steps.max()) + 1)
+            reached = offs <= steps[:, None]
+            visits = (kk[:, None] + offs)[reached]
+            left = np.zeros(reached.shape)
+            left[reached] = self.eval(
+                g.left, visits, path + (0,),
+                lambda j: chain(int(np.flatnonzero(reached)[j]) // offs.size) + (0, int(visits[j])))
+            held = _prefix_sums(left)[np.arange(k1.size), steps + 1]
+        else:
+            # once over the span from the first anchor to the last witness
+            lo = int(kk.min())
+            left = self._span(g.left, lo, int(k1.max()), chain(0) + (0, int(kk[0])))
+            held = _window_sums(left, int(steps.max()) + 1)[steps, kk - lo]
         right = self.eval(g.right, k1, path + (1,), lambda j: chain(j) + (1, int(k1[j])))
         out[:len(k1)] = 0.5 * (held / (steps + 1) + right)
         return out

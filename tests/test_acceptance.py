@@ -121,6 +121,7 @@ def test_04_case_study_noise_free():
         trace = _run_preset(name)
         times[name] = time.perf_counter() - t0
         assert trace.readout.satisfied is True, name
+        assert "iteration-limit" not in trace.statuses, name
         assert times[name] < 10.0
     report(4, "all three formulas satisfied noise-free; " +
            ", ".join(f"{k.split('_')[-1]}={v:.1f}s" for k, v in times.items()))
@@ -134,6 +135,7 @@ def test_05_case_study_under_noise():
         snrs = []
         for seed in range(20):
             trace = _run_preset(name, seed=seed)
+            assert "iteration-limit" not in trace.statuses, f"{name} at seed {seed}"
             satisfied += bool(trace.readout.satisfied)
             snrs.append(trace.snr_db)
         mean_snr = float(np.mean(snrs))

@@ -625,3 +625,135 @@ class TestErrorParity:
         assert oracle.eval_bool(s, 0, f, ID1) is False
         with pytest.raises(ValueError, match="contains no multiple"):
             eval_bool(s, 0, f, ID1)
+
+
+# ---------------------------------------------------------------------------
+# Long signals: windows read from one span, folds in place
+
+LONG_TABLE = PredicateTable([[1.0], [-1.0]], [-0.0, -0.0])   # z = (x, -x)
+
+
+def _long_signal(rng: random.Random, length: int, nans: int) -> Signal:
+    """Ties and zeros throughout, and ``nans`` NaN samples.  A zero sample
+    gives +0.0 margins, which a negation turns into -0.0."""
+    values = [rng.choice((0.0, -0.0, 1.0, -1.0, 0.5, rng.uniform(-2, 2), rng.uniform(-2, 2)))
+              for _ in range(length)]
+    for i in rng.sample(range(length), nans):
+        values[i] = math.nan
+    return Signal(np.array(values)[:, None], GRID1)
+
+
+class TestLongSignals:
+    """Long recordings against the time-recursive oracle, bit for bit."""
+
+    FORMULAS = [
+        # until left operands without witnesses: one span per until
+        AllTime(Until(Not(Pred(1)), Pred(1), 4.0, 14.0)),
+        AllTime(And((Always(Not(Pred(0)), 1.0, 4.0),
+                     Until(Or((Pred(0), Not(Pred(0)))), Not(Pred(1)), 0.0, 3.0)))),
+        # the until is visited at repeated, unordered anchors
+        AllTime(Always(Until(Not(Pred(0)), Pred(1), 0.0, 2.0), 0.0, 3.0)),
+        AllTime(Eventually(Until(Pred(1), Not(Pred(1)), 1.0, 3.0), 0.0, 2.0)),
+        # an eventually in the until left operand: evaluated visit by visit
+        AllTime(Until(Eventually(Not(Pred(0)), 0.0, 2.0), Pred(1), 1.0, 4.0)),
+        # a fold that wrote into a predicate's values would change what the
+        # always-operator reads
+        AllTime(And((Pred(0), Not(Pred(0)), Always(Pred(0), 1.0, 3.0)))),
+    ]
+
+    @pytest.mark.parametrize("nans", [0, 4])
+    @pytest.mark.parametrize("formula", FORMULAS)
+    def test_matches_the_oracle(self, formula, nans):
+        s = _long_signal(random.Random(1000 + nans), 1100, nans)
+        z = s.predicate_values(LONG_TABLE)
+        assert (z == 0.0).sum() > 100 and np.isnan(z).sum() == 2 * nans
+        for name in ("eval_sr", "eval_dasr"):
+            assert _outcome(getattr(oracle, name), s, 0, formula, LONG_TABLE) == _outcome(
+                getattr(semantics, name), s, 0, formula, LONG_TABLE), name
+        seen_old, seen_new = [], []
+        assert _outcome(oracle.eval_dsasr, s, 0, formula, LONG_TABLE,
+                        _in_window_schedule(formula, seen_old)) == \
+            _outcome(eval_dsasr, s, 0, formula, LONG_TABLE, _in_window_schedule(formula, seen_new))
+        assert set(seen_new) == set(seen_old)
+
+    @pytest.mark.parametrize("formula", FORMULAS)
+    def test_every_anchor_matches(self, formula):
+        # a mean over a thousand anchors can hide a one-ulp difference at one
+        # of them, so the array evaluators are compared anchor by anchor
+        s = _long_signal(random.Random(2000), 1100, 4)
+        z = s.predicate_values(LONG_TABLE)
+        g = unwrap(formula)
+        n = s.last_index - discrete_length(g, GRID1) + 1
+        k1_of = _in_window_schedule(formula, [])
+        scheduled = semantics._Scheduled(z, GRID1, semantics._op_paths(formula), None, k1_of)
+        with np.errstate(all="ignore"):
+            new = {"eval_sr": semantics._eval(g, 0, n, z, GRID1, semantics._SR),
+                   "eval_dasr": semantics._eval(g, 0, n, z, GRID1, semantics._DASR),
+                   "eval_dsasr": scheduled.eval(g, np.arange(n), (0,), lambda j: (j,))}
+        assert not scheduled.errors
+        for name, values in new.items():
+            extra = (k1_of,) if name == "eval_dsasr" else ()
+            old = [getattr(oracle, name)(s, k, g, LONG_TABLE, *extra) for k in range(n)]
+            assert list(map(repr, values.tolist())) == list(map(repr, old)), name
+
+    @pytest.mark.parametrize("preset", ["two_tank_phi2", "two_tank_phi3"])
+    def test_presets_every_anchor(self, preset):
+        # the packaged formulas and their computed schedules, on a recording
+        # with samples on the predicate thresholds
+        from stlmpc import cli
+
+        cfg = cli.ScenarioConfig.from_file(cli.preset_path(preset))
+        grid = cfg.system.grid
+        sched = compute_schedule(collect_event_ops(unwrap(cfg.formula)), grid)
+        rng = random.Random(3000)
+        s = Signal(np.array([[rng.choice((0.0, 2.0, 4.0, 5.0, rng.uniform(-1, 6))),
+                              rng.choice((2.5, rng.uniform(0, 4)))] for _ in range(1000)]), grid)
+        z = s.predicate_values(cfg.table)
+        g = unwrap(cfg.formula)
+        n = s.last_index - discrete_length(g, grid) + 1
+        scheduled = semantics._Scheduled(z, grid, semantics._op_paths(cfg.formula), sched,
+                                         sched.k1_at)
+        with np.errstate(all="ignore"):
+            new = scheduled.eval(g, np.arange(n), (0,), lambda j: (j,))
+        old = [oracle.eval_dsasr(s, k, g, cfg.table, sched) for k in range(n)]
+        assert list(map(repr, new.tolist())) == list(map(repr, old))
+
+    @pytest.mark.parametrize("values", [(0.0, 1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0),
+                                        (math.nan, 0.0, 0.0, 1.0), (0.0, 0.0, math.nan, 0.0)])
+    def test_signed_zeros_at_one_anchor(self, values):
+        # a single anchor keeps the sign of a zero result
+        x = np.full(1200, 2.0)
+        x[1000:1004] = values
+        s = Signal(x[:, None], GRID1)
+        for f in (Until(Not(Pred(1)), Pred(1), 0.0, 3.0), Until(Not(Pred(1)), Not(Pred(1)), 0.0, 3.0),
+                  Always(Not(Pred(0)), 0.0, 3.0),
+                  Eventually(Until(Pred(0), Not(Pred(0)), 0.0, 1.0), 0.0, 2.0)):
+            for k in (0, 1000, 1001):
+                for name in ("eval_sr", "eval_dasr"):
+                    assert _outcome(getattr(oracle, name), s, k, f, LONG_TABLE) == _outcome(
+                        getattr(semantics, name), s, k, f, LONG_TABLE), (name, f, k)
+                assert _outcome(oracle.eval_dsasr, s, k, f, LONG_TABLE, lambda i, kk: kk + 1) == \
+                    _outcome(eval_dsasr, s, k, f, LONG_TABLE, lambda i, kk: kk + 1), (f, k)
+
+    @pytest.mark.parametrize("eventually_first", [False, True])
+    @pytest.mark.parametrize("left, until_miss, eventually_miss", [
+        (Pred(0), 1000, None),        # the until's witness leaves its window at a late anchor
+        (Pred(0), 1000, 1100),
+        (Pred(0), 1000, 900),         # the eventually misses first
+        (Always(Pred(0), 1.0, 1.0), 1000, None),     # the left operand's empty window comes first
+        (Always(Pred(0), 1.0, 1.0), None, 900),      # ... it is met at anchor 0
+        (Always(Pred(0), 1.0, 1.0), 0, None),        # ... unless the until misses there
+    ])
+    def test_first_error_in_visit_order(self, left, until_miss, eventually_miss,
+                                        eventually_first):
+        s = Signal(np.ones((1200, 1)), SamplingGrid(2.0))
+        parts = (Until(left, Pred(0), 2.0, 8.0), Eventually(Pred(0), 0.0, 4.0))
+        f = AllTime(And(parts[::-1] if eventually_first else parts))
+
+        def k1(op, k):
+            # in the windows [k+1, k+4] and [k, k+2] except at the misses
+            if op == eventually_first:
+                return k + 1 + k % 4 + 99 * (k == until_miss)
+            return k + k % 3 + 99 * (k == eventually_miss)
+
+        _parity("eval_dsasr", s, 0, f, ID1, k1)

@@ -21,6 +21,17 @@ so a cache kept between runs is covered both ways.  BLAS runs on one thread.
 The corpus: the five noise-free presets; the three noisy presets at noise
 seeds 0-15; ``two_tank_phi3`` under an input penalty of 0.01 I; and
 ``two_tank_phi3`` under an input budget of 40 that ends at step 30 (and binds).
+
+The closed-loop traces are 51 samples long, so each pass also prints one
+``monitor@`` digest of the six readouts (``mpc.readouts`` at ``%.17g``, with
+the schedule ``stlmpc monitor`` computes) per formula of the ``monitor_long``
+benchmark workload and generated recording: 1001 and 3001 samples of the
+two-tank plant under piecewise-constant inputs and small noise, each as is,
+with ``-0.0`` samples and samples on the predicate thresholds (``+zeros``), and
+with NaN samples besides (``+nan``).  A readout of an all-time formula is a
+mean or minimum over up to 3000 anchors, which can absorb a last-bit change
+at one anchor; ``tests/test_semantics.py::TestLongSignals`` compares the
+evaluators with the reference anchor by anchor.
 """
 
 from __future__ import annotations
@@ -38,11 +49,14 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from stlmpc import cli, mpc  # noqa: E402
+from stlmpc import cli, compute_schedule, mpc, semantics, stl  # noqa: E402
 
 NOISE_FREE = ("two_tank_phi1", "two_tank_phi2", "two_tank_phi3", "example2_dasr", "example2_sr")
 NOISY = ("two_tank_phi1_noisy", "two_tank_phi2_noisy", "two_tank_phi3_noisy")
 SEEDS = range(16)
+MONITOR = ("two_tank_phi1", "two_tank_phi2", "two_tank_phi3", "example2_dasr")
+MONITOR_SAMPLES = (1001, 3001)
+THRESHOLDS = ((0, (0.0, 1.0, 2.0, 4.0, 5.0)), (1, (2.5,)))     # (state, values)
 
 
 def corpus():
@@ -70,17 +84,55 @@ def _update(h, arrays, statuses) -> None:
     h.update(" ".join(statuses).encode())
 
 
+def _update_readout(h, r: semantics.RobustnessReadout) -> None:
+    h.update(" ".join(repr(v) if v is None or isinstance(v, bool) else "%.17g" % v
+                      for v in (r.satisfied, r.sr, r.dasr, r.dsasr, r.prd, r.rd)).encode())
+
+
 def digest(trace: mpc.Trace, csv: Path) -> str:
     """Digest of a run and of its trace written to ``csv`` and read back."""
     h = hashlib.sha256()
     _update(h, (trace.states, trace.inputs, trace.noises, trace.objectives), trace.statuses)
-    r = trace.readout
-    h.update(" ".join(repr(v) if v is None or isinstance(v, bool) else "%.17g" % v
-                      for v in (r.satisfied, r.sr, r.dasr, r.dsasr, r.prd, r.rd)).encode())
+    _update_readout(h, trace.readout)
     cli.emit_trace(trace, csv)
     states, inputs, noises, statuses, objectives = cli.read_trace(csv)
     _update(h, (states, inputs, noises, objectives), statuses)
     return h.hexdigest()
+
+
+def recording(system: mpc.LtiSystem, samples: int, variant: str) -> np.ndarray:
+    """States of a generated recording; the same for every formula."""
+    rng = np.random.default_rng(samples)
+    K = samples - 1
+    u = np.repeat(rng.uniform(1.6, 2.6, size=K // 10 + 1), 10)[:K, None]
+    x = np.zeros((samples, system.n))
+    x[0] = np.linalg.solve(np.eye(system.n) - system.A, system.B @ u[0])
+    for k in range(K):
+        x[k + 1] = system.step(x[k], u[k], 0.02 * rng.standard_normal(system.n))
+    if variant in ("+zeros", "+nan"):
+        x[rng.choice(samples, samples // 20, replace=False)] = -0.0
+        for state, values in THRESHOLDS:
+            x[rng.choice(samples, samples // 10, replace=False), state] = rng.choice(
+                values, samples // 10)
+    if variant == "+nan":
+        x[rng.choice(samples, 3, replace=False), rng.integers(system.n, size=3)] = np.nan
+    return x
+
+
+def monitor_digests():
+    """(label, digest) of the readouts of every monitored recording."""
+    cfgs = [cli.ScenarioConfig.from_file(cli.preset_path(name)) for name in MONITOR]
+    for samples in MONITOR_SAMPLES:
+        for variant in ("", "+zeros", "+nan"):
+            states = recording(cfgs[0].system, samples, variant)
+            for name, cfg in zip(MONITOR, cfgs):
+                windows = stl.collect_event_ops(stl.unwrap(cfg.formula))
+                sched = compute_schedule(windows, cfg.system.grid) if windows else None
+                r = mpc.readouts(semantics.Signal(states, cfg.system.grid),
+                                 cfg.formula, cfg.table, sched)
+                h = hashlib.sha256()
+                _update_readout(h, r)
+                yield f"monitor@{name}@{samples}{variant}", h.hexdigest()
 
 
 def digests():
@@ -91,6 +143,8 @@ def digests():
             for label, cfg, config, noise in corpus():
                 trace = mpc.run(cfg.system, cfg.formula, cfg.table, config, noise)
                 yield pass_name, label, digest(trace, csv)
+            for label, d in monitor_digests():
+                yield pass_name, label, d
 
 
 def main(argv=None) -> int:
