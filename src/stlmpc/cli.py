@@ -89,6 +89,8 @@ __all__ = ["ScenarioConfig", "run_scenario", "emit_trace", "read_trace", "main",
 log = logging.getLogger("stlmpc")
 
 _FLOAT_FMT = "%.17g"
+# characters that end a field, a row or the data in a trace file
+_UNREADABLE = frozenset(",#\n\r")
 
 
 def _parse_matrix(text: str) -> np.ndarray:
@@ -223,7 +225,11 @@ def preset_path(name: str) -> Path:
 
 
 def emit_trace(trace: Trace, path: str | Path, plot_script: bool = False) -> None:
-    """Write the trace as CSV with a trailing '#'-commented summary block."""
+    """Write the trace as CSV with a trailing '#'-commented summary block.
+
+    Raises ``ValueError`` naming the step when a status holds ``,``, ``#`` or
+    a line break, which would not read back.
+    """
     path = Path(path)
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -237,6 +243,9 @@ def emit_trace(trace: Trace, path: str | Path, plot_script: bool = False) -> Non
         row += [_FLOAT_FMT % v for v in trace.states[k]]
         row += [_FLOAT_FMT % v for v in trace.inputs[k]]
         row += [_FLOAT_FMT % v for v in trace.noises[k]]
+        if not _UNREADABLE.isdisjoint(trace.statuses[k]):
+            raise ValueError(f"status {trace.statuses[k]!r} at step {k} holds ',', '#' or a "
+                             "line break, which would not read back")
         row.append(trace.statuses[k])
         row.append(_FLOAT_FMT % trace.objectives[k])
         lines.append(",".join(row))
@@ -284,23 +293,25 @@ def _emit_plot_script(csv_path: Path, n: int, m: int) -> None:
 def read_trace(path: str | Path):
     """Read an emitted CSV back into (states, inputs, noises, statuses, objectives).
 
-    Columns after the objective are ignored.  Raises ``ValueError`` when the
-    header lacks a column the format needs or a data row's field count differs
-    from the header's, and when a numeric field is not a decimal number
-    (unlike ``float()``, the reader takes no ``_`` digit separators); the
-    message names the file, the 1-based data row and the header column.
+    ``#`` starts a comment anywhere in a line; blank lines and comments are
+    skipped, and columns after the objective are ignored.  Raises
+    ``ValueError`` when the header lacks a column the format needs or a data
+    row's field count differs from the header's, and when a numeric field is
+    not a decimal number (unlike ``float()``, the reader takes no ``_`` digit
+    separators); the message names the file, the 1-based data row (counting
+    data lines only) and the header column.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        body = fh.read()
+        lines = list(map(str.strip, fh))
     # states and inputs are the x and u columns before the status, so a
     # trailing column named like one does not change the layout
     named = header[:header.index("status")] if "status" in header else header
     n = sum(1 for h in named if h.startswith("x"))
     m = sum(1 for h in named if h.startswith("u"))
-    lines = [line for raw in body.split("\n")
-             if (line := raw.strip()) and not line.startswith("#")]
-    if not lines:
+    # the first data line is usually the first line; no data at all would
+    # make loadtxt warn
+    if not any(line and line[0] != "#" for line in lines):
         return np.array([]), np.array([]), np.array([]), (), np.array([])
     width, status = len(header), 2 + 2 * n + m
     if width < status + 2:
@@ -308,15 +319,17 @@ def read_trace(path: str | Path):
                          f"of k, t, {n} states, {m} inputs, {n} noises, status and objective")
     # One field per column, so loadtxt rejects a row of another width.  k, t
     # and the columns after the objective stay unparsed; the status is kept
-    # whole as an object.  loadtxt parses floats with the routine float() uses.
+    # whole as an object.  loadtxt drops comments and blank lines and parses
+    # floats with the routine float() uses, all in C.
     columns = np.dtype([("k", "U1"), ("t", "U1"), ("values", float, (status - 2,)),
                         ("status", object), ("objective", float),
                         ("rest", "U1", (width - status - 2,))])
     try:
-        data = np.loadtxt(lines, dtype=columns, delimiter=",", comments=None, ndmin=1)
+        data = np.loadtxt(lines, dtype=columns, delimiter=",", comments="#", ndmin=1)
     except ValueError as exc:
         # name the first row that fails, by its field count or a field
-        for row, line in enumerate(lines, 1):
+        data_lines = (text for line in lines if (text := line.partition("#")[0]))
+        for row, line in enumerate(data_lines, 1):
             if len(fields := line.split(",")) != width:
                 raise ValueError(f"{path}: data row {row} has {len(fields)} fields, "
                                  f"the header has {width}") from exc

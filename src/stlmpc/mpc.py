@@ -32,6 +32,7 @@ from .scheduling import Schedule, compute_schedule
 from .semantics import (
     RobustnessReadout,
     Signal,
+    domain_of_influence,
     eval_bool,
     eval_dasr,
     eval_dsasr,
@@ -47,6 +48,7 @@ from .stl import (
     collect_event_ops,
     discrete_length,
     event_index,
+    predicate_ids,
     to_pnf,
     unwrap,
     validate_windows,
@@ -309,7 +311,10 @@ def readouts(sig: Signal, phi: Formula, table: PredicateTable,
              schedule: Schedule | None) -> RobustnessReadout:
     """Trace-limited robustness summary of a positive-normal-form formula.
 
-    None entries mean "not evaluable"; without a witness schedule dsasr is dasr.
+    None entries mean "not evaluable": all six when the signal is too short or
+    a predicate sample in some predicate's domain of influence is NaN (a
+    missing sample), ``rd`` alone outside its fragment.  Without a witness
+    schedule dsasr is dasr.
     """
     grid = sig.grid
     h_d = discrete_length(unwrap(phi), grid)
@@ -317,6 +322,11 @@ def readouts(sig: Signal, phi: Formula, table: PredicateTable,
     if isinstance(phi, OneTime):
         checkable = event_index(phi, grid) + h_d <= sig.last_index
     if not checkable:
+        return RobustnessReadout()
+    z = sig.predicate_values(table)
+    if np.isnan(z).any() and any(
+            np.isnan(z[list(domain_of_influence(phi, 0, pid, grid, sig.last_index)), pid]).any()
+            for pid in predicate_ids(phi)):
         return RobustnessReadout()
 
     satisfied = eval_bool(sig, 0, phi, table)

@@ -37,13 +37,15 @@ time with Python floats:
 * every mean is accumulated left to right, one term at a time, starting
   from ``0.0`` (so a leading -0.0 becomes +0.0), never pairwise.
 
-All functions are pure and operate on immutable inputs.
+All functions are pure and operate on immutable inputs.  A signal keeps
+the predicate matrix of each table it is evaluated against, so the
+readouts of one signal compute it once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -94,6 +96,9 @@ class Signal:
 
     states: np.ndarray
     grid: SamplingGrid
+    # predicate matrix per table, by identity; the table is kept alive with
+    # it so that its id cannot be reused
+    _z: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arr = np.atleast_2d(np.asarray(self.states, dtype=float))
@@ -106,8 +111,17 @@ class Signal:
         return self.states.shape[0] - 1
 
     def predicate_values(self, table: PredicateTable) -> np.ndarray:
-        """(K+1, N_mu) matrix of predicate function values."""
-        return table.z(self.states)
+        """(K+1, N_mu) matrix of predicate function values, read-only.
+
+        Computed at the first call for a table and returned again for it:
+        the signal and the table are immutable, so it cannot go stale.
+        """
+        kept = self._z.get(id(table))
+        if kept is None:
+            z = table.z(self.states)
+            z.setflags(write=False)
+            kept = self._z[id(table)] = (table, z)
+        return kept[1]
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import math
 import re
 import tempfile
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -315,6 +316,80 @@ class TestMalformedTraces:
         assert main(["monitor", "two_tank_phi3", str(path)]) == 0
         assert capsys.readouterr().out.splitlines() == [
             f"{name} = unverifiable" for name in ("satisfied", "sr", "dasr", "dsasr", "prd", "rd")]
+
+
+def _whitespace_lines(text: str) -> str:
+    lines = text.split("\n")
+    return "\n".join(lines[:2] + ["   ", "\t"] + lines[2:5] + [" \t "] + lines[5:])
+
+
+def _indented_comments(text: str) -> str:
+    lines = text.split("\n")
+    return "\n".join(lines[:2] + ["   # indented", "\t#"] + lines[2:5] + ["  #x,1,2"] + lines[5:])
+
+
+def _no_final_newline(text: str) -> str:
+    return text.rstrip("\n")
+
+
+def _note_after_objective(text: str) -> str:
+    header, *rest = text.split("\n")
+    return "\n".join([header] + [line if not line or line.startswith("#") else line + " # note"
+                                  for line in rest])
+
+
+def assert_reads_alike(path: Path, other: Path) -> None:
+    got, expect = read_trace(path), read_trace(other)
+    assert got[3] == expect[3]
+    for a, b in zip(got[:3] + got[4:], expect[:3] + expect[4:]):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
+class TestCommentsAndHandEdits:
+    """``#`` starts a comment anywhere; hand-edited files read like the reference."""
+
+    @pytest.mark.parametrize("rows", [51, 3001])
+    @pytest.mark.parametrize("edit", [_whitespace_lines, _indented_comments, _crlf,
+                                      _no_final_newline])
+    def test_hand_edits_read_like_the_reference(self, edit, rows, tmp_path):
+        plain, path = tmp_path / "plain.csv", tmp_path / "edited.csv"
+        emit_trace(recording(rows, seed=rows), plain)
+        path.write_bytes(edit(plain.read_text()).encode())
+        assert_reads_like_reference(path)
+        assert_reads_alike(path, plain)
+
+    def test_note_after_the_objective_is_ignored(self, tmp_path):
+        plain, path = tmp_path / "plain.csv", tmp_path / "noted.csv"
+        emit_trace(recording(51), plain)
+        path.write_text(_note_after_objective(plain.read_text()))
+        assert_reads_alike(path, plain)
+
+    def test_status_holding_a_hash_is_a_short_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{HEADER}\n# kept\n0,0,1,2,3,4,5,idle,nan\n\n  # edited\n"
+                        "1,12,1,2,3,4,5,idle,nan\n2,24,1,2,3,4,5,id#le,nan\n")
+        with pytest.raises(ValueError, match="bad.csv: data row 3 has 8 fields, the header has 9"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("text", [HEADER + "\n", HEADER,
+                                      HEADER + "\n# only\n  # comments\n\n \t \n# snr_db = 1\n"],
+                                 ids=["header", "header without newline", "comments"])
+    def test_no_data_reads_empty_without_a_warning(self, text, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states, inputs, noises, statuses, objectives = read_trace(path)
+        assert statuses == ()
+        for a in (states, inputs, noises, objectives):
+            assert a.shape == (0,) and a.dtype == np.float64
+
+    @pytest.mark.parametrize("status", ["a,b", "#", "note # here", "two\nlines", "cr\r"])
+    def test_emit_refuses_a_status_it_could_not_read_back(self, status, tmp_path):
+        statuses = ("idle", "idle", status, "final")
+        with pytest.raises(ValueError, match=re.escape(f"status {status!r} at step 2 holds")):
+            emit_trace(numeric_trace(np.ones((4, 6)), 2, 1, statuses), tmp_path / "t.csv")
 
 
 class TestScenarioConfig:

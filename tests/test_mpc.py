@@ -15,18 +15,23 @@ from stlmpc import (
     ControlConfig,
     ControlError,
     LtiSystem,
+    Signal,
     NoiseModel,
     PredicateTable,
     RunConfig,
     SamplingGrid,
     Trace,
+    collect_event_ops,
+    compute_schedule,
     eval_bool,
     parse,
     run,
     snr_db,
     to_pnf,
+    unwrap,
 )
 from stlmpc import cli, mpc, qp_builder
+from stlmpc.semantics import RobustnessReadout
 
 from conftest import TANK_A, TANK_B
 
@@ -388,3 +393,41 @@ class TestSnr:
         states = [[1.0], [1.0]]
         noises = [[0.0], [0.0]]
         assert snr_db(make_trace(states, noises)) == math.inf
+
+
+def scalar_readout(text: str, x) -> RobustnessReadout:
+    phi, table = to_pnf(*parse(text, n_states=1))
+    windows = collect_event_ops(unwrap(phi))
+    sched = compute_schedule(windows, GRID1) if windows else None
+    return mpc.readouts(Signal(np.asarray(x, dtype=float)[:, None], GRID1), phi, table, sched)
+
+
+class TestMissingSamples:
+    """A NaN predicate sample that the formula reads makes every readout unverifiable."""
+
+    # the until's max skipped NaN candidates, so dasr read -inf where dsasr read nan
+    @pytest.mark.parametrize("text", ["G[0,inf]((x1 >= 0) U[0,3] (x1 >= 2))",
+                                      "G[0,inf](G[0,3](x1 >= 0))", "F[0,3](x1 >= 2)"])
+    def test_nan_in_a_domain_is_unverifiable(self, text):
+        x = np.linspace(0.0, 3.0, 20)
+        x[2] = math.nan
+        assert scalar_readout(text, x) == RobustnessReadout()
+
+    def test_nan_outside_every_domain_leaves_the_readout(self):
+        text = "G[0,3](x1 >= 0) & F[0,3](x1 >= 2)"       # reads steps 0 to 3
+        x = np.linspace(0.0, 3.0, 20)
+        expect = scalar_readout(text, x)
+        x[10] = math.nan
+        assert expect.satisfied is not None and expect.rd is None
+        assert repr(scalar_readout(text, x)) == repr(expect)
+
+    def test_nan_in_a_recorded_run(self):
+        cfg = cli.ScenarioConfig.from_file(cli.preset_path("two_tank_phi2"))
+        trace = run(cfg.system, cfg.formula, cfg.table, cfg.run_config, cfg.noise)
+        sched = compute_schedule(collect_event_ops(unwrap(cfg.formula)), cfg.system.grid)
+        states = trace.states.copy()
+        assert mpc.readouts(Signal(states, cfg.system.grid), cfg.formula, cfg.table,
+                            sched) == trace.readout
+        states[20, 1] = math.nan
+        assert mpc.readouts(Signal(states, cfg.system.grid), cfg.formula, cfg.table,
+                            sched) == RobustnessReadout()

@@ -757,3 +757,52 @@ class TestLongSignals:
             return k + k % 3 + 99 * (k == eventually_miss)
 
         _parity("eval_dsasr", s, 0, f, ID1, k1)
+
+
+# ---------------------------------------------------------------------------
+# The predicate matrix a signal keeps
+
+
+class TestPredicateMatrix:
+    """A signal computes each table's predicate matrix once and keeps it read-only."""
+
+    @pytest.mark.parametrize("text", ["G[0,inf](G[0,3](x1 >= 0) & G[0,2](x2 <= 5))",
+                                      "G[0,inf]((x1 >= 0) U[1,4] (x2 >= 1))"])
+    def test_one_matrix_for_all_six_readouts(self, text, monkeypatch):
+        phi, table = to_pnf(*parse(text, n_states=2))
+        windows = collect_event_ops(unwrap(phi))
+        sched = compute_schedule(windows, GRID1) if windows else None
+        calls = []
+        z = PredicateTable.z
+        monkeypatch.setattr(PredicateTable, "z",
+                            lambda self, x: calls.append(self) or z(self, x))
+        s = Signal(np.random.default_rng(0).uniform(-1, 6, size=(40, 2)), GRID1)
+        eval_bool(s, 0, phi, table)
+        eval_sr(s, 0, phi, table)
+        eval_dasr(s, 0, phi, table)
+        if sched is not None:
+            eval_dsasr(s, 0, phi, table, sched)
+        prd(s, phi, 0, table)
+        try:
+            robustness_degree_axis(s, phi, 0, table)
+        except ValueError:
+            assert sched is not None        # the until lies outside the fragment
+        assert calls == [table]
+
+    def test_kept_matrix_is_read_only(self):
+        s = sig(1.0, -2.0, 3.0)
+        z = s.predicate_values(ID1)
+        assert s.predicate_values(ID1) is z
+        assert not z.flags.writeable
+        with pytest.raises(ValueError):
+            z[0, 0] = 0.0
+
+    def test_a_second_table_gets_its_own_matrix(self):
+        s = sig(-1.0, 2.0)
+        z = s.predicate_values(ID1)
+        equal, double = PredicateTable([[1.0]], [0.0]), PredicateTable([[2.0]], [0.0])
+        assert equal == ID1
+        assert s.predicate_values(equal) is not z
+        assert s.predicate_values(double) is s.predicate_values(double)
+        assert s.predicate_values(double).tolist() == [[-2.0], [4.0]]
+        assert s.predicate_values(ID1) is z and z.tolist() == [[-1.0], [2.0]]

@@ -32,6 +32,12 @@ with NaN samples besides (``+nan``).  A readout of an all-time formula is a
 mean or minimum over up to 3000 anchors, which can absorb a last-bit change
 at one anchor; ``tests/test_semantics.py::TestLongSignals`` compares the
 evaluators with the reference anchor by anchor.
+
+Each pass also prints one ``read@3001[+edit]`` digest of the five arrays
+``cli.read_trace`` returns for the 3001-sample ``+nan`` recording written by
+``cli.emit_trace``: as written, with CRLF line ends (``+crlf``), with blank
+and whitespace-only lines (``+blank``), with indented comment lines
+(``+comments``) and with a trailing column (``+column``).
 """
 
 from __future__ import annotations
@@ -100,15 +106,17 @@ def digest(trace: mpc.Trace, csv: Path) -> str:
     return h.hexdigest()
 
 
-def recording(system: mpc.LtiSystem, samples: int, variant: str) -> np.ndarray:
-    """States of a generated recording; the same for every formula."""
+def recording(system: mpc.LtiSystem, samples: int, variant: str) -> mpc.Trace:
+    """A generated recording; its states are the same for every formula."""
     rng = np.random.default_rng(samples)
     K = samples - 1
-    u = np.repeat(rng.uniform(1.6, 2.6, size=K // 10 + 1), 10)[:K, None]
-    x = np.zeros((samples, system.n))
+    u = np.zeros((samples, 1))
+    u[:K] = np.repeat(rng.uniform(1.6, 2.6, size=K // 10 + 1), 10)[:K, None]
+    x, v = np.zeros((samples, system.n)), np.zeros((samples, system.n))
     x[0] = np.linalg.solve(np.eye(system.n) - system.A, system.B @ u[0])
     for k in range(K):
-        x[k + 1] = system.step(x[k], u[k], 0.02 * rng.standard_normal(system.n))
+        v[k] = 0.02 * rng.standard_normal(system.n)
+        x[k + 1] = system.step(x[k], u[k], v[k])
     if variant in ("+zeros", "+nan"):
         x[rng.choice(samples, samples // 20, replace=False)] = -0.0
         for state, values in THRESHOLDS:
@@ -116,7 +124,41 @@ def recording(system: mpc.LtiSystem, samples: int, variant: str) -> np.ndarray:
                 values, samples // 10)
     if variant == "+nan":
         x[rng.choice(samples, 3, replace=False), rng.integers(system.n, size=3)] = np.nan
-    return x
+    statuses = tuple(np.resize(("optimal", "relaxed", "iteration-limit", "idle"), K)) + ("final",)
+    return mpc.Trace(states=x, inputs=u, noises=v, statuses=statuses, objectives=np.cumsum(v),
+                     grid=system.grid, snr_db=0.0, readout=semantics.RobustnessReadout())
+
+
+def _data_lines(text: str, edit) -> str:
+    """The text with ``edit`` applied to every line after the header that is not a comment."""
+    header, *rest = text.split("\n")
+    return "\n".join([header] + [edit(line) if line and not line.startswith("#") else line
+                                  for line in rest])
+
+
+# hand edits the reader must see through; each keeps the data bit for bit
+EDITS = {
+    "": lambda text: text,
+    "+crlf": lambda text: text.replace("\n", "\r\n"),
+    "+blank": lambda text: _data_lines(text, lambda line: line + "\n\n  \t "),
+    "+comments": lambda text: _data_lines(text, lambda line: "  # note\n\t#\n" + line),
+    "+column": lambda text: _data_lines(text, lambda line: line + ",note").replace(
+        "objective\n", "objective,note\n", 1),
+}
+
+
+def read_digests(csv: Path):
+    """(label, digest) of the five arrays read back from hand-edited copies of
+    the longest generated recording."""
+    cfg = cli.ScenarioConfig.from_file(cli.preset_path(MONITOR[0]))
+    cli.emit_trace(recording(cfg.system, MONITOR_SAMPLES[-1], "+nan"), csv)
+    text = csv.read_text()
+    for name, edit in EDITS.items():
+        csv.write_bytes(edit(text).encode())
+        states, inputs, noises, statuses, objectives = cli.read_trace(csv)
+        h = hashlib.sha256()
+        _update(h, (states, inputs, noises, objectives), statuses)
+        yield f"read@{MONITOR_SAMPLES[-1]}{name}", h.hexdigest()
 
 
 def monitor_digests():
@@ -124,7 +166,7 @@ def monitor_digests():
     cfgs = [cli.ScenarioConfig.from_file(cli.preset_path(name)) for name in MONITOR]
     for samples in MONITOR_SAMPLES:
         for variant in ("", "+zeros", "+nan"):
-            states = recording(cfgs[0].system, samples, variant)
+            states = recording(cfgs[0].system, samples, variant).states
             for name, cfg in zip(MONITOR, cfgs):
                 windows = stl.collect_event_ops(stl.unwrap(cfg.formula))
                 sched = compute_schedule(windows, cfg.system.grid) if windows else None
@@ -144,6 +186,8 @@ def digests():
                 trace = mpc.run(cfg.system, cfg.formula, cfg.table, config, noise)
                 yield pass_name, label, digest(trace, csv)
             for label, d in monitor_digests():
+                yield pass_name, label, d
+            for label, d in read_digests(csv):
                 yield pass_name, label, d
 
 
