@@ -17,11 +17,9 @@ Scenarios are flat INI files (see ``presets/`` for complete examples)::
     u_min = 0
     u_max = 6
     input_penalty = 0          ; scalar or matrix, like `a`
-    budget = 20                ; optional total input budget
-    budget_end = 444           ; seconds the budget covers, default unlimited
+    budget = 20                ; optional total input budget over the run
     objective = dsasr          ; dsasr | sr-baseline
     slack = on                 ; on | off
-    slack_weight = auto        ; auto | positive float
     resolve_each_step = yes    ; no = keep executing the first plan
     constraint_margin = 1e-9   ; satisfaction rows require z >= margin at future steps
 
@@ -37,6 +35,7 @@ Scenarios are flat INI files (see ``presets/`` for complete examples)::
 
 The boolean keys (``slack``, ``resolve_each_step``, ``plot_script``) take
 1/0, yes/no, true/false or on/off in any case; any other word is an error.
+A section or key not shown above is an error too (``configparser.Error``).
 
 Commands: ``run <preset|config>``, ``check <preset|config>``,
 ``monitor <preset|config> <trace.csv>``.  Set STLMPC_LOG=debug for verbose
@@ -93,6 +92,31 @@ _FLOAT_FMT = "%.17g"
 _UNREADABLE = frozenset(",#\n\r")
 
 
+# every section and key the schema above documents
+_KEYS = {
+    "system": ("a", "b", "x0", "sample_time"),
+    "formula": ("text", "event_time"),
+    "control": ("horizon", "u_min", "u_max", "input_penalty", "budget", "objective", "slack",
+                "resolve_each_step", "constraint_margin"),
+    "simulation": ("duration", "noise", "noise_std", "seed"),
+    "output": ("trace", "plot_script"),
+}
+
+
+def _check_keys(cp: configparser.ConfigParser, path) -> None:
+    """Raise ``configparser.Error`` at the first section or key the schema lacks."""
+    if cp.defaults():
+        raise configparser.Error(f"{path}: unknown section [{cp.default_section}]")
+    for section in cp.sections():
+        keys = cp.options(section)
+        if section not in _KEYS:
+            raise configparser.Error(f"{path}: unknown section [{section}] with keys "
+                                     f"{', '.join(keys) or '(none)'}")
+        for key in keys:
+            if key not in _KEYS[section]:
+                raise configparser.Error(f"{path}: unknown key {key!r} in section [{section}]")
+
+
 def _parse_matrix(text: str) -> np.ndarray:
     rows = [r.strip() for r in text.split(";") if r.strip()]
     return np.array([[float(v) for v in r.split()] for r in rows], dtype=float)
@@ -122,6 +146,7 @@ class ScenarioConfig:
         read = cp.read(path)
         if not read:
             raise FileNotFoundError(f"config file not found: {path}")
+        _check_keys(cp, path)
 
         sys_sec = cp["system"]
         A = _parse_matrix(sys_sec["a"])
@@ -144,19 +169,13 @@ class ScenarioConfig:
         if horizon < h_d:
             raise ValueError(
                 f"horizon = {horizon} is shorter than the formula length h_d = {h_d}")
-        budget_end = ctrl.get("budget_end")
         budget_total = ctrl.get("budget")
-        slack_weight_raw = ctrl.get("slack_weight", "auto")
         control = ControlConfig(
             horizon=horizon,
             u_min=float(ctrl.get("u_min", -math.inf)),
             u_max=float(ctrl.get("u_max", math.inf)),
             input_penalty=_as_penalty(ctrl.get("input_penalty"), system.m),
             budget_total=float(budget_total) if budget_total is not None else None,
-            budget_end=(int(float(budget_end) / grid.T + 1e-9)
-                        if budget_end is not None else None),
-            slack_weight=(None if slack_weight_raw.strip() == "auto"
-                          else float(slack_weight_raw)),
             constraint_margin=float(ctrl.get("constraint_margin", 1e-9)),
         )
 
@@ -169,6 +188,7 @@ class ScenarioConfig:
             std=_parse_vector(sim.get("noise_std", "0")) if noise_kind != "none" else 0.0,
             seed=int(sim.get("seed", 0)),
         )
+        noise.check(system.n)
 
         run_config = RunConfig(
             control=control,

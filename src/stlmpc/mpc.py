@@ -32,7 +32,9 @@ from .scheduling import Schedule, compute_schedule
 from .semantics import (
     RobustnessReadout,
     Signal,
-    domain_of_influence,
+    SignalTooShortError,
+    _check_horizon,
+    _domains,
     eval_bool,
     eval_dasr,
     eval_dsasr,
@@ -42,13 +44,10 @@ from .semantics import (
 )
 from .stl import (
     Formula,
-    OneTime,
     PredicateTable,
     SamplingGrid,
     collect_event_ops,
     discrete_length,
-    event_index,
-    predicate_ids,
     to_pnf,
     unwrap,
     validate_windows,
@@ -111,9 +110,17 @@ class NoiseModel:
         if np.any(np.asarray(self.std) < 0):
             raise ValueError("noise deviation must be non-negative")
 
+    def check(self, n: int) -> None:
+        """Raise ``ValueError`` unless the deviations fit n states: one, or one per state."""
+        count = np.size(self.std)
+        if self.kind != "none" and count not in (1, n):
+            raise ValueError(f"noise_std holds {count} values; the system has {n} states, "
+                             "so give 1 or n")
+
     def samples(self, steps: int, n: int) -> np.ndarray:
         if self.kind == "none":
             return np.zeros((steps, n))
+        self.check(n)
         std = np.broadcast_to(np.asarray(self.std, dtype=float), (n,))
         rng = np.random.default_rng(self.seed)
         return rng.standard_normal((steps, n)) * std
@@ -184,11 +191,9 @@ _runs_lock = threading.Lock()
 
 def _value(v):
     """A hashable stand-in for v, equal exactly when the values are: arrays and
-    numbers by their float64 bytes, tuples item by item."""
+    numbers by their float64 bytes."""
     if v is None:
         return None
-    if isinstance(v, tuple):
-        return tuple(map(_value, v))
     arr = np.asarray(v, dtype=float)
     return arr.shape, arr.tobytes()
 
@@ -251,7 +256,7 @@ def run(system: LtiSystem, phi: Formula, table: PredicateTable, config: RunConfi
 
     plan: np.ndarray | None = None
     plan_start = 0
-    slack_weight = config.control.slack_weight
+    weight = None                   # of the slack, set at the first relaxed step
 
     for k0 in range(K):
         if k_event is not None and (k0 < k_event or k0 >= k_event + h_d):
@@ -277,10 +282,10 @@ def run(system: LtiSystem, phi: Formula, table: PredicateTable, config: RunConfi
                 if not config.slack_enabled:
                     raise ControlError(
                         f"all branches infeasible at step {k0} and slack relaxation is off")
-                if slack_weight is None:
+                if weight is None:
                     scale = float(np.abs(states[:k0 + 1]).max(initial=1.0))
-                    slack_weight = default_slack_weight(table, scale)
-                problems = [add_slack_relaxation(p, slack_weight) for p in problems]
+                    weight = default_slack_weight(table, scale)
+                problems = [add_slack_relaxation(p, weight) for p in problems]
                 solutions = [solve(p) for p in problems]
                 best = _pick_best(problems, solutions)
                 status = "relaxed"
@@ -317,16 +322,14 @@ def readouts(sig: Signal, phi: Formula, table: PredicateTable,
     schedule dsasr is dasr.
     """
     grid = sig.grid
-    h_d = discrete_length(unwrap(phi), grid)
-    checkable = sig.last_index >= h_d
-    if isinstance(phi, OneTime):
-        checkable = event_index(phi, grid) + h_d <= sig.last_index
-    if not checkable:
+    try:
+        _check_horizon(sig, 0, phi)
+    except SignalTooShortError:
         return RobustnessReadout()
     z = sig.predicate_values(table)
     if np.isnan(z).any() and any(
-            np.isnan(z[list(domain_of_influence(phi, 0, pid, grid, sig.last_index)), pid]).any()
-            for pid in predicate_ids(phi)):
+            np.isnan(z[domain, pid]).any()
+            for pid, domain in _domains(phi, 0, grid, sig.last_index).items()):
         return RobustnessReadout()
 
     satisfied = eval_bool(sig, 0, phi, table)

@@ -9,8 +9,7 @@ penalty, subject to
   the cost and the epigraph bounds),
 * epigraph rows linking one auxiliary variable per anchor step to each
   conjunct for conjunctions,
-* input box bounds, an optional input budget, and arbitrary extra linear
-  input constraints.
+* input box bounds and an optional total input budget.
 
 Disjunctions produce one problem per branch; the caller solves all branches
 and applies the input of the best one.  Decision vectors are laid out as
@@ -28,7 +27,7 @@ u(a + s), which is ``sum_t w_t (C A^(r_t - s - 1) B)[p_t]`` over its terms
 every offset, the run holds the relative terms, which are also the
 satisfaction pattern, the dense input coefficients and the predicate mass,
 one :class:`_BranchTable` per DNF branch, next to the stacked dynamics
-``C A^k B`` and the input box rows.
+``C A^k B`` and the input rows.
 
 A step's problem depends on its step k0 only through the step's shape
 (the number of recorded steps in its window, and where its anchors start
@@ -585,10 +584,11 @@ def build_R(theta: Formula, schedule: Schedule | None, N: int, k_l: int, k_h: in
 
 @dataclass(frozen=True)
 class ControlConfig:
-    """Optimizer-facing knobs: horizon, input constraints, penalties, slack.
+    """Optimizer-facing knobs: horizon, input box and budget, input penalty, margin.
 
-    ``constraint_margin`` tightens every satisfaction row, each a sample
-    after the current step, to z >= margin; the default of 1e-9 is
+    ``budget_total`` bounds the sum of every input from step 0 to the end of
+    the horizon.  ``constraint_margin`` tightens every satisfaction row, each
+    a sample after the current step, to z >= margin; the default of 1e-9 is
     invisible at problem scales but keeps actively pinned predicates
     boolean-true when the plan is re-simulated through the plant recursion,
     whose rounding differs from the stacked prediction.
@@ -599,9 +599,6 @@ class ControlConfig:
     u_max: float | Sequence[float] = np.inf
     input_penalty: np.ndarray | None = None
     budget_total: float | None = None
-    budget_end: int | None = None       # last absolute step the budget covers
-    extra_ineqs: tuple[tuple[np.ndarray, float], ...] = ()
-    slack_weight: float | None = None
     constraint_margin: float = 1e-9
 
     def bounds(self, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -637,11 +634,13 @@ class CompiledRun:
 
     ``k_event`` is None for all-time formulas; each DNF branch lists
     (conjunct, op_index) pairs, and ``tables`` holds one table of its
-    conjuncts per branch; ``M`` is the input penalty, ``quad`` its block
-    over the stacked inputs (None without a penalty); ``box_rows @ u_st <=
-    box_b`` are the input box rows.  ``templates`` memoizes the steps'
-    problems short of their right-hand sides, per step shape (see
-    :func:`build_problem`).
+    conjuncts per branch; ``quad`` is the input penalty's block over the
+    stacked inputs (None without a penalty).  Every step's problem ends with
+    the rows ``input_rows`` over the stacked inputs, of the kinds
+    ``input_kinds``: the box rows, whose bounds are ``box_b``, then with a
+    budget one row summing every input; both arrays are read-only.
+    ``templates`` memoizes the steps' problems short of their right-hand
+    sides, per step shape (see :func:`build_problem`).
     Its ``config`` and ``x0`` hold read-only copies of the caller's arrays.
     """
 
@@ -658,9 +657,9 @@ class CompiledRun:
     dyn: StackedDynamics
     lo: np.ndarray
     hi: np.ndarray
-    M: np.ndarray
     quad: np.ndarray | None
-    box_rows: np.ndarray
+    input_rows: np.ndarray
+    input_kinds: tuple[str, ...]
     box_b: np.ndarray
     templates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -679,8 +678,7 @@ def compile_run(phi: Formula, system, table: PredicateTable, config: ControlConf
     grid = system.grid
     validate_windows(phi, grid)
     config = replace(config, u_min=_owned(config.u_min), u_max=_owned(config.u_max),
-                     input_penalty=_owned(config.input_penalty),
-                     extra_ineqs=tuple((_owned(c), _owned(b)) for c, b in config.extra_ineqs))
+                     input_penalty=_owned(config.input_penalty))
     theta = unwrap(phi)
     h_d = discrete_length(theta, grid)
     N = config.horizon
@@ -691,12 +689,6 @@ def compile_run(phi: Formula, system, table: PredicateTable, config: ControlConf
     m = dyn.m
     lo, hi = config.bounds(m)
     M = config.penalty(m)
-    for coeffs, _ in config.extra_ineqs:
-        if np.size(coeffs) != N * m:
-            raise ValueError(f"extra constraint has {np.size(coeffs)} coefficients, "
-                             f"expected {N * m}")
-    if config.budget_end is not None and config.budget_end < 0:
-        raise ValueError(f"budget_end must be a step >= 0, got {config.budget_end}")
     k_event = event_index(phi, grid) if isinstance(phi, OneTime) else None
     windows = collect_event_ops(theta)
     if windows and schedule is None:
@@ -705,24 +697,29 @@ def compile_run(phi: Formula, system, table: PredicateTable, config: ControlConf
     branches = tuple(map(tuple, _dnf(theta)))
     G = dyn.H2[:, :m].reshape(N, table.size, m)
     quad = np.kron(np.eye(N), M) if np.any(M) else None
-    box_A, box_b = _box_rows(lo, hi, N)
+    in_rows, in_kinds, box_b = _input_rows(lo, hi, N, config.budget_total is not None)
     return CompiledRun(phi, table, grid, _owned(system.x0), config, h_d,
                        k_event, schedule, branches,
                        tuple(_tabulate(branch, schedule, grid, table.size, G, h_d)
                              for branch in branches),
-                       dyn, lo, hi, M, quad, _frozen(box_A), box_b)
+                       dyn, lo, hi, quad, _frozen(in_rows), in_kinds, _frozen(box_b))
 
 
-def _box_rows(lo: np.ndarray, hi: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per step, an upper then a lower row for every input with a finite limit."""
+def _input_rows(lo: np.ndarray, hi: np.ndarray, N: int, budget: bool):
+    """Rows over the stacked inputs, their kinds and the box rows' bounds.
+
+    Per step, an upper then a lower row for every input with a finite limit;
+    then, with a budget, one row summing every input.
+    """
     m = lo.size
     limits = np.array([(j, sign, bound) for j in range(m)
                        for sign, bound in ((1.0, hi[j]), (-1.0, -lo[j]))
                        if np.isfinite(bound)]).reshape(-1, 3)
     box_cols = (np.arange(N)[:, None] * m + limits[:, 0].astype(int)).reshape(-1)
-    A = np.zeros((box_cols.size, N * m))
+    A = np.zeros((box_cols.size + budget, N * m))
     A[np.arange(box_cols.size), box_cols] = np.tile(limits[:, 1], N)
-    return A, np.tile(limits[:, 2], N)
+    A[box_cols.size:] = 1.0
+    return A, ("box",) * box_cols.size + ("budget",) * budget, np.tile(limits[:, 2], N)
 
 
 class _Step(NamedTuple):
@@ -799,38 +796,18 @@ def _row_info(preds: list[int], steps: list[int], t_lo: int) -> dict[int, tuple[
     return dict(enumerate(zip(preds, map(t_lo.__add__, steps))))
 
 
-def _input_bounds(run: CompiledRun, k0: int, input_history: np.ndarray | None):
-    """Right-hand sides of the box, budget and extra rows at step k0, and how
-    many stacked inputs the budget row covers (None without a budget).
-
-    The input budget covers the absolute steps [0, budget_end].
-    """
-    config = run.config
-    extra = [float(b) for _, b in config.extra_ineqs]
-    if config.budget_total is None:
-        return None, np.concatenate([run.box_b, extra])
-    N, m = config.horizon, run.dyn.m
-    end = config.budget_end if config.budget_end is not None else k0 + N - 1
-    hist = (np.zeros((0, m)) if input_history is None
+def _input_bounds(run: CompiledRun, k0: int, input_history: np.ndarray | None) -> np.ndarray:
+    """Right-hand sides of the input rows at step k0: the box bounds, then the
+    budget less the inputs u(0..k0-1) already spent."""
+    budget = run.config.budget_total
+    if budget is None:
+        return run.box_b
+    hist = (np.zeros((0, run.dyn.m)) if input_history is None
             else np.atleast_2d(np.asarray(input_history, dtype=float)))
     if hist.shape[0] < k0:
         raise ValueError(f"input_history must hold u(0..{k0 - 1}) to count the budget "
                          f"spent, got {hist.shape[0]} rows")
-    spent = float(hist[:k0][:min(k0, end + 1)].sum())
-    return (min(N, max(0, end - k0 + 1)) * m,
-            np.concatenate([run.box_b, [float(config.budget_total) - spent], extra]))
-
-
-def _input_rows(run: CompiledRun, budget_cols: int | None):
-    """Box, budget and extra rows over the stacked inputs, and the rows' kinds.
-
-    The budget row covers the first ``budget_cols`` inputs (no row when None).
-    """
-    box = run.box_rows
-    budget = np.zeros((0 if budget_cols is None else 1, box.shape[1]))
-    budget[:, :budget_cols] = 1.0
-    rows = np.vstack([box, budget, *(np.reshape(c, -1) for c, _ in run.config.extra_ineqs)])
-    return rows, ("box",) * box.shape[0] + ("extra",) * (rows.shape[0] - box.shape[0])
+    return np.concatenate([run.box_b, [float(budget) - float(hist[:k0].sum())]])
 
 
 def build_problem(run: CompiledRun, k0: int = 0, state_history: np.ndarray | None = None,
@@ -845,9 +822,9 @@ def build_problem(run: CompiledRun, k0: int = 0, state_history: np.ndarray | Non
     a step computes only the right-hand side from the recorded states.
     """
     step = _predict(run, k0, state_history)
-    budget_cols, b_in = _input_bounds(run, k0, input_history)
+    b_in = _input_bounds(run, k0, input_history)
     return [_assemble(run, tpl, branch_ix, step, b_in)
-            for branch_ix, tpl in enumerate(_templates(run, step, budget_cols))]
+            for branch_ix, tpl in enumerate(_templates(run, step))]
 
 
 class _Template(NamedTuple):
@@ -878,28 +855,26 @@ class _Template(NamedTuple):
     steps: list[int]
 
 
-def _templates(run: CompiledRun, step: _Step, budget_cols: int | None) -> tuple[_Template, ...]:
+def _templates(run: CompiledRun, step: _Step) -> tuple[_Template, ...]:
     """One template per branch for the shape of this step, built at its first use.
 
     The shape is everything a template reads of the step: k0 and the first
-    anchor relative to the window start, the number of anchors, the first
-    anchor's residue modulo the schedule period, and the budget row's
-    length.  An all-time formula thus has (h_d - 1) + delta shapes (h_d - 1
-    before its first full window, then one per residue), a one-time formula
-    one per k0 - k_event; a budget with ``budget_end`` adds its length.
+    anchor relative to the window start, the number of anchors, and the
+    first anchor's residue modulo the schedule period.  An all-time formula
+    thus has (h_d - 1) + delta shapes (h_d - 1 before its first full
+    window, then one per residue), a one-time formula one per k0 - k_event.
     """
     a0 = int(step.anchors[0])
     shape = (step.k0 - step.t_lo, a0 - step.t_lo, step.anchors.size,
-             a0 % run.tables[0].row_of.shape[1], budget_cols)
+             a0 % run.tables[0].row_of.shape[1])
     templates = run.templates.get(shape)
     if templates is None:
         templates = run.templates.setdefault(shape, tuple(
-            _template(run, tab, step, budget_cols) for tab in run.tables))
+            _template(run, tab, step) for tab in run.tables))
     return templates
 
 
-def _template(run: CompiledRun, tab: _BranchTable, step: _Step,
-              budget_cols: int | None) -> _Template:
+def _template(run: CompiledRun, tab: _BranchTable, step: _Step) -> _Template:
     N, m, n_mu = run.config.horizon, run.dyn.m, run.table.size
     n_anchor = step.anchors.size
     n_conj = tab.row_of.shape[0]
@@ -919,9 +894,8 @@ def _template(run: CompiledRun, tab: _BranchTable, step: _Step,
     # satisfaction rows only after k0: no input changes the recorded samples
     samples = np.unique(cols[cols >= step.n_past])
     stl_u, preds, steps = _stl_rows(run, step, samples)
-    in_u, in_kinds = _input_rows(run, budget_cols)
 
-    blocks = (stl_u, epi_u, in_u) if multi else (stl_u, in_u)
+    blocks = (stl_u, epi_u, run.input_rows) if multi else (stl_u, run.input_rows)
     A = np.zeros((sum(b.shape[0] for b in blocks), layout.total))
     A[:, n_epi:] = np.concatenate(blocks)
     lin = np.zeros(layout.total)
@@ -942,7 +916,7 @@ def _template(run: CompiledRun, tab: _BranchTable, step: _Step,
         arr.setflags(write=False)
     return _Template(
         rows=problem_rows, lin=lin, quad=quad, layout=layout,
-        row_kinds=("stl",) * samples.size + ("epigraph",) * (rows.size * multi) + in_kinds,
+        row_kinds=("stl",) * samples.size + ("epigraph",) * (rows.size * multi) + run.input_kinds,
         cost_pred_mass=cost_pred_mass, epigraph_pred_mass=epigraph_pred_mass,
         samples=samples, cols=cols, w=w, preds=preds, steps=steps)
 
@@ -1059,8 +1033,8 @@ def build_sr_baseline(run: CompiledRun, k0: int = 0, state_history: np.ndarray |
     layout = VariableLayout(1, run.config.horizon, run.dyn.m)
     samples = np.unique(_terms_at(run.tables[0], step.anchors, step.t_lo, table.size)[1])
     stl_u, preds, steps = _stl_rows(run, step, samples)
-    budget_cols, b_in = _input_bounds(run, k0, input_history)
-    in_u, in_kinds = _input_rows(run, budget_cols)
+    b_in = _input_bounds(run, k0, input_history)
+    in_u = run.input_rows
 
     lin = np.zeros(layout.total)
     lin[0] = 1.0
@@ -1069,7 +1043,7 @@ def build_sr_baseline(run: CompiledRun, k0: int = 0, state_history: np.ndarray |
         rows=SparseRows.from_dense(np.block([[np.ones((samples.size, 1)), stl_u],
                                              [np.zeros((in_u.shape[0], 1)), in_u]])),
         b_ub=np.concatenate([step.z_const[samples], b_in]),
-        layout=layout, row_kinds=("stl",) * samples.size + in_kinds,
+        layout=layout, row_kinds=("stl",) * samples.size + run.input_kinds,
         stl_row_info=_row_info(preds, steps, step.t_lo), n_predicates=table.size,
         cost_pred_mass=np.zeros(table.size))
 

@@ -6,7 +6,8 @@ order and stacked dense row blocks.  The functions below are that code,
 kept as the oracle the table-driven builder in :mod:`stlmpc.qp_builder` must
 reproduce (to rounding; see ``tests/test_builder_oracle.py``).  They are
 unchanged except where the compiled run's interface moved: the box rows are
-read from ``run.box_rows``, the debug matrices are handed over as
+read from ``run.input_rows``, the penalty from ``run.config``, the budget
+row covers every stacked input, the debug matrices are handed over as
 ``explain``, and ``build_problem`` keeps the satisfaction points of the
 steps after k0 only (the recorded samples are constants, so their rows no
 longer exist and every remaining row takes the constraint margin).
@@ -170,7 +171,7 @@ def _stl_rows(pred: _Prediction, points: tuple[np.ndarray, np.ndarray], layout: 
 
 def _input_rows(run: CompiledRun, k0: int, layout: VariableLayout,
                 input_history: np.ndarray | None):
-    """Box, budget and extra rows over the inputs, and the input penalty.
+    """Box and budget rows over the inputs, and the input penalty.
 
     Returns (A, b, kinds, quad) with every block placed at ``layout.u_slice``.
     """
@@ -178,35 +179,28 @@ def _input_rows(run: CompiledRun, k0: int, layout: VariableLayout,
     N, m = config.horizon, run.dyn.m
     n_u, n_y, u = layout.n_u, layout.total, layout.u_slice
 
-    extra: list[tuple[np.ndarray, float]] = []
-    # input budget over absolute steps [0, budget_end]
+    budget: list[tuple[np.ndarray, float]] = []
+    # input budget over absolute steps [0, k0 + N - 1]
     if config.budget_total is not None:
-        end = config.budget_end if config.budget_end is not None else k0 + N - 1
         hist = (np.zeros((0, m)) if input_history is None
                 else np.atleast_2d(np.asarray(input_history, dtype=float)))
         if hist.shape[0] < k0:
             raise ValueError(f"input_history must hold u(0..{k0 - 1}) to count the budget "
                              f"spent, got {hist.shape[0]} rows")
-        spent = float(hist[:k0][:min(k0, end + 1)].sum())
-        coeffs = np.zeros(n_u)
-        coeffs[:min(N, max(0, end - k0 + 1)) * m] = 1.0
-        extra.append((coeffs, float(config.budget_total) - spent))
-    for coeffs, bound in config.extra_ineqs:
-        coeffs = np.asarray(coeffs, dtype=float).reshape(-1)
-        if coeffs.shape[0] != n_u:
-            raise ValueError(f"extra constraint has {coeffs.shape[0]} coefficients, expected {n_u}")
-        extra.append((coeffs, float(bound)))
+        spent = float(hist[:k0].sum())
+        budget.append((np.ones(n_u), float(config.budget_total) - spent))
     n_box = run.box_b.size
-    A = np.zeros((n_box + len(extra), n_y))
-    A[:n_box, u] = run.box_rows
-    for r, (coeffs, _) in enumerate(extra):
+    A = np.zeros((n_box + len(budget), n_y))
+    A[:n_box, u] = run.input_rows[:n_box]
+    for r, (coeffs, _) in enumerate(budget):
         A[n_box + r, u] = coeffs
 
     quad = np.zeros((n_y, n_y))
-    if np.any(run.M):
-        quad[u, u] = np.kron(np.eye(N), run.M)
-    return (A, np.concatenate([run.box_b, [b for _, b in extra]]),
-            ["box"] * n_box + ["extra"] * len(extra), quad)
+    M = config.penalty(m)
+    if np.any(M):
+        quad[u, u] = np.kron(np.eye(N), M)
+    return (A, np.concatenate([run.box_b, [b for _, b in budget]]),
+            ["box"] * n_box + ["budget"] * len(budget), quad)
 
 
 def build_problem(run: CompiledRun, k0: int = 0, state_history: np.ndarray | None = None,

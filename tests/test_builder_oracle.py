@@ -4,7 +4,7 @@
 stacks dense row blocks, as the builder did before it tabulated conjuncts
 per run.  Both must compile the same problems to rounding: rows are matched
 by kind and key (satisfaction rows by (predicate, step), epigraph rows by
-(conjunct, anchor), box, extra and slack rows by position), and every
+(conjunct, anchor), box, budget and slack rows by position), and every
 array must agree within 1e-12 of its largest reference entry.  The debug
 matrices and the satisfaction rows' (predicate, step) pairs agree exactly.
 Every problem the builder makes, plain or relaxed, must keep the row form
@@ -183,8 +183,7 @@ SYNTHETIC = {
         dict(event_time=36.0), dict(horizon=9, u_min=0, u_max=6)),
     "budget_extra": (
         "G[0,inf](F[12,48](x1 >= 1) & G[0,24](x1 <= 4))", {},
-        dict(horizon=6, u_min=0, u_max=6, budget_total=30.0, budget_end=9,
-             extra_ineqs=((np.arange(6.0) - 2.0, 4.0),))),
+        dict(horizon=6, u_min=0, u_max=6, budget_total=30.0)),
     "two_inputs": (
         "G[0,inf](F[12,48](x1 >= 1) & (x1 <= 4) U[0,36] (x2 >= 0.1))", {},
         dict(horizon=7, u_min=(0, -1), u_max=(6, 1), budget_total=40.0)),

@@ -1,8 +1,11 @@
 """Configuration ingestion, trace files, presets, and command behavior."""
 
+import configparser
+import itertools
 import math
 import re
 import tempfile
+import textwrap
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -13,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import trace_reference
-from stlmpc import SamplingGrid, Trace, cli, run
+from stlmpc import NoiseModel, SamplingGrid, Trace, cli, run
 from stlmpc.cli import (
     ScenarioConfig,
     emit_trace,
@@ -432,6 +435,66 @@ class TestScenarioConfig:
         for word in ("onn", "yse", "2", "enabled"):
             with pytest.raises(ValueError, match=f"{key} = '{word}' is not a boolean"):
                 load(word)
+
+
+def preset_copy(tmp_path: Path, edit) -> Path:
+    """A copy of the two_tank_phi2 preset with ``edit`` applied to its text."""
+    text = preset_path("two_tank_phi2").read_text()
+    assert edit(text) != text
+    path = tmp_path / "edited.ini"
+    path.write_text(edit(text))
+    return path
+
+
+# (edit, section, key) of a scenario holding a section or key the schema lacks
+UNKNOWN = {
+    "misspelled_key": (lambda text: text.replace("u_max = 6", "u_mx = 6"), "[control]", "u_mx"),
+    "budget_end": (lambda text: text.replace("slack = on", "slack = on\nbudget_end = 300"),
+                   "[control]", "budget_end"),
+    "slack_weight": (lambda text: text.replace("slack = on", "slack = on\nslack_weight = 50"),
+                     "[control]", "slack_weight"),
+    "misspelled_section": (lambda text: text.replace("[control]", "[contrl]"), "[contrl]",
+                           "horizon"),
+}
+
+
+class TestSchema:
+    def test_docstring_example_lists_every_accepted_key(self):
+        lines = cli.__doc__.split("::\n", 1)[1].splitlines()
+        example = itertools.takewhile(lambda line: not line or line.startswith("    "), lines)
+        cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        cp.read_string(textwrap.dedent("\n".join(example)))
+        assert ({section: sorted(cp.options(section)) for section in cp.sections()}
+                == {section: sorted(keys) for section, keys in cli._KEYS.items()})
+
+    @pytest.mark.parametrize("case", sorted(UNKNOWN))
+    def test_unknown_section_or_key_is_an_error(self, case, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        edit, section, key = UNKNOWN[case]
+        path = preset_copy(tmp_path, edit)
+        with pytest.raises(configparser.Error):
+            ScenarioConfig.from_file(path)
+        for argv in (["run", str(path)], ["check", str(path)],
+                     ["monitor", str(path), "trace.csv"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert str(path) in err and section in err and key in err
+        assert not (tmp_path / "two_tank_phi2_trace.csv").exists()
+
+    def test_noise_std_holds_one_value_or_one_per_state(self, tmp_path, capsys):
+        def noisy(std):
+            return lambda text: text.replace("noise = none", f"noise = gaussian\nnoise_std = {std}")
+
+        for std in ("0.3", "0.3 0.4"):
+            ScenarioConfig.from_file(preset_copy(tmp_path, noisy(std)))
+        path = preset_copy(tmp_path, noisy("0.3 0.4 0.5"))
+        message = "noise_std holds 3 values; the system has 2 states"
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig.from_file(path)
+        assert main(["check", str(path)]) == 1
+        assert message in capsys.readouterr().err
+        with pytest.raises(ValueError, match=message):
+            NoiseModel("gaussian", np.array([0.3, 0.4, 0.5])).samples(4, 2)
 
 
 class TestCommands:

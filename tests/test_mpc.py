@@ -218,11 +218,6 @@ class TestCompileOnce:
                         sim_steps=3)
         with pytest.raises(ValueError, match="input penalty must be 1x1"):
             run(tank, phi, table, cfg)
-        phi, table = parse("event => F[120,240](x1 >= 2)", n_states=2, event_time=360.0)
-        cfg = RunConfig(control=ControlConfig(horizon=20, extra_ineqs=((np.ones(3), 1.0),)),
-                        sim_steps=3)
-        with pytest.raises(ValueError, match="extra constraint has 3 coefficients, expected 20"):
-            run(tank, phi, table, cfg)
 
 
 def same_trace(a: Trace, b: Trace) -> bool:
@@ -262,7 +257,7 @@ class TestCompileReuse:
 
     @pytest.mark.parametrize("change", [
         "horizon", "u_max", "table_offset", "x0", "input_penalty", "constraint_margin",
-        "budget_end", "extra_ineqs"])
+        "budget_total"])
     def test_any_changed_input_compiles_anew(self, change):
         system, phi, table, config = reuse_scenario()
         if change == "table_offset":
@@ -271,8 +266,7 @@ class TestCompileReuse:
             system = LtiSystem(system.A, system.B, np.array([0.6, 0.1]), system.grid)
         else:
             value = {"horizon": 7, "u_max": 5.0, "input_penalty": 0.01 * np.eye(1),
-                     "constraint_margin": 0.05, "budget_end": 5,
-                     "extra_ineqs": ((np.arange(6.0) - 2.0, 4.0),)}[change]
+                     "constraint_margin": 0.05, "budget_total": 25.0}[change]
             config = with_control(config, **{change: value})
         mpc._runs.clear()
         base = reuse_scenario()
@@ -285,28 +279,28 @@ class TestCompileReuse:
     def test_editing_a_callers_array_cannot_reach_a_kept_run(self):
         system, phi, table, config = reuse_scenario()
 
-        def arrays(penalty, coeffs):
-            return with_control(config, input_penalty=penalty, extra_ineqs=((coeffs, 4.0),))
+        def arrays(penalty, u_max):
+            return with_control(config, input_penalty=penalty, u_max=u_max)
 
-        penalty, coeffs = 0.01 * np.eye(1), np.arange(6.0) - 2.0
+        penalty, u_max = 0.01 * np.eye(1), np.array([6.0])
         mpc._runs.clear()
         # two steps keep a run of the original values with only its first templates
-        run(system, phi, table, replace(arrays(penalty, coeffs), sim_steps=2), self.NOISE)
-        original = arrays(penalty.copy(), coeffs.copy())
+        run(system, phi, table, replace(arrays(penalty, u_max), sim_steps=2), self.NOISE)
+        original = arrays(penalty.copy(), u_max.copy())
         penalty *= 50.0
-        coeffs[:] = coeffs[::-1]
-        edited = run(system, phi, table, arrays(penalty, coeffs), self.NOISE)
+        u_max[:] = 4.0
+        edited = run(system, phi, table, arrays(penalty, u_max), self.NOISE)
         # the kept run builds its remaining templates from its own copies
         again = run(system, phi, table, original, self.NOISE)
         assert len(mpc._runs) == 2
         for kept in mpc._runs.values():
-            held = (kept.config.input_penalty, kept.config.extra_ineqs[0][0])
-            assert held[0] is not penalty and held[1] is not coeffs
+            held = (kept.config.input_penalty, kept.config.u_max)
+            assert held[0] is not penalty and held[1] is not u_max
             assert not any(a.flags.writeable for a in held)
         mpc._runs.clear()
         assert same_trace(again, run(system, phi, table, original, self.NOISE))
         mpc._runs.clear()
-        assert same_trace(edited, run(system, phi, table, arrays(penalty.copy(), coeffs.copy()),
+        assert same_trace(edited, run(system, phi, table, arrays(penalty.copy(), u_max.copy()),
                                       self.NOISE))
         assert not same_trace(again, edited)
 
@@ -431,3 +425,10 @@ class TestMissingSamples:
         states[20, 1] = math.nan
         assert mpc.readouts(Signal(states, cfg.system.grid), cfg.formula, cfg.table,
                             sched) == RobustnessReadout()
+
+    def test_nan_in_a_recording_too_short_for_the_event(self):
+        # the formula reads steps 4 to 7 of a recording that ends at step 5
+        phi, table = to_pnf(*parse("event => G[0,3](x1 >= 0)", n_states=1, event_time=4.0))
+        x = np.linspace(0.0, 1.0, 6)
+        x[5] = math.nan
+        assert mpc.readouts(Signal(x[:, None], GRID1), phi, table, None) == RobustnessReadout()

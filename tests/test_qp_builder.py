@@ -601,13 +601,12 @@ class TestSrBaseline:
         with pytest.raises(FragmentError, match="not axis-aligned"):
             build_sr_baseline(compile_run(phi, system, table, ControlConfig(horizon=3)))
 
-    @pytest.mark.parametrize("k0, history_rows, extra_ineqs, message", [
-        (2, 5, (), r"state_history must hold x\(0\.\.2\), got 5 rows"),
-        (0, 1, ((np.ones(3), 1.0),), "extra constraint has 3 coefficients, expected 37"),
-    ], ids=["state_history", "extra_ineqs"])
-    def test_bad_inputs_raise_like_build_problem(self, k0, history_rows, extra_ineqs, message):
+    @pytest.mark.parametrize("k0, history_rows, message", [
+        (2, 5, r"state_history must hold x\(0\.\.2\), got 5 rows"),
+    ], ids=["state_history"])
+    def test_bad_inputs_raise_like_build_problem(self, k0, history_rows, message):
         phi, table = _parse_pnf("event => (G[144,216](x1 >= 1) & G[372,444](x1 >= 1))")
-        config = ControlConfig(horizon=37, u_min=0, u_max=3, extra_ineqs=extra_ineqs)
+        config = ControlConfig(horizon=37, u_min=0, u_max=3)
         history = np.zeros((history_rows, 2))
         for build in (build_problem, build_sr_baseline):
             with pytest.raises(ValueError, match=message):
@@ -629,7 +628,7 @@ class TestInputBudget:
         problems = build(self._run(), k0=3, state_history=np.zeros((4, 1)),
                          input_history=np.ones((3, 1)))
         p = problems[0] if isinstance(problems, list) else problems
-        assert p.b_ub[p.row_kinds.index("extra")] == -1.0
+        assert p.b_ub[p.row_kinds.index("budget")] == -1.0
 
     @pytest.mark.parametrize("rows", [None, 0, 1, 2])
     @pytest.mark.parametrize("build", [build_problem, build_sr_baseline])
@@ -638,15 +637,6 @@ class TestInputBudget:
         history = None if rows is None else np.ones((rows, 1))
         with pytest.raises(ValueError, match=r"input_history must hold u\(0\.\.2\)"):
             build(self._run(), k0=3, state_history=np.zeros((4, 1)), input_history=history)
-
-    @pytest.mark.parametrize("end", [-1, -3])
-    def test_negative_budget_end_is_rejected(self, end):
-        # a negative end would count recorded inputs through a slice from the end
-        system = LtiSystem(np.array([[0.5]]), np.array([[1.0]]), np.zeros(1), GRID1)
-        table = PredicateTable([[1.0]], [0.0])
-        with pytest.raises(ValueError, match=f"budget_end must be a step >= 0, got {end}"):
-            compile_run(AllTime(Always(Pred(0), 0.0, 1.0)), system, table,
-                        ControlConfig(horizon=2, budget_total=2.0, budget_end=end))
 
 
 class TestDebugDump:

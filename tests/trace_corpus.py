@@ -20,7 +20,7 @@ so a cache kept between runs is covered both ways.  BLAS runs on one thread.
 
 The corpus: the five noise-free presets; the three noisy presets at noise
 seeds 0-15; ``two_tank_phi3`` under an input penalty of 0.01 I; and
-``two_tank_phi3`` under an input budget of 40 that ends at step 30 (and binds).
+``two_tank_phi3`` under a total input budget of 40 (which binds).
 
 The closed-loop traces are 51 samples long, so each pass also prints one
 ``monitor@`` digest of the six readouts (``mpc.readouts`` at ``%.17g``, with
@@ -77,7 +77,7 @@ def corpus():
     cfg = cli.ScenarioConfig.from_file(cli.preset_path("two_tank_phi3"))
     variants = {
         "two_tank_phi3+penalty": dict(input_penalty=0.01 * np.eye(cfg.system.m)),
-        "two_tank_phi3+budget_end": dict(budget_total=40.0, budget_end=30),
+        "two_tank_phi3+budget": dict(budget_total=40.0),
     }
     for label, change in variants.items():
         control = dataclasses.replace(cfg.run_config.control, **change)
