@@ -38,8 +38,10 @@ The boolean keys (``slack``, ``resolve_each_step``, ``plot_script``) take
 A section or key not shown above is an error too (``configparser.Error``).
 
 Commands: ``run <preset|config>``, ``check <preset|config>``,
-``monitor <preset|config> <trace.csv>``.  Set STLMPC_LOG=debug for verbose
-logging.
+``monitor <preset|config> <trace.csv>``.  Exit code 2 means an input is
+invalid (any ``ValueError``, such as a ``ParseError`` or a ``FragmentError``,
+a missing file, section or key, an unknown one); 1 means the run failed.
+Set STLMPC_LOG=debug for verbose logging.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from .mpc import LtiSystem, NoiseModel, RunConfig, Trace, readouts, run
-from .parser import ParseError, parse
+from .parser import parse
 from .qp_builder import ControlConfig, build_problem, build_sr_baseline, compile_run
 from .scheduling import compute_schedule
 # the readout functions stay importable here: perfbench/workloads.py times
@@ -138,7 +140,6 @@ class ScenarioConfig:
     noise: NoiseModel
     trace_path: str
     plot_script: bool
-    source: str
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScenarioConfig":
@@ -166,9 +167,6 @@ class ScenarioConfig:
 
         ctrl = cp["control"] if cp.has_section("control") else {}
         horizon = int(ctrl.get("horizon", h_d))
-        if horizon < h_d:
-            raise ValueError(
-                f"horizon = {horizon} is shorter than the formula length h_d = {h_d}")
         budget_total = ctrl.get("budget")
         control = ControlConfig(
             horizon=horizon,
@@ -203,8 +201,7 @@ class ScenarioConfig:
         return cls(system=system, formula=formula, table=table, control=control,
                    run_config=run_config, noise=noise,
                    trace_path=out.get("trace", default_trace),
-                   plot_script=_as_bool("plot_script", out.get("plot_script", "no")),
-                   source=str(path))
+                   plot_script=_as_bool("plot_script", out.get("plot_script", "no")))
 
 
 _BOOLEANS = {"1": True, "yes": True, "true": True, "on": True,
@@ -419,7 +416,7 @@ def monitor_scenario(config_path: str | Path, trace_path: str | Path) -> int:
     if states.ndim == 2 and states.shape[1] != cfg.system.n:
         raise ValueError(f"{trace_path} has {states.shape[1]} state columns, "
                          f"the scenario has n = {cfg.system.n} states")
-    windows = collect_event_ops(unwrap(cfg.formula))
+    windows = collect_event_ops(cfg.formula)
     sched = compute_schedule(windows, cfg.system.grid) if windows else None
     readout = readouts(Signal(states, cfg.system.grid), cfg.formula, cfg.table, sched)
     for line in _readout_lines(readout):
@@ -450,10 +447,10 @@ def main(argv: list[str] | None = None) -> int:
         if ns.command == "check":
             return check_scenario(path)
         return monitor_scenario(path, ns.trace)
-    except (ParseError, configparser.Error, FileNotFoundError, KeyError) as exc:
+    except (ValueError, configparser.Error, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # infeasibility, solver failures, bad dimensions
+    except Exception as exc:  # ControlError, SolverError and anything unforeseen
         log.debug("failure", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -47,9 +47,7 @@ from .stl import (
     PredicateTable,
     SamplingGrid,
     collect_event_ops,
-    discrete_length,
     to_pnf,
-    unwrap,
     validate_windows,
 )
 
@@ -58,7 +56,11 @@ __all__ = ["LtiSystem", "NoiseModel", "RunConfig", "Trace", "ControlError", "run
 
 
 class ControlError(RuntimeError):
-    """Unrecoverable failure of the closed loop (solver breakdown or misconfiguration)."""
+    """Unrecoverable failure of the closed loop: no usable solution at a step.
+
+    A misconfigured run (a formula outside the control fragment, a horizon
+    shorter than the formula) is a ``ValueError`` from ``compile_run`` instead.
+    """
 
 
 @dataclass(frozen=True)
@@ -71,9 +73,9 @@ class LtiSystem:
     grid: SamplingGrid
 
     def __post_init__(self) -> None:
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        x0 = np.asarray(self.x0, dtype=float).reshape(-1)
+        A = np.atleast_2d(np.array(self.A, dtype=float))
+        B = np.atleast_2d(np.array(self.B, dtype=float))
+        x0 = np.array(self.x0, dtype=float).reshape(-1)
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got {A.shape}")
         if B.shape[0] != A.shape[0]:
@@ -231,17 +233,10 @@ def run(system: LtiSystem, phi: Formula, table: PredicateTable, config: RunConfi
     grid = system.grid
     phi, table = to_pnf(phi, table)
     validate_windows(phi, grid)
-    theta = unwrap(phi)
-    h_d = discrete_length(theta, grid)
-    if config.control.horizon < h_d:
-        raise ControlError(
-            f"prediction horizon N={config.control.horizon} is shorter than the "
-            f"formula length {h_d}")
-
-    windows = collect_event_ops(theta)
+    windows = collect_event_ops(phi)
     schedule = compute_schedule(windows, grid) if windows else None
     compiled = _compile(phi, system, table, config.control, schedule)
-    k_event = compiled.k_event
+    h_d, k_event = compiled.h_d, compiled.k_event
 
     K = config.sim_steps
     n, m = system.n, system.m

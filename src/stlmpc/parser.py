@@ -1,4 +1,4 @@
-"""Concrete syntax for the STL fragment.
+"""Concrete syntax for bounded STL.
 
 Grammar (whitespace insensitive)::
 
@@ -19,8 +19,9 @@ Grammar (whitespace insensitive)::
 Predicates are affine in the state: ``x3 >= 1.5`` stores the normal row
 e_3 with offset -1.5 (so the predicate function is x3 - 1.5), while
 ``x3 <= 1.5`` stores -e_3 with offset +1.5.  Duplicate predicates share
-one table row.  Temporal operators may only be applied to atoms (true, a
-predicate, or a negated predicate); nesting them raises a syntax error.
+one table row.  Temporal operators nest, and ``!`` may stand before any
+subformula.  An unbounded interval appears only in the root ``G[0,inf]``
+wrapper, and the wrappers only at the root.
 """
 
 from __future__ import annotations
@@ -44,14 +45,13 @@ from .stl import (
     PredicateTable,
     TrueNode,
     Until,
-    is_gamma,
 )
 
 __all__ = ["ParseError", "ParsedFormula", "parse", "pretty_print"]
 
 
 class ParseError(ValueError):
-    """Syntax or fragment error, annotated with the offending position."""
+    """Syntax error, annotated with the offending position."""
 
     def __init__(self, message: str, text: str, pos: int):
         self.pos = pos
@@ -215,14 +215,9 @@ class _Parser:
         left = self.parse_unary()
         tok = self._peek()
         if tok is not None and tok.value == "U":
-            pos = tok.pos
             self._next()
             a, b = self.parse_interval()
-            right = self.parse_unary()
-            if not (is_gamma(left) and is_gamma(right)):
-                raise ParseError("until operands must be atoms (nested temporal operators "
-                                 "are outside the fragment)", self.text, pos)
-            return Until(left, right, a, b)
+            return Until(left, self.parse_unary(), a, b)
         return left
 
     def parse_interval(self) -> tuple[float, float]:
@@ -253,19 +248,11 @@ class _Parser:
             raise self._fail("unexpected end of input")
         if tok.value == "!":
             self._next()
-            child = self.parse_unary()
-            if not isinstance(child, (Pred, Not, TrueNode)):
-                raise ParseError("negation applies to predicates only in the fragment",
-                                 self.text, tok.pos)
-            return Not(child)
+            return Not(self.parse_unary())
         if tok.value in ("F", "G"):
-            pos = tok.pos
             self._next()
             a, b = self.parse_interval()
             child = self.parse_unary()
-            if not is_gamma(child):
-                raise ParseError("temporal operand must be an atom (nested temporal operators "
-                                 "are outside the fragment)", self.text, pos)
             return Eventually(child, a, b) if tok.value == "F" else Always(child, a, b)
         if tok.value == "(":
             self._next()

@@ -334,12 +334,18 @@ def _dnf(theta: Formula):
     """Branches of the disjunctive normal form, each a list of (psi, op_index).
 
     op_index enumerates eventually/until operators of the whole formula in
-    document order (always-operators get None).
+    document order (always-operators get None).  Raises ``FragmentError``
+    at the first conjunct that is not a temporal operator over predicates.
     """
     counter = 0
 
     def walk(g: Formula):
         nonlocal counter
+        if isinstance(g, Until):
+            _atom_pred(g.left, "until left operand")
+            _atom_pred(g.right, "until right operand")
+        elif isinstance(g, (Eventually, Always)):
+            _atom_pred(g.child, f"{type(g).__name__.lower()}-operand")
         if isinstance(g, (Until, Eventually)):
             idx = counter
             counter += 1
@@ -486,10 +492,7 @@ def _offset_terms(psi: Formula, op_index: int | None, schedule: Schedule | None,
     if isinstance(psi, Always):
         window = omega(psi.a, psi.b, grid)
         return np.zeros(period, dtype=np.int64), _always_terms(
-            _atom_pred(psi.child, "always-operand"),
-            np.array([window.start]), np.array([window.stop - 1]))
-    if not isinstance(psi, (Eventually, Until)):
-        raise FragmentError(f"conjuncts must be temporal operators, got {type(psi).__name__}")
+            psi.child.pred_id, np.array([window.start]), np.array([window.stop - 1]))
     if schedule is None:
         raise ValueError("eventually/until operators need a witness schedule")
     # an operator's witness offsets k1(a) - a lie in base .. base + delta - 1 and
@@ -499,10 +502,8 @@ def _offset_terms(psi: Formula, op_index: int | None, schedule: Schedule | None,
     a = np.arange(period)
     row_of = k1_many(schedule, op_index, a) - a - base
     if isinstance(psi, Eventually):
-        return row_of, _eventually_terms(_atom_pred(psi.child, "eventually-operand"), base + a)
-    return row_of, _until_terms(_atom_pred(psi.left, "until left operand"),
-                                _atom_pred(psi.right, "until right operand"),
-                                np.zeros_like(a), base + a)
+        return row_of, _eventually_terms(psi.child.pred_id, base + a)
+    return row_of, _until_terms(psi.left.pred_id, psi.right.pred_id, np.zeros_like(a), base + a)
 
 
 def _tabulate(branch, schedule: Schedule | None, grid: SamplingGrid, n_mu: int,
@@ -674,12 +675,15 @@ def compile_run(phi: Formula, system, table: PredicateTable, config: ControlConf
     """Validate a positive-normal-form formula and compute what no step changes.
 
     ``system`` provides A, B, x0 and the grid; a missing witness schedule is computed.
+    Raises ``FragmentError`` for a formula outside the control fragment, then
+    ``ValueError`` for a horizon shorter than the formula length.
     """
     grid = system.grid
     validate_windows(phi, grid)
     config = replace(config, u_min=_owned(config.u_min), u_max=_owned(config.u_max),
                      input_penalty=_owned(config.input_penalty))
     theta = unwrap(phi)
+    branches = tuple(map(tuple, _dnf(theta)))
     h_d = discrete_length(theta, grid)
     N = config.horizon
     if N < h_d:
@@ -694,7 +698,6 @@ def compile_run(phi: Formula, system, table: PredicateTable, config: ControlConf
     if windows and schedule is None:
         schedule = compute_schedule(windows, grid)
 
-    branches = tuple(map(tuple, _dnf(theta)))
     G = dyn.H2[:, :m].reshape(N, table.size, m)
     quad = np.kron(np.eye(N), M) if np.any(M) else None
     in_rows, in_kinds, box_b = _input_rows(lo, hi, N, config.budget_total is not None)

@@ -1,15 +1,15 @@
-"""Core STL fragment: AST nodes, sampling grid, predicate table and formula algebra.
+"""Bounded STL: AST nodes, sampling grid, predicate table and formula algebra.
 
-The supported fragment is built from affine predicates and three layers:
+Formulas are built from affine predicates, negation, conjunction,
+disjunction and the bounded temporal operators until, eventually and
+always, which nest freely.  A formula may be wrapped at the root into an
+all-time formula (the property must hold at every sampling step) or a
+one-time formula (the property is anchored at a single event instant).
 
-* atoms ``gamma``: true, a predicate, or a negated predicate,
-* ``psi``: a single bounded temporal operator (until / eventually / always)
-  whose children are atoms,
-* ``theta``: conjunctions and disjunctions of ``psi`` formulas,
-
-optionally wrapped at the root into an all-time formula (the property must
-hold at every sampling step) or a one-time formula (the property is anchored
-at a single event instant).
+Control (``qp_builder.compile_run``) takes only the paper's fragment:
+conjunctions and disjunctions of single temporal operators whose operands
+are predicates, under the same root wrappers, in positive normal form
+(:func:`to_pnf` pushes negations into the predicates).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "collect_event_ops",
     "iter_nodes",
     "predicate_ids",
-    "is_gamma",
     "validate_windows",
     "unwrap",
 ]
@@ -96,8 +95,8 @@ class PredicateTable:
 
     def __init__(self, rows: Sequence[Sequence[float]], offsets: Sequence[float],
                  names: Sequence[str] | None = None):
-        self._C = np.atleast_2d(np.asarray(rows, dtype=float))
-        self._c = np.asarray(offsets, dtype=float).reshape(-1)
+        self._C = np.atleast_2d(np.array(rows, dtype=float))
+        self._c = np.array(offsets, dtype=float).reshape(-1)
         if self._C.shape[0] != self._c.shape[0]:
             raise ValueError("row count and offset count differ")
         if names is None:
@@ -291,16 +290,6 @@ def predicate_ids(f: Formula) -> tuple[int, ...]:
 def unwrap(f: Formula) -> Formula:
     """Strip a root AllTime/OneTime wrapper, if present."""
     return f.child if isinstance(f, _WRAPPERS) else f
-
-
-# ---------------------------------------------------------------------------
-# Classification
-
-
-def is_gamma(f: Formula) -> bool:
-    if isinstance(f, (TrueNode, Pred)):
-        return True
-    return isinstance(f, Not) and isinstance(f.child, Pred)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,16 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import trace_reference
-from stlmpc import NoiseModel, SamplingGrid, Trace, cli, run
+from stlmpc import (
+    NoiseModel,
+    SamplingGrid,
+    Signal,
+    Trace,
+    cli,
+    collect_event_ops,
+    compute_schedule,
+    run,
+)
 from stlmpc.cli import (
     ScenarioConfig,
     emit_trace,
@@ -25,6 +34,7 @@ from stlmpc.cli import (
     read_trace,
     run_scenario,
 )
+from stlmpc.mpc import readouts
 from stlmpc.semantics import RobustnessReadout
 
 PRESETS = sorted(p.name.removesuffix(".ini")
@@ -303,13 +313,13 @@ class TestMalformedTraces:
         text, message = MALFORMED[case]
         path = tmp_path / "bad.csv"
         path.write_text(text)
-        assert main(["monitor", "two_tank_phi3", str(path)]) == 1
+        assert main(["monitor", "two_tank_phi3", str(path)]) == 2
         assert message in capsys.readouterr().err
 
     def test_monitor_rejects_state_count_mismatch(self, tmp_path, capsys):
         path = tmp_path / "one_state.csv"
         emit_trace(numeric_trace(np.ones((40, 4)), 1, 1, ("idle",) * 40), path)
-        assert main(["monitor", "two_tank_phi3", str(path)]) == 1
+        assert main(["monitor", "two_tank_phi3", str(path)]) == 2
         assert "1 state columns, the scenario has n = 2 states" in capsys.readouterr().err
 
     @pytest.mark.parametrize("header", [HEADER, "k,t,x1,u1,v1,status,objective"])
@@ -491,7 +501,7 @@ class TestSchema:
         message = "noise_std holds 3 values; the system has 2 states"
         with pytest.raises(ValueError, match=message):
             ScenarioConfig.from_file(path)
-        assert main(["check", str(path)]) == 1
+        assert main(["check", str(path)]) == 2
         assert message in capsys.readouterr().err
         with pytest.raises(ValueError, match=message):
             NoiseModel("gaussian", np.array([0.3, 0.4, 0.5])).samples(4, 2)
@@ -587,6 +597,65 @@ class TestCommands:
 
     def test_unknown_config_exits_two(self, capsys):
         assert main(["run", "definitely_missing.ini"]) == 2
+
+
+def phi3_copy(tmp_path: Path, name: str, text: str, horizon: int = 35) -> Path:
+    """A copy of the two_tank_phi3 preset with another formula and horizon."""
+    lines = preset_path("two_tank_phi3").read_text().splitlines()
+    edits = {"text": text, "horizon": str(horizon), "trace": f"{name}.csv"}
+    path = tmp_path / f"{name}.ini"
+    path.write_text("\n".join(
+        f"{key} = {edits[key]}" if (key := line.partition(" = ")[0]) in edits else line
+        for line in lines) + "\n")
+    return path
+
+
+NESTED = "G[0,inf](G[0,60](F[0,36](x1 >= 2)) & ((x1 <= 4) U[180,420] F[0,24](x2 <= 2.5)))"
+PHI3 = "G[0,inf](F[120,240](x1 >= 2) & (x1 <= 4) U[180,420] (x2 <= 2.5) & {})"
+
+
+class TestNestedFormulas:
+    """``monitor`` reads bounded STL; ``run`` and ``check`` take the control fragment."""
+
+    @pytest.fixture
+    def phi3_trace(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "two_tank_phi3"]) == 0
+        capsys.readouterr()
+        return tmp_path / "two_tank_phi3_trace.csv"
+
+    @pytest.mark.parametrize("horizon", [35, 40])  # h_d = 37
+    def test_monitor_prints_the_readouts(self, horizon, phi3_trace, tmp_path, capsys):
+        cfg_path = phi3_copy(tmp_path, "nested", NESTED, horizon)
+        assert main(["monitor", str(cfg_path), str(phi3_trace)]) == 0
+        cfg = ScenarioConfig.from_file(cfg_path)
+        grid = cfg.system.grid
+        sched = compute_schedule(collect_event_ops(cfg.formula), grid)
+        r = readouts(Signal(read_trace(phi3_trace)[0], grid), cfg.formula, cfg.table, sched)
+        out = capsys.readouterr().out.splitlines()
+        assert out == [line[2:] for line in cli._readout_lines(r)]
+        assert out[-1] == "rd = unverifiable" and r.sr is not None
+
+    @pytest.mark.parametrize("horizon", [35, 40])
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_run_and_check_reject_it(self, command, horizon, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg_path = phi3_copy(tmp_path, "nested", NESTED, horizon)
+        assert main([command, str(cfg_path)]) == 2
+        assert "always-operand must be a predicate, got Eventually" in capsys.readouterr().err
+        assert not (tmp_path / "nested.csv").exists()
+
+    def test_negated_temporal_conjunct_is_its_pnf(self, phi3_trace, tmp_path, capsys):
+        negated = phi3_copy(tmp_path, "negated", PHI3.format("!G[0,24](x1 <= 1)"))
+        positive = phi3_copy(tmp_path, "positive", PHI3.format("F[0,24](x1 >= 1)"))
+        assert main(["check", str(negated)]) == 0
+        assert main(["run", str(negated)]) == 0
+        capsys.readouterr()
+        printed = []
+        for path in (negated, positive):
+            assert main(["monitor", str(path), str(phi3_trace)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
 
 
 class TestPresetRuns:

@@ -14,6 +14,7 @@ import pytest
 from stlmpc import (
     ControlConfig,
     ControlError,
+    FragmentError,
     LtiSystem,
     Signal,
     NoiseModel,
@@ -64,6 +65,16 @@ for penalty in (None, 0.01):
 
 def scalar_system(a=0.5, b=1.0, x0=0.0):
     return LtiSystem(np.array([[a]]), np.array([[b]]), np.array([x0]), GRID1)
+
+
+class TestLtiSystem:
+    def test_callers_arrays_are_copied_not_frozen(self):
+        A, B, x0 = np.array([[0.5, 0.0], [0.1, 0.9]]), np.array([[1.0], [0.0]]), np.ones(2)
+        system = LtiSystem(A, B, x0, GRID1)
+        assert all(arr.flags.writeable for arr in (A, B, x0))
+        assert not any(arr.flags.writeable for arr in (system.A, system.B, system.x0))
+        A[0, 0], B[0, 0], x0[0] = 7.0, 7.0, 7.0
+        assert (system.A[0, 0], system.B[0, 0], system.x0[0]) == (0.5, 1.0, 1.0)
 
 
 class TestClosedLoopSoundness:
@@ -345,12 +356,27 @@ class TestCompileReuse:
             assert same_trace(trace, run(system, phi, table, *job))
 
 
+NESTED = "G[0,inf](G[0,60](F[0,36](x1 >= 2)) & ((x1 <= 4) U[180,420] F[0,24](x2 <= 2.5)))"
+
+
 class TestHorizonChecks:
     def test_short_horizon_rejected(self, tank):
         phi, table = parse("G[0,inf]((x1 >= 0) U[120,240] (x1 <= 5))", n_states=2)
         cfg = RunConfig(control=ControlConfig(horizon=10, u_min=0, u_max=6), sim_steps=20)
-        with pytest.raises(ControlError):
+        with pytest.raises(ValueError, match="shorter than the formula length"):
+            qp_builder.compile_run(phi, tank, table, cfg.control)
+        with pytest.raises(ValueError, match="shorter than the formula length"):
             run(tank, phi, table, cfg)
+
+    @pytest.mark.parametrize("horizon", [35, 40])
+    def test_fragment_is_checked_before_the_horizon(self, tank, horizon):
+        # h_d = 37: at horizon 35 the formula is both nested and too long
+        phi, table = parse(NESTED, n_states=2)
+        control = ControlConfig(horizon=horizon, u_min=0, u_max=6)
+        with pytest.raises(FragmentError, match="always-operand must be a predicate"):
+            qp_builder.compile_run(phi, tank, table, control)
+        with pytest.raises(FragmentError, match="always-operand must be a predicate"):
+            run(tank, phi, table, RunConfig(control=control, sim_steps=5))
 
     def test_short_trace_reports_unverifiable(self, tank):
         phi, table = parse("G[0,inf]((x1 >= 0) U[120,240] (x1 <= 5))", n_states=2)

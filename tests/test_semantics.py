@@ -379,7 +379,7 @@ def _with_true(rng: random.Random, g):
 
 
 def _nested(rng: random.Random, n_preds: int, depth: int):
-    """Formula with temporal operators nested ``depth`` deep (outside the parsed fragment)."""
+    """Formula with temporal operators nested ``depth`` deep (outside the control fragment)."""
     if depth == 0:
         return _with_true(rng, random_theta(rng, n_preds, max_end=3))
     a = rng.randrange(3)

@@ -4,9 +4,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stlmpc import (
+    AllTime,
     Always,
     And,
     EmptyWindowError,
@@ -20,6 +21,7 @@ from stlmpc import (
     PredicateTable,
     SamplingGrid,
     Signal,
+    TrueNode,
     Until,
     collect_event_ops,
     continuous_length,
@@ -76,6 +78,15 @@ class TestParse:
             with pytest.raises(ValueError, match="not axis-aligned"):
                 pretty_print(Pred(pid), table)
 
+    def test_table_copies_the_callers_arrays(self):
+        rows, offsets = np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([0.0, 2.5])
+        table = PredicateTable(rows, offsets)
+        assert rows.flags.writeable and offsets.flags.writeable
+        assert not (table.C.flags.writeable or table.c.flags.writeable)
+        rows[0, 0], offsets[0] = 7.0, 7.0
+        np.testing.assert_array_equal(table.C, [[1.0, 0.0], [0.0, -1.0]])
+        np.testing.assert_array_equal(table.c, [0.0, 2.5])
+
     def test_until_precedence_binds_tighter_than_and(self):
         f, _ = parse("F[120,240](x1 >= 2) & (x1 <= 4) U[180,420] (x2 <= 2.5)", n_states=2)
         assert isinstance(f, And)
@@ -90,12 +101,6 @@ class TestParse:
     def test_unbounded_interval_inside_theta_rejected(self):
         with pytest.raises(ParseError):
             parse("F[0,inf](x1 >= 0)")
-
-    def test_nested_temporal_operators_rejected(self):
-        with pytest.raises(ParseError):
-            parse("F[0,5](G[0,2](x1 >= 0))")
-        with pytest.raises(ParseError):
-            parse("(G[0,2](x1 >= 0)) U[0,5] (x1 >= 0)")
 
     def test_wrapper_only_at_root(self):
         with pytest.raises(ParseError):
@@ -255,6 +260,32 @@ class TestRoundTrip:
         f2, table2 = parse(pretty_print(f, table), n_states=2)
         assert f2 == f
         assert table2 == table
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_nested_and_negated_formulas(self, data):
+        # temporal operators nest and `!` stands anywhere; text from a pool of
+        # predicates parses to a formula that pretty_print and parse reproduce
+        pool = PredicateTable([[1.0, 0.0], [0.0, -1.0], [-1.0, 0.0]], [0.0, 2.5, -4.5])
+        window = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
+            lambda ab: (float(ab[0]), float(ab[0] + ab[1])))
+        leaf = st.one_of(st.builds(Pred, st.integers(0, 2)), st.just(TrueNode()))
+
+        def extend(sub):
+            return st.one_of(
+                st.builds(Not, sub),
+                st.builds(lambda ch, w: Eventually(ch, *w), sub, window),
+                st.builds(lambda ch, w: Always(ch, *w), sub, window),
+                st.builds(lambda l, r, w: Until(l, r, *w), sub, sub, window),
+                st.builds(And, st.lists(sub, min_size=2, max_size=3).map(tuple)),
+                st.builds(Or, st.lists(sub, min_size=2, max_size=3).map(tuple)))
+
+        theta = data.draw(st.recursive(leaf, extend, max_leaves=8))
+        root = data.draw(st.sampled_from([lambda f: f, AllTime, OneTime]))
+        text = pretty_print(root(theta), pool)
+        f, table = parse(text, n_states=2)
+        assert pretty_print(f, table) == text
+        assert parse(pretty_print(f, table), n_states=2) == (f, table)
 
     def test_generated_formulas(self):
         rng = random.Random(3)

@@ -25,7 +25,9 @@ seeds 0-15; ``two_tank_phi3`` under an input penalty of 0.01 I; and
 The closed-loop traces are 51 samples long, so each pass also prints one
 ``monitor@`` digest of the six readouts (``mpc.readouts`` at ``%.17g``, with
 the schedule ``stlmpc monitor`` computes) per formula of the ``monitor_long``
-benchmark workload and generated recording: 1001 and 3001 samples of the
+benchmark workload and of two nested formulas (``nested_phi3``: eventually
+operators inside an always and inside an until; ``nested_until``: an until
+inside an always), per generated recording: 1001 and 3001 samples of the
 two-tank plant under piecewise-constant inputs and small noise, each as is,
 with ``-0.0`` samples and samples on the predicate thresholds (``+zeros``), and
 with NaN samples besides (``+nan``).  A readout of an all-time formula is a
@@ -63,6 +65,22 @@ SEEDS = range(16)
 MONITOR = ("two_tank_phi1", "two_tank_phi2", "two_tank_phi3", "example2_dasr")
 MONITOR_SAMPLES = (1001, 3001)
 THRESHOLDS = ((0, (0.0, 1.0, 2.0, 4.0, 5.0)), (1, (2.5,)))     # (state, values)
+# nested formulas over the two-tank states, built from nodes so that a checkout
+# whose parser rejects nesting computes their digests too; the predicates are
+# x1 >= 2, x1 <= 4, x2 <= 2.5, x1 >= 2.5, x2 >= 0.5 and x1 <= 3
+NESTED_TABLE = stl.PredicateTable([[1, 0], [-1, 0], [0, -1], [1, 0], [0, 1], [-1, 0]],
+                                  [-2, 4, 2.5, -2.5, -0.5, 3])
+_P = [stl.Pred(i) for i in range(NESTED_TABLE.size)]
+NESTED = {
+    # G[0,inf](G[0,60](F[0,36](x1 >= 2)) & ((x1 <= 4) U[180,420] F[0,24](x2 <= 2.5)))
+    "nested_phi3": stl.AllTime(stl.And((
+        stl.Always(stl.Eventually(_P[0], 0.0, 36.0), 0.0, 60.0),
+        stl.Until(_P[1], stl.Eventually(_P[2], 0.0, 24.0), 180.0, 420.0)))),
+    # G[0,inf](G[0,48]((x1 >= 2.5) U[0,36] (x2 >= 0.5)) | F[0,24](x1 <= 3))
+    "nested_until": stl.AllTime(stl.Or((
+        stl.Always(stl.Until(_P[3], _P[4], 0.0, 36.0), 0.0, 48.0),
+        stl.Eventually(_P[5], 0.0, 24.0)))),
+}
 
 
 def corpus():
@@ -164,14 +182,16 @@ def read_digests(csv: Path):
 def monitor_digests():
     """(label, digest) of the readouts of every monitored recording."""
     cfgs = [cli.ScenarioConfig.from_file(cli.preset_path(name)) for name in MONITOR]
+    system = cfgs[0].system
+    formulas = [(name, cfg.formula, cfg.table) for name, cfg in zip(MONITOR, cfgs)]
+    formulas += [(name, phi, NESTED_TABLE) for name, phi in NESTED.items()]
     for samples in MONITOR_SAMPLES:
         for variant in ("", "+zeros", "+nan"):
-            states = recording(cfgs[0].system, samples, variant).states
-            for name, cfg in zip(MONITOR, cfgs):
-                windows = stl.collect_event_ops(stl.unwrap(cfg.formula))
-                sched = compute_schedule(windows, cfg.system.grid) if windows else None
-                r = mpc.readouts(semantics.Signal(states, cfg.system.grid),
-                                 cfg.formula, cfg.table, sched)
+            states = recording(system, samples, variant).states
+            for name, phi, table in formulas:
+                windows = stl.collect_event_ops(stl.unwrap(phi))
+                sched = compute_schedule(windows, system.grid) if windows else None
+                r = mpc.readouts(semantics.Signal(states, system.grid), phi, table, sched)
                 h = hashlib.sha256()
                 _update_readout(h, r)
                 yield f"monitor@{name}@{samples}{variant}", h.hexdigest()
