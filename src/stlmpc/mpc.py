@@ -33,7 +33,7 @@ from .semantics import (
     RobustnessReadout,
     Signal,
     SignalTooShortError,
-    _check_horizon,
+    _anchors,
     _domains,
     eval_bool,
     eval_dasr,
@@ -318,7 +318,7 @@ def readouts(sig: Signal, phi: Formula, table: PredicateTable,
     """
     grid = sig.grid
     try:
-        _check_horizon(sig, 0, phi)
+        _anchors(sig, 0, phi)
     except SignalTooShortError:
         return RobustnessReadout()
     z = sig.predicate_values(table)

@@ -70,6 +70,7 @@ from .stl import (
     iter_nodes,
     omega,
     predicate_ids,
+    subformulas,
 )
 
 __all__ = [
@@ -148,21 +149,6 @@ def _offsets(node, grid: SamplingGrid) -> range:
     return base
 
 
-def _check_horizon(sig: Signal, k: int, f: Formula) -> None:
-    if k < 0:
-        raise ValueError(f"negative evaluation index {k}")
-    if isinstance(f, AllTime):
-        need = discrete_length(f.child, sig.grid)
-    elif isinstance(f, OneTime):
-        need = event_index(f, sig.grid) - k + discrete_length(f.child, sig.grid)
-    else:
-        need = discrete_length(f, sig.grid)
-    if k + need > sig.last_index:
-        raise SignalTooShortError(
-            f"evaluating at k={k} needs samples up to k={k + need}, "
-            f"signal ends at k={sig.last_index}")
-
-
 def _root(f: Formula, k: int, last: int, grid: SamplingGrid) -> tuple[Formula, int, int]:
     """Unwrapped formula, first anchor and anchor count of an evaluation at k.
 
@@ -176,6 +162,19 @@ def _root(f: Formula, k: int, last: int, grid: SamplingGrid) -> tuple[Formula, i
     return f, k, 1
 
 
+def _anchors(sig: Signal, k: int, f: Formula) -> tuple[Formula, int, int]:
+    """:func:`_root` of an evaluation at k, checked to lie within the signal."""
+    if k < 0:
+        raise ValueError(f"negative evaluation index {k}")
+    g, lo, n = _root(f, k, sig.last_index, sig.grid)
+    reach = lo + discrete_length(g, sig.grid)
+    if reach > sig.last_index:
+        raise SignalTooShortError(
+            f"evaluating at k={k} needs samples up to k={reach}, "
+            f"signal ends at k={sig.last_index}")
+    return g, lo, n
+
+
 def _op_paths(f: Formula) -> dict[tuple, int]:
     """Document-order index of every eventually/until position."""
     table: dict[tuple, int] = {}
@@ -186,14 +185,8 @@ def _op_paths(f: Formula) -> dict[tuple, int]:
         if isinstance(g, (Until, Eventually)):
             table[path] = counter
             counter += 1
-        if isinstance(g, (Not, Eventually, Always, AllTime, OneTime)):
-            walk(g.child, path + (0,))
-        elif isinstance(g, (And, Or)):
-            for i, ch in enumerate(g.children):
-                walk(ch, path + (i,))
-        elif isinstance(g, Until):
-            walk(g.left, path + (0,))
-            walk(g.right, path + (1,))
+        for i, ch in enumerate(subformulas(g)):
+            walk(ch, path + (i,))
 
     walk(f, ())
     return table
@@ -360,29 +353,24 @@ def eval_bool(sig: Signal, k: int, f: Formula, table: PredicateTable) -> bool:
     formula raises even where a short-circuiting and/or would not reach it
     (:func:`~stlmpc.stl.validate_windows` rejects such formulas up front).
     """
-    _check_horizon(sig, k, f)
+    g, lo, n = _anchors(sig, k, f)
     z = sig.predicate_values(table)
-    if isinstance(f, OneTime):
-        ke = event_index(f, sig.grid)
-        if ke < k:
-            raise ValueError(f"event index {ke} lies before evaluation index {k}")
-    g, lo, n = _root(f, k, sig.last_index, sig.grid)
+    if isinstance(f, OneTime) and lo < k:
+        raise ValueError(f"event index {lo} lies before evaluation index {k}")
     return bool(_eval(g, lo, n, z, sig.grid, _BOOL).all())
 
 
 def eval_sr(sig: Signal, k: int, f: Formula, table: PredicateTable) -> float:
     """Min/max quantitative semantics; positive values certify satisfaction."""
-    _check_horizon(sig, k, f)
+    g, lo, n = _anchors(sig, k, f)
     z = sig.predicate_values(table)
-    g, lo, n = _root(f, k, sig.last_index, sig.grid)
     return _first_min(_eval(g, lo, n, z, sig.grid, _SR))
 
 
 def eval_dasr(sig: Signal, k: int, f: Formula, table: PredicateTable) -> float:
     """Averaged semantics: always-windows and until left operands use means."""
-    _check_horizon(sig, k, f)
+    g, lo, n = _anchors(sig, k, f)
     z = sig.predicate_values(table)
-    g, lo, n = _root(f, k, sig.last_index, sig.grid)
     with np.errstate(all="ignore"):
         vals = _eval(g, lo, n, z, sig.grid, _DASR)
         return _sum([vals]) / n if isinstance(f, AllTime) else float(vals[0])
@@ -445,7 +433,7 @@ class _Scheduled:
             lo = int(at.min())
             return self._span(g, lo, int(at.max()), chain(0))[at - lo]
         if isinstance(g, (Not, And, Or)):
-            kids = (g.child,) if isinstance(g, Not) else g.children
+            kids = subformulas(g)
             vals = [self.eval(ch, at, path + (i,),
                               lambda j, i=i: chain(j) + (i, int(at[j])))
                     for i, ch in enumerate(kids)]
@@ -538,13 +526,12 @@ def eval_dsasr(sig: Signal, k: int, f: Formula, table: PredicateTable,
     in the operator's window anchored at the evaluation step.  A callable is
     consulted at each (operator, step) pair the definitions visit.
     """
-    _check_horizon(sig, k, f)
+    g, lo, n = _anchors(sig, k, f)
     z = sig.predicate_values(table)
     paths = _op_paths(f)
     k1_of = schedule.k1_at if hasattr(schedule, "k1_at") else schedule
     if k1_of is None and paths:
         raise ValueError("formula contains eventually/until operators but no schedule given")
-    g, lo, n = _root(f, k, sig.last_index, sig.grid)
     ev = _Scheduled(z, sig.grid, paths, schedule, k1_of)
     with np.errstate(all="ignore"):
         anchors = np.arange(lo, lo + n)
@@ -562,15 +549,8 @@ def _exposure(g: Formula, lo: int, hi: int, grid: SamplingGrid,
               out: dict[int, list[tuple[int, int]]]) -> None:
     """Add to ``out[pred_id]`` the step ranges at which each predicate is read
     when g is evaluated at anchors lo..hi; windows dilate the anchor range."""
-    if isinstance(g, TrueNode):
-        return
     if isinstance(g, Pred):
         out.setdefault(g.pred_id, []).append((lo, hi))
-    elif isinstance(g, Not):
-        _exposure(g.child, lo, hi, grid, out)
-    elif isinstance(g, (And, Or)):
-        for ch in g.children:
-            _exposure(ch, lo, hi, grid, out)
     elif isinstance(g, Until):
         win = _offsets(g, grid)
         _exposure(g.left, lo, hi + win[-1], grid, out)
@@ -578,8 +558,11 @@ def _exposure(g: Formula, lo: int, hi: int, grid: SamplingGrid,
     elif isinstance(g, (Eventually, Always)):
         win = _offsets(g, grid)
         _exposure(g.child, lo + win.start, hi + win[-1], grid, out)
-    else:
+    elif isinstance(g, (AllTime, OneTime)):
         raise TypeError(f"not a formula node: {g!r}")
+    else:
+        for ch in subformulas(g):
+            _exposure(ch, lo, hi, grid, out)
 
 
 def _domains(f: Formula, k: int, grid: SamplingGrid,

@@ -10,12 +10,19 @@ Control (``qp_builder.compile_run``) takes only the paper's fragment:
 conjunctions and disjunctions of single temporal operators whose operands
 are predicates, under the same root wrappers, in positive normal form
 (:func:`to_pnf` pushes negations into the predicates).
+
+:func:`subformulas` is the one place that knows which fields of a node hold
+its subformulas, and in what order; every structural walk goes through it.
+That document order is also the operator index that
+``scheduling.compute_schedule`` (over :func:`collect_event_ops`), the
+scheduled readout's witness lookup and the control fragment's branches
+share.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -42,6 +49,7 @@ __all__ = [
     "to_pnf",
     "collect_event_ops",
     "iter_nodes",
+    "subformulas",
     "predicate_ids",
     "validate_windows",
     "unwrap",
@@ -265,17 +273,36 @@ _TEMPORAL = (Until, Eventually, Always)
 _WRAPPERS = (AllTime, OneTime)
 
 
+def subformulas(f: Formula) -> tuple[Formula, ...]:
+    """Direct subformulas of a node, in document order."""
+    if isinstance(f, (TrueNode, Pred)):
+        return ()
+    if isinstance(f, (And, Or)):
+        return f.children
+    if isinstance(f, Until):
+        return (f.left, f.right)
+    if isinstance(f, (Not, Eventually, Always, AllTime, OneTime)):
+        return (f.child,)
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+def _rebuild(f: Formula, subs: Sequence[Formula]) -> Formula:
+    """f with its subformulas replaced by subs; f itself when every one is unchanged."""
+    subs = tuple(subs)
+    if all(new is old for new, old in zip(subs, subformulas(f))):
+        return f
+    if isinstance(f, (And, Or)):
+        return replace(f, children=subs)
+    if isinstance(f, Until):
+        return replace(f, left=subs[0], right=subs[1])
+    return replace(f, child=subs[0])
+
+
 def iter_nodes(f: Formula) -> Iterator[Formula]:
     """Depth-first, document-order iteration over all nodes."""
     yield f
-    if isinstance(f, (Not, Eventually, Always, AllTime, OneTime)):
-        yield from iter_nodes(f.child)
-    elif isinstance(f, (And, Or)):
-        for ch in f.children:
-            yield from iter_nodes(ch)
-    elif isinstance(f, Until):
-        yield from iter_nodes(f.left)
-        yield from iter_nodes(f.right)
+    for ch in subformulas(f):
+        yield from iter_nodes(ch)
 
 
 def predicate_ids(f: Formula) -> tuple[int, ...]:
@@ -300,25 +327,13 @@ def continuous_length(f: Formula) -> float:
     """Horizon (seconds) needed beyond the evaluation instant."""
     if isinstance(f, AllTime):
         raise FragmentError("all-time formulas have unbounded length; query the wrapped formula")
-    if isinstance(f, OneTime):
-        return continuous_length(f.child)
-    if isinstance(f, (TrueNode, Pred)):
-        return 0.0
-    if isinstance(f, Not):
-        return continuous_length(f.child)
-    if isinstance(f, (And, Or)):
-        return max(continuous_length(ch) for ch in f.children)
-    if isinstance(f, Until):
-        return f.b + max(continuous_length(f.left), continuous_length(f.right))
-    if isinstance(f, (Eventually, Always)):
-        return f.b + continuous_length(f.child)
-    raise TypeError(f"not a formula node: {f!r}")
+    inner = max(map(continuous_length, subformulas(f)), default=0.0)
+    return f.b + inner if isinstance(f, _TEMPORAL) else inner
 
 
 def discrete_length(f: Formula, grid: SamplingGrid) -> int:
     """Largest sample index within the continuous length."""
-    hc = continuous_length(f)
-    return max(omega(0.0, hc, grid))
+    return omega(0.0, continuous_length(f), grid)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +342,11 @@ def discrete_length(f: Formula, grid: SamplingGrid) -> int:
 
 def _negated_name(name: str) -> str:
     return name[1:] if name.startswith("!") else "!" + name
+
+
+# the negation of each is the other over the negated subformulas; each pair
+# has the same fields
+_DUALS = {And: Or, Or: And, Always: Eventually, Eventually: Always}
 
 
 def to_pnf(f: Formula, table: PredicateTable) -> tuple[Formula, PredicateTable]:
@@ -338,38 +358,18 @@ def to_pnf(f: Formula, table: PredicateTable) -> tuple[Formula, PredicateTable]:
     formula together with the (possibly extended) predicate table.
     """
 
+    def each(walk, g: Formula, tab: PredicateTable) -> tuple[list[Formula], PredicateTable]:
+        subs = []
+        for ch in subformulas(g):
+            ch, tab = walk(ch, tab)
+            subs.append(ch)
+        return subs, tab
+
     def pos(g: Formula, tab: PredicateTable) -> tuple[Formula, PredicateTable]:
-        if isinstance(g, (TrueNode, Pred)):
-            return g, tab
         if isinstance(g, Not):
             return neg(g.child, tab)
-        if isinstance(g, (And, Or)):
-            out = []
-            for ch in g.children:
-                ch2, tab = pos(ch, tab)
-                out.append(ch2)
-            kids = tuple(out)
-            if kids == g.children:
-                return g, tab
-            return type(g)(kids), tab
-        if isinstance(g, Until):
-            left, tab = pos(g.left, tab)
-            right, tab = pos(g.right, tab)
-            if left is g.left and right is g.right:
-                return g, tab
-            return Until(left, right, g.a, g.b), tab
-        if isinstance(g, (Eventually, Always)):
-            ch, tab = pos(g.child, tab)
-            if ch is g.child:
-                return g, tab
-            return type(g)(ch, g.a, g.b), tab
-        if isinstance(g, AllTime):
-            ch, tab = pos(g.child, tab)
-            return (g if ch is g.child else AllTime(ch)), tab
-        if isinstance(g, OneTime):
-            ch, tab = pos(g.child, tab)
-            return (g if ch is g.child else OneTime(ch, g.event_time)), tab
-        raise TypeError(f"not a formula node: {g!r}")
+        subs, tab = each(pos, g, tab)
+        return _rebuild(g, subs), tab
 
     def neg(g: Formula, tab: PredicateTable) -> tuple[Formula, PredicateTable]:
         if isinstance(g, Pred):
@@ -378,24 +378,10 @@ def to_pnf(f: Formula, table: PredicateTable) -> tuple[Formula, PredicateTable]:
             return Pred(new_id), tab2
         if isinstance(g, Not):
             return pos(g.child, tab)
-        if isinstance(g, And):
-            out = []
-            for ch in g.children:
-                ch2, tab = neg(ch, tab)
-                out.append(ch2)
-            return Or(tuple(out)), tab
-        if isinstance(g, Or):
-            out = []
-            for ch in g.children:
-                ch2, tab = neg(ch, tab)
-                out.append(ch2)
-            return And(tuple(out)), tab
-        if isinstance(g, Always):
-            ch, tab = neg(g.child, tab)
-            return Eventually(ch, g.a, g.b), tab
-        if isinstance(g, Eventually):
-            ch, tab = neg(g.child, tab)
-            return Always(ch, g.a, g.b), tab
+        dual = _DUALS.get(type(g))
+        if dual is not None:
+            subs, tab = each(neg, g, tab)
+            return dual(**vars(_rebuild(g, subs))), tab
         if isinstance(g, TrueNode):
             raise FragmentError("negated true is not expressible in the fragment")
         if isinstance(g, Until):

@@ -1,11 +1,14 @@
 """Syntax, time discretization, formula lengths, and normal-form rewriting."""
 
+import dataclasses
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import semantics_reference as oracle
 from stlmpc import (
     AllTime,
     Always,
@@ -33,6 +36,9 @@ from stlmpc import (
     to_pnf,
     validate_windows,
 )
+from stlmpc.qp_builder import _dnf
+from stlmpc.semantics import _domains, _op_paths
+from stlmpc.stl import _rebuild, iter_nodes, subformulas, unwrap
 
 from conftest import random_signal, random_theta
 
@@ -297,3 +303,118 @@ class TestRoundTrip:
             f2, table2 = parse(text, n_states=2)
             text2 = pretty_print(f2, table2)
             assert text2 == text
+
+
+def nested_formulas():
+    """Random formulas over three predicates, nested with ``!`` anywhere or
+    from the control fragment, under no wrapper, ``AllTime`` or ``OneTime``."""
+    window = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
+        lambda ab: (float(ab[0]), float(ab[0] + ab[1])))
+    leaf = st.one_of(st.builds(Pred, st.integers(0, 2)), st.just(TrueNode()))
+
+    def extend(sub):
+        return st.one_of(
+            st.builds(Not, sub),
+            st.builds(lambda ch, w: Eventually(ch, *w), sub, window),
+            st.builds(lambda ch, w: Always(ch, *w), sub, window),
+            st.builds(lambda l, r, w: Until(l, r, *w), sub, sub, window),
+            st.builds(And, st.lists(sub, min_size=2, max_size=3).map(tuple)),
+            st.builds(Or, st.lists(sub, min_size=2, max_size=3).map(tuple)))
+
+    theta = st.one_of(st.recursive(leaf, extend, max_leaves=8),
+                      st.randoms().map(lambda rng: random_theta(rng, 3)))
+    return st.tuples(theta, st.sampled_from([lambda f: f, AllTime, OneTime])).map(
+        lambda pair: pair[1](pair[0]))
+
+
+def _at(f, path):
+    """The node at a path of ``_op_paths``, followed field by field."""
+    for i in path:
+        if isinstance(f, Until):
+            f = (f.left, f.right)[i]
+        elif isinstance(f, (And, Or)):
+            f = f.children[i]
+        else:
+            assert i == 0
+            f = f.child
+    return f
+
+
+class TestDocumentOrder:
+    POOL = PredicateTable([[1.0, 0.0], [0.0, -1.0], [-1.0, 0.0]], [0.0, 2.5, -4.5])
+
+    @settings(max_examples=300, deadline=None)
+    @given(nested_formulas())
+    def test_every_walker_numbers_the_operators_alike(self, f):
+        ops = [node for node in iter_nodes(f) if isinstance(node, (Until, Eventually))]
+        assert collect_event_ops(f) == [(op.a, op.b) for op in ops]
+        paths = _op_paths(f)
+        assert paths == oracle._op_paths(f)
+        assert sorted(paths.values()) == list(range(len(ops)))
+        for path, idx in paths.items():
+            assert _at(f, path) is ops[idx]
+        for node in iter_nodes(f):
+            assert _rebuild(node, subformulas(node)) is node
+
+        try:
+            g, table = to_pnf(f, self.POOL)
+        except FragmentError:
+            return
+        assert to_pnf(g, table)[0] is g
+        if not any(isinstance(node, Not) for node in iter_nodes(f)):
+            assert (g, table) == (f, self.POOL) and g is f
+        try:
+            branches = _dnf(unwrap(g))
+        except FragmentError:
+            return
+        pnf_ops = [node for node in iter_nodes(g) if isinstance(node, (Until, Eventually))]
+        for branch in branches:
+            for psi, idx in branch:
+                if idx is not None:
+                    assert psi is pnf_ops[idx]
+                    assert (psi.a, psi.b) == collect_event_ops(g)[idx]
+
+    @settings(max_examples=100, deadline=None)
+    @given(nested_formulas())
+    def test_rebuild_takes_new_subformulas(self, f):
+        for node in iter_nodes(f):
+            subs = [dataclasses.replace(ch) for ch in subformulas(node)]
+            if not subs:
+                continue
+            h = _rebuild(node, subs)
+            assert h == node and h is not node
+            assert all(new is sub for new, sub in zip(subformulas(h), subs))
+
+
+class TestMalformedTrees:
+    BAD = "x1 >= 0"
+    TABLE = PredicateTable([[1.0]], [0.0])
+
+    @pytest.mark.parametrize("tree", [
+        And((Pred(0), BAD)),
+        Until(Pred(0), BAD, 0.0, 2.0),
+        Always(BAD, 1.0, 2.0),
+        AllTime(Or((Eventually(Pred(0), 0.0, 1.0), Always(BAD, 1.0, 2.0)))),
+        OneTime(Not(And((Pred(0), BAD))), 1.0),
+    ], ids=repr)
+    def test_non_node_raises_one_type_error(self, tree):
+        message = re.escape(f"not a formula node: {self.BAD!r}")
+        with pytest.raises(TypeError, match=message):
+            list(iter_nodes(tree))
+        with pytest.raises(TypeError, match=message):
+            continuous_length(unwrap(tree))
+        with pytest.raises(TypeError, match=message):
+            to_pnf(tree, self.TABLE)
+        with pytest.raises(TypeError, match=message):
+            _op_paths(tree)
+        with pytest.raises(TypeError, match=message):
+            _domains(tree, 0, GRID1, 10)
+
+    @pytest.mark.parametrize("tree", [
+        And((Pred(0), AllTime(Pred(0)))),
+        Always(OneTime(Pred(0), 1.0), 0.0, 2.0),
+    ], ids=repr)
+    def test_wrapper_below_the_root_is_not_a_node_to_domains(self, tree):
+        inner = next(node for node in iter_nodes(tree) if isinstance(node, (AllTime, OneTime)))
+        with pytest.raises(TypeError, match=re.escape(f"not a formula node: {inner!r}")):
+            _domains(tree, 0, GRID1, 10)
