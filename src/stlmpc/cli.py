@@ -24,7 +24,7 @@ Scenarios are flat INI files (see ``presets/`` for complete examples)::
     constraint_margin = 1e-9   ; satisfaction rows require z >= margin at future steps
 
     [simulation]
-    duration = 600             ; seconds
+    duration = 600             ; seconds; defaults to the formula length, one step at least
     noise = none               ; none | gaussian
     noise_std = 0.35 0.35      ; per state (scalar broadcasts)
     seed = 1
@@ -178,7 +178,8 @@ class ScenarioConfig:
         )
 
         sim = cp["simulation"] if cp.has_section("simulation") else {}
-        duration = float(sim.get("duration", h_d * grid.T))
+        # a formula without temporal operators still needs one step
+        duration = float(sim.get("duration", max(h_d, 1) * grid.T))
         sim_steps = int(duration / grid.T + 1e-9)
         noise_kind = sim.get("noise", "none").strip()
         noise = NoiseModel(
@@ -412,8 +413,11 @@ def monitor_scenario(config_path: str | Path, trace_path: str | Path) -> int:
     """Offline robustness evaluation of a recorded trace: the readout lines ``run`` prints."""
     cfg = ScenarioConfig.from_file(config_path)
     states = read_trace(trace_path)[0]
-    # a header-only trace reads as a flat empty array and stays unverifiable
-    if states.ndim == 2 and states.shape[1] != cfg.system.n:
+    if states.ndim == 1:
+        # no data rows read back as a flat empty array: no samples of the
+        # scenario's states, so every readout is unverifiable
+        states = np.empty((0, cfg.system.n))
+    elif states.shape[1] != cfg.system.n:
         raise ValueError(f"{trace_path} has {states.shape[1]} state columns, "
                          f"the scenario has n = {cfg.system.n} states")
     windows = collect_event_ops(cfg.formula)

@@ -19,14 +19,14 @@ vector operation per window offset, folded into an array the fold owns
 left operand that is combined with the right operand at each offset of the
 window.
 
-The scheduled readout fixes each until/eventually witness, so its anchors
-are arrays in the definitions' visit order.  A subformula without witnesses
-is evaluated once over the span of steps its anchors cover and read from
-there; for an until left operand that span runs from the first anchor to
-the last witness, and each anchor's mean is read from a table of the
-left-to-right window sums over the span.  A left operand with witnesses of
-its own is evaluated visit by visit, so the schedule is consulted, and the
-first error met, in the definitions' order.
+The scheduled readout fixes each until/eventually witness up front, so a
+subformula's value at a step does not depend on which anchor reached it,
+and it is evaluated span by span too: an eventually's child and an until's
+right operand over the steps from the first witness to the last, an until's
+left operand from the first anchor to the last witness, each anchor's mean
+read from the left-to-right window sums over that span.  The schedule is
+consulted at every anchor of each operator's span, and of several errors
+the first failing node's in document order is raised.
 
 The results are bit-identical to applying the definitions one anchor at a
 time with Python floats:
@@ -137,7 +137,7 @@ class RobustnessReadout:
     rd: float | None = None
 
 
-K1Provider = Union[Callable[[int, int], int], "object"]
+K1Provider = Union[Schedule, Callable[[int, int], int]]
 
 
 def _offsets(node, grid: SamplingGrid) -> range:
@@ -232,9 +232,13 @@ def _sum(parts) -> float:
     return float(np.cumsum(np.concatenate(([0.0], *parts)))[-1])
 
 
-def _prefix_sums(rows: np.ndarray) -> np.ndarray:
-    """Column j holds the left-to-right sum from 0.0 of each row's first j elements."""
-    return np.cumsum(np.concatenate((np.zeros((rows.shape[0], 1)), rows), axis=1), axis=1)
+def _window_mean(v: np.ndarray, n: int, width: int) -> np.ndarray:
+    """Left-to-right mean from 0.0 of each v[p .. p+width-1], for p < n."""
+    total = 0.0 + v[:n]
+    for j in range(1, width):
+        total += v[j:j + n]
+    total /= width
+    return total
 
 
 def _window_sums(v: np.ndarray, width: int) -> np.ndarray:
@@ -331,11 +335,7 @@ def _eval(g: Formula, lo: int, n: int, z: np.ndarray, grid: SamplingGrid,
         win = _offsets(g, grid)
         child = _eval(g.child, lo + win.start, n + win[-1] - win.start, z, grid, sem)
         if isinstance(g, Always) and sem.averaged:
-            total = 0.0 + child[:n]
-            for j in range(1, len(win)):
-                total += child[j:j + n]
-            total /= len(win)
-            return total
+            return _window_mean(child, n, len(win))
         fold = sem.join if isinstance(g, Eventually) else sem.meet
         acc = child[:n].copy()
         for j in range(1, len(win)):
@@ -380,164 +380,96 @@ def eval_dasr(sig: Signal, k: int, f: Formula, table: PredicateTable) -> float:
 # Scheduled average space robustness
 
 
-def _witnesses(schedule, k1_of, op: int, anchors: np.ndarray):
-    """Witness instants of operator ``op`` at the anchors, in order, up to the
-    first consultation that raises; returns (instants, exception or None)."""
-    if isinstance(schedule, Schedule):
-        try:
-            return k1_many(schedule, op, anchors), None
-        except (AssertionError, IndexError):
-            pass        # find the failing anchor one consultation at a time
-    k1: list[int] = []
-    for kk in anchors.tolist():
-        try:
-            k1.append(int(k1_of(op, kk)))
-        except Exception as exc:    # a caller-supplied schedule; re-raised in visit order
-            return np.array(k1, dtype=np.int64), exc
-    return np.array(k1, dtype=np.int64), None
-
-
 def _has_witness(g: Formula) -> bool:
     return any(isinstance(node, (Until, Eventually)) for node in iter_nodes(g))
 
 
-class _Scheduled:
-    """dsasr values at anchor arrays, with witnesses from a schedule.
+def _witnesses(g: Eventually | Until, lo: int, n: int, grid: SamplingGrid,
+               schedule: K1Provider, op: int, path: tuple) -> np.ndarray:
+    """Witness instants of operator ``op`` (the node g at ``path``) at the
+    anchors lo .. lo+n-1, each checked to lie in g's window at its anchor."""
+    anchors = np.arange(lo, lo + n)
+    if isinstance(schedule, Schedule):
+        k1 = k1_many(schedule, op, anchors)
+    else:
+        k1 = np.array([int(schedule(op, kk)) for kk in range(lo, lo + n)], dtype=np.int64)
+    win = _offsets(g, grid)
+    outside = np.flatnonzero((k1 < anchors + win.start) | (k1 > anchors + win[-1]))
+    if outside.size:
+        i = int(outside[0])
+        raise ValueError(f"scheduled k1={int(k1[i])} outside window "
+                         f"{list(range(lo + i + win.start, lo + i + win.stop))} "
+                         f"of operator at {path}")
+    return k1
 
-    Each element of an anchor array is one visit of the node by the
-    definitions' depth-first evaluation.  ``chain(i)`` gives visit i's
-    position in that order, (anchor, child, anchor, child, ..., anchor) from
-    the root; it is built only to report an error.  Errors found along the
-    way are kept, and the one with the earliest position is raised, so it is
-    the error evaluating the definitions visit by visit meets first.  An
-    error's key is its visit's position followed by -2 (consulting the
-    schedule) or -1 (checking a window or the node itself), so it sorts
-    before the visits of the node's children, which are numbered from 0.
+
+def _scheduled(g: Formula, lo: int, n: int, z: np.ndarray, grid: SamplingGrid,
+               schedule: K1Provider, paths: dict[tuple, int], path: tuple) -> np.ndarray:
+    """dsasr values of g (at ``path`` in the formula) at the anchors lo .. lo+n-1.
+
+    Like :func:`_eval`, each node is evaluated once over the contiguous span
+    of steps its parent reads; ``paths`` indexes the eventually/until
+    operators for the schedule.
     """
-
-    def __init__(self, z: np.ndarray, grid: SamplingGrid, paths: dict[tuple, int],
-                 schedule, k1_of):
-        self.z, self.grid, self.paths = z, grid, paths
-        self.schedule, self.k1_of = schedule, k1_of
-        self.errors: list[tuple[tuple, BaseException]] = []
-
-    def first(self, key: tuple, exc: BaseException) -> BaseException:
-        return min(self.errors + [(key, exc)], key=lambda e: e[0])[1]
-
-    def eval(self, g: Formula, at: np.ndarray, path: tuple, chain) -> np.ndarray:
-        """Values of g at the anchors ``at`` (1-D, in visit order)."""
-        if at.size == 0:
-            return np.zeros(0)
-        if not _has_witness(g):
-            # without witnesses below, dsasr is dasr: evaluate over the anchors' span
-            lo = int(at.min())
-            return self._span(g, lo, int(at.max()), chain(0))[at - lo]
-        if isinstance(g, (Not, And, Or)):
-            kids = subformulas(g)
-            vals = [self.eval(ch, at, path + (i,),
-                              lambda j, i=i: chain(j) + (i, int(at[j])))
-                    for i, ch in enumerate(kids)]
-            if isinstance(g, Not):
-                return -vals[0]
-            fold = _min if isinstance(g, And) else _max
-            acc = vals[0]
-            for v in vals[1:]:
-                acc = fold(acc, v)
-            return acc
-        if isinstance(g, Always):
-            # the child has witnesses (else g would have none), so it is
-            # evaluated visit by visit
-            try:
-                win = _offsets(g, self.grid)
-            except ValueError as exc:
-                raise self.first(chain(0) + (-1,), exc) from None
-            width = len(win)
-            steps = (at[:, None] + np.arange(win.start, win.stop)).ravel()
-            child = self.eval(g.child, steps, path + (0,),
-                              lambda j: chain(j // width) + (0, int(steps[j])))
-            return _prefix_sums(child.reshape(at.size, width))[:, -1] / width
-        if isinstance(g, (Eventually, Until)):
-            return self._witnessed(g, at, path, chain)
-        raise self.first(chain(0) + (-1,), TypeError(f"not a formula node: {g!r}"))
-
-    def _span(self, g: Formula, lo: int, hi: int, visit: tuple) -> np.ndarray:
-        """Values of the witness-free g at the steps lo .. hi; an error is
-        raised as met at ``visit``, the position of g's first visit."""
-        try:
-            return _eval(g, lo, hi - lo + 1, self.z, self.grid, _DASR)
-        except (ValueError, TypeError, IndexError) as exc:
-            raise self.first(visit + (-1,), exc) from None
-
-    def _witnessed(self, g: Eventually | Until, at: np.ndarray, path: tuple,
-                   chain) -> np.ndarray:
-        k1, exc = _witnesses(self.schedule, self.k1_of, self.paths[path], at)
-        if exc is not None:
-            self.errors.append((chain(len(k1)) + (-2,), exc))
-        try:
-            win = _offsets(g, self.grid)
-        except ValueError as exc:
-            raise self.first(chain(0) + (-1,), exc) from None
-        kk = at[:len(k1)]
-        outside = np.flatnonzero((k1 < kk + win.start) | (k1 > kk + win[-1]))
-        if outside.size:
-            i = int(outside[0])
-            visit = range(int(kk[i]) + win.start, int(kk[i]) + win.stop)
-            self.errors.append((chain(i) + (-1,), ValueError(
-                f"scheduled k1={int(k1[i])} outside window {list(visit)} "
-                f"of operator at {path}")))
-            kk, k1 = kk[:i], k1[:i]
-        out = np.full(at.size, math.nan)
-        if k1.size == 0:
-            return out
-        if isinstance(g, Eventually):
-            out[:len(k1)] = self.eval(g.child, k1, path + (0,),
-                                      lambda j: chain(j) + (0, int(k1[j])))
-            return out
-        # until: mean of the left operand from the anchor to the witness
-        steps = k1 - kk
-        if _has_witness(g.left):
-            # visit by visit, so its witnesses are consulted and its errors
-            # met in the definitions' order
-            offs = np.arange(int(steps.max()) + 1)
-            reached = offs <= steps[:, None]
-            visits = (kk[:, None] + offs)[reached]
-            left = np.zeros(reached.shape)
-            left[reached] = self.eval(
-                g.left, visits, path + (0,),
-                lambda j: chain(int(np.flatnonzero(reached)[j]) // offs.size) + (0, int(visits[j])))
-            held = _prefix_sums(left)[np.arange(k1.size), steps + 1]
-        else:
-            # once over the span from the first anchor to the last witness
-            lo = int(kk.min())
-            left = self._span(g.left, lo, int(k1.max()), chain(0) + (0, int(kk[0])))
-            held = _window_sums(left, int(steps.max()) + 1)[steps, kk - lo]
-        right = self.eval(g.right, k1, path + (1,), lambda j: chain(j) + (1, int(k1[j])))
-        out[:len(k1)] = 0.5 * (held / (steps + 1) + right)
-        return out
+    if not _has_witness(g):
+        return _eval(g, lo, n, z, grid, _DASR)
+    if isinstance(g, (Not, And, Or)):
+        vals = [_scheduled(ch, lo, n, z, grid, schedule, paths, path + (i,))
+                for i, ch in enumerate(subformulas(g))]
+        if isinstance(g, Not):
+            return -vals[0]
+        fold = _min if isinstance(g, And) else _max
+        acc = vals[0]
+        for v in vals[1:]:
+            acc = fold(acc, v)
+        return acc
+    if isinstance(g, Always):
+        win = _offsets(g, grid)
+        child = _scheduled(g.child, lo + win.start, n + win[-1] - win.start, z, grid,
+                           schedule, paths, path + (0,))
+        return _window_mean(child, n, len(win))
+    if not isinstance(g, (Eventually, Until)):
+        raise TypeError(f"not a formula node: {g!r}")
+    k1 = _witnesses(g, lo, n, grid, schedule, paths[path], path)
+    first, last = int(k1.min()), int(k1.max())
+    if isinstance(g, Eventually):
+        child = _scheduled(g.child, first, last - first + 1, z, grid, schedule, paths, path + (0,))
+        return child[k1 - first]
+    # until: mean of the left operand from the anchor to the witness, read
+    # from the left-to-right sums over the span from the first anchor on
+    steps = k1 - np.arange(lo, lo + n)
+    left = _scheduled(g.left, lo, last - lo + 1, z, grid, schedule, paths, path + (0,))
+    held = _window_sums(left, int(steps.max()) + 1)[steps, np.arange(n)]
+    right = _scheduled(g.right, first, last - first + 1, z, grid, schedule, paths, path + (1,))
+    return 0.5 * (held / (steps + 1) + right[k1 - first])
 
 
 def eval_dsasr(sig: Signal, k: int, f: Formula, table: PredicateTable,
-               schedule: K1Provider) -> float:
+               schedule: K1Provider | None) -> float:
     """Averaged semantics with fixed witness instants.
 
     ``schedule`` is either a :class:`~stlmpc.scheduling.Schedule` or a
     callable ``(op_index, k) -> k1`` where op_index enumerates the formula's
     eventually/until positions in document order.  Each supplied k1 must lie
-    in the operator's window anchored at the evaluation step.  A callable is
-    consulted at each (operator, step) pair the definitions visit.
+    in the operator's window anchored at the evaluation step.
+
+    Each node is evaluated once, over the contiguous span of anchors its
+    parent reads, so a callable is consulted once at every anchor of each
+    eventually/until's span, in order.  That is every (operator, step) pair
+    the definitions visit, and more below an eventually or an until's right
+    operand, whose spans run from the first witness to the last.  Of several
+    errors, the one raised is that of the first failing node in document
+    order (a node before its children), at its first failing anchor; a
+    node's own witnesses are all consulted before any is checked against
+    its window.
     """
     g, lo, n = _anchors(sig, k, f)
     z = sig.predicate_values(table)
     paths = _op_paths(f)
-    k1_of = schedule.k1_at if hasattr(schedule, "k1_at") else schedule
-    if k1_of is None and paths:
+    if schedule is None and paths:
         raise ValueError("formula contains eventually/until operators but no schedule given")
-    ev = _Scheduled(z, sig.grid, paths, schedule, k1_of)
     with np.errstate(all="ignore"):
-        anchors = np.arange(lo, lo + n)
-        vals = ev.eval(g, anchors, (0,) if g is not f else (), lambda j: (int(anchors[j]),))
-        if ev.errors:
-            raise min(ev.errors, key=lambda e: e[0])[1]
+        vals = _scheduled(g, lo, n, z, sig.grid, schedule, paths, (0,) if g is not f else ())
         return _sum([vals]) / n if isinstance(f, AllTime) else float(vals[0])
 
 

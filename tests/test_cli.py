@@ -330,6 +330,16 @@ class TestMalformedTraces:
         assert capsys.readouterr().out.splitlines() == [
             f"{name} = unverifiable" for name in ("satisfied", "sr", "dasr", "dsasr", "prd", "rd")]
 
+    @pytest.mark.parametrize("text", [HEADER + "\n", ""], ids=["header only", "empty file"])
+    def test_monitor_no_rows_against_a_length_zero_formula(self, text, tmp_path, capsys):
+        # x1 >= 2 is read at step 0 alone, a sample a trace without rows lacks
+        cfg = phi3_copy(tmp_path, "atomic", "x1 >= 2")
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        assert main(["monitor", str(cfg), str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{name} = unverifiable" for name in ("satisfied", "sr", "dasr", "dsasr", "prd", "rd")]
+
 
 def _whitespace_lines(text: str) -> str:
     lines = text.split("\n")
@@ -411,6 +421,23 @@ class TestScenarioConfig:
         assert cfg.system.n == 1 and cfg.system.m == 1
         assert cfg.run_config.sim_steps == 6
         assert cfg.control.horizon == 4
+
+    def test_duration_defaults_to_the_formula_length(self, tmp_path):
+        path = write_mini(tmp_path)
+        path.write_text(path.read_text().replace("duration = 6\n", ""))
+        assert ScenarioConfig.from_file(path).run_config.sim_steps == 3
+
+    def test_duration_defaults_to_one_step_without_temporal_operators(self, tmp_path, capsys):
+        path = write_mini(tmp_path)
+        path.write_text(path.read_text().replace("duration = 6\n", "").replace(
+            "G[0,inf](G[0,3](x1 >= 0))", "x1 >= 0"))
+        assert ScenarioConfig.from_file(path).run_config.sim_steps == 1
+        trace = tmp_path / "two_rows.csv"
+        trace.write_text("k,t,x1,u1,v1,status,objective\n0,0,0.5,0,0,optimal,0\n"
+                         "1,1,-1,0,0,final,nan\n")
+        assert main(["monitor", str(path), str(trace)]) == 0
+        assert capsys.readouterr().out.splitlines()[:3] == [
+            "satisfied = true", "sr = 0.5", "dasr = 0.5"]
 
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):

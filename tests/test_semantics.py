@@ -40,7 +40,7 @@ from stlmpc import (
     to_pnf,
     unwrap,
 )
-from stlmpc.stl import omega, predicate_ids
+from stlmpc.stl import iter_nodes, omega, predicate_ids
 
 from conftest import (
     bool_direct,
@@ -430,6 +430,23 @@ def _in_window_schedule(f, consulted: list):
     return k1
 
 
+def _consulted_as_visited(f) -> bool:
+    """Whether eval_dsasr consults a callable at exactly the pairs the
+    definitions visit: no eventually/until sits below an eventually or an
+    until's right operand, whose spans run from the first witness to the last."""
+    return not any(semantics._has_witness(node.child if isinstance(node, Eventually) else node.right)
+                   for node in iter_nodes(f) if isinstance(node, (Eventually, Until)))
+
+
+def _assert_consulted(f, seen_new: list, seen_old: list) -> None:
+    """Each pair once; the visited pairs exactly, or a superset where allowed."""
+    assert len(seen_new) == len(set(seen_new))
+    if _consulted_as_visited(f):
+        assert set(seen_new) == set(seen_old)
+    else:
+        assert set(seen_new) >= set(seen_old)
+
+
 def _outcome(fn, *args):
     try:
         value = fn(*args)
@@ -460,7 +477,7 @@ def _assert_matches_oracle(rng: random.Random, f, n_preds: int, k: int) -> None:
     seen_old, seen_new = [], []
     assert _outcome(oracle.eval_dsasr, s, k, f, table, _in_window_schedule(f, seen_old)) == \
         _outcome(eval_dsasr, s, k, f, table, _in_window_schedule(f, seen_new))
-    assert set(seen_new) == set(seen_old)
+    _assert_consulted(f, seen_new, seen_old)
 
     try:
         pnf, ptable = to_pnf(f, table)
@@ -575,13 +592,20 @@ class TestErrorParity:
 
     def test_schedule_that_raises(self):
         f = AllTime(And((Eventually(Pred(0), 0.0, 2.0), Eventually(Pred(0), 1.0, 2.0))))
+        s = sig(*([1.0] * 8))
 
-        def k1(op, k):
-            if (op, k) == (1, 2):
+        def k1(op, k, raises=True, misses=True):
+            if raises and (op, k) == (1, 2):
                 raise KeyError("no witness")
-            return k + 1 if (op, k) != (0, 3) else k + 9
+            return k + 1 if not misses or (op, k) != (0, 3) else k + 9
 
-        _parity("eval_dsasr", sig(*([1.0] * 8)), 0, f, ID1, k1)
+        # operator 1 raises at anchor 2, before operator 0 misses its window
+        # at anchor 3 in visit order; operator 0 comes first in document order
+        assert _outcome(eval_dsasr, s, 0, f, ID1, k1) == (
+            "raised", ValueError, "scheduled k1=12 outside window [3, 4, 5] of operator at (0, 0)")
+        # either failure alone
+        _parity("eval_dsasr", s, 0, f, ID1, lambda op, k: k1(op, k, misses=False))
+        _parity("eval_dsasr", s, 0, f, ID1, lambda op, k: k1(op, k, raises=False))
 
     def test_prd_rejects_negation(self):
         _parity("prd", sig(0.0, 0.0, 0.0), Always(Not(Pred(0)), 0.0, 2.0), 0, ID1)
@@ -613,9 +637,33 @@ class TestErrorParity:
         lambda i, k: k + 9,                # misses at anchor 0, before it
     ])
     def test_first_error_in_visit_order(self, k1):
+        # the eventually precedes the always in document order, so its miss
+        # is raised wherever it lies; the definitions meet the always's empty
+        # window at anchor 0 first
         s = Signal(np.ones((8, 1)), SamplingGrid(2.0))
         f = AllTime(And((Eventually(Pred(0), 0.0, 4.0), Always(Pred(0), 1.0, 1.0))))
-        _parity("eval_dsasr", s, 0, f, ID1, k1)
+        miss = next(k for k in range(4) if k1(0, k) != k)
+        assert _outcome(eval_dsasr, s, 0, f, ID1, k1) == (
+            "raised", ValueError,
+            f"scheduled k1={miss + 9} outside window {[miss, miss + 1, miss + 2]} "
+            "of operator at (0, 0)")
+
+    def test_first_error_in_document_order(self):
+        # the until misses its window at anchor 5 and the eventually in its
+        # left operand at step 1, which the definitions meet first (from
+        # anchor 0); the until comes first in document order, a node before
+        # its children
+        f = AllTime(Until(Eventually(Pred(0), 0.0, 1.0), Pred(0), 1.0, 2.0))
+        s = sig(*([1.0] * 12))
+
+        def k1(op, k, until_misses=True):
+            return k + 1 + 9 * ((op, k) == (1, 1) or until_misses and (op, k) == (0, 5))
+
+        assert _outcome(eval_dsasr, s, 0, f, ID1, k1) == (
+            "raised", ValueError, "scheduled k1=15 outside window [6, 7] of operator at (0,)")
+        assert _outcome(oracle.eval_dsasr, s, 0, f, ID1, k1) == (
+            "raised", ValueError, "scheduled k1=11 outside window [1, 2] of operator at (0, 0)")
+        _parity("eval_dsasr", s, 0, f, ID1, lambda op, k: k1(op, k, until_misses=False))
 
     def test_bool_reports_empty_windows_past_a_false_conjunct(self):
         # the time recursion stops at the false first conjunct; every node is
@@ -625,6 +673,32 @@ class TestErrorParity:
         assert oracle.eval_bool(s, 0, f, ID1) is False
         with pytest.raises(ValueError, match="contains no multiple"):
             eval_bool(s, 0, f, ID1)
+
+
+class TestScheduleConsultation:
+    """A callable schedule is consulted once at every anchor of each
+    eventually/until's span: the pairs the definitions visit (checked by
+    ``_assert_consulted`` on every formula of ``TestMatchesTimeRecursion``),
+    and more where a span runs from an eventually's first witness to its last."""
+
+    @pytest.mark.parametrize("f", [
+        AllTime(Eventually(Eventually(Pred(0), 0.0, 1.0), 0.0, 4.0)),
+        AllTime(Until(Pred(0), Eventually(Pred(0), 0.0, 1.0), 0.0, 4.0)),
+    ])
+    def test_a_span_below_an_eventually_is_consulted_throughout(self, f):
+        # operator 0 picks k at even anchors and k+4 at odd ones, so no
+        # witness falls on step 1 or 3
+        def k1(op, k, seen):
+            seen.append((op, k))
+            return k + 4 * (k % 2) if op == 0 else k
+
+        s = sig(*(float(v % 5) for v in range(20)))
+        seen_old, seen_new = [], []
+        assert oracle.eval_dsasr(s, 0, f, ID1, lambda op, k: k1(op, k, seen_old)) == \
+            eval_dsasr(s, 0, f, ID1, lambda op, k: k1(op, k, seen_new))
+        assert not _consulted_as_visited(f)
+        assert len(seen_new) == len(set(seen_new)) and set(seen_new) > set(seen_old)
+        assert {(1, 1), (1, 3)} <= set(seen_new) - set(seen_old)
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +748,7 @@ class TestLongSignals:
         assert _outcome(oracle.eval_dsasr, s, 0, formula, LONG_TABLE,
                         _in_window_schedule(formula, seen_old)) == \
             _outcome(eval_dsasr, s, 0, formula, LONG_TABLE, _in_window_schedule(formula, seen_new))
-        assert set(seen_new) == set(seen_old)
+        _assert_consulted(formula, seen_new, seen_old)
 
     @pytest.mark.parametrize("formula", FORMULAS)
     def test_every_anchor_matches(self, formula):
@@ -685,12 +759,11 @@ class TestLongSignals:
         g = unwrap(formula)
         n = s.last_index - discrete_length(g, GRID1) + 1
         k1_of = _in_window_schedule(formula, [])
-        scheduled = semantics._Scheduled(z, GRID1, semantics._op_paths(formula), None, k1_of)
+        paths = semantics._op_paths(formula)
         with np.errstate(all="ignore"):
             new = {"eval_sr": semantics._eval(g, 0, n, z, GRID1, semantics._SR),
                    "eval_dasr": semantics._eval(g, 0, n, z, GRID1, semantics._DASR),
-                   "eval_dsasr": scheduled.eval(g, np.arange(n), (0,), lambda j: (j,))}
-        assert not scheduled.errors
+                   "eval_dsasr": semantics._scheduled(g, 0, n, z, GRID1, k1_of, paths, (0,))}
         for name, values in new.items():
             extra = (k1_of,) if name == "eval_dsasr" else ()
             old = [getattr(oracle, name)(s, k, g, LONG_TABLE, *extra) for k in range(n)]
@@ -711,11 +784,28 @@ class TestLongSignals:
         z = s.predicate_values(cfg.table)
         g = unwrap(cfg.formula)
         n = s.last_index - discrete_length(g, grid) + 1
-        scheduled = semantics._Scheduled(z, grid, semantics._op_paths(cfg.formula), sched,
-                                         sched.k1_at)
         with np.errstate(all="ignore"):
-            new = scheduled.eval(g, np.arange(n), (0,), lambda j: (j,))
+            new = semantics._scheduled(g, 0, n, z, grid, sched, semantics._op_paths(cfg.formula),
+                                       (0,))
         old = [oracle.eval_dsasr(s, k, g, cfg.table, sched) for k in range(n)]
+        assert list(map(repr, new.tolist())) == list(map(repr, old))
+
+    @pytest.mark.parametrize("formula", [
+        # an eventually in the until left operand
+        AllTime(Until(Eventually(Not(Pred(0)), 0.0, 2.0), Pred(1), 1.0, 4.0)),
+        # an until inside an always
+        AllTime(Always(Until(Not(Pred(0)), Pred(1), 0.0, 2.0), 0.0, 3.0)),
+    ])
+    def test_every_anchor_under_a_schedule(self, formula):
+        s = _long_signal(random.Random(4000), 1100, 4)
+        z = s.predicate_values(LONG_TABLE)
+        g = unwrap(formula)
+        n = s.last_index - discrete_length(g, GRID1) + 1
+        sched = compute_schedule(collect_event_ops(g), GRID1)
+        with np.errstate(all="ignore"):
+            new = semantics._scheduled(g, 0, n, z, GRID1, sched, semantics._op_paths(formula),
+                                       (0,))
+        old = [oracle.eval_dsasr(s, k, g, LONG_TABLE, sched) for k in range(n)]
         assert list(map(repr, new.tolist())) == list(map(repr, old))
 
     @pytest.mark.parametrize("values", [(0.0, 1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0),
@@ -746,6 +836,8 @@ class TestLongSignals:
     ])
     def test_first_error_in_visit_order(self, left, until_miss, eventually_miss,
                                         eventually_first):
+        # the error raised is the first failing node's in document order: the
+        # until before its left operand, the and's children in order
         s = Signal(np.ones((1200, 1)), SamplingGrid(2.0))
         parts = (Until(left, Pred(0), 2.0, 8.0), Eventually(Pred(0), 0.0, 4.0))
         f = AllTime(And(parts[::-1] if eventually_first else parts))
@@ -756,7 +848,22 @@ class TestLongSignals:
                 return k + 1 + k % 4 + 99 * (k == until_miss)
             return k + k % 3 + 99 * (k == eventually_miss)
 
-        _parity("eval_dsasr", s, 0, f, ID1, k1)
+        errors = []
+        for i, part in enumerate(f.child.children):
+            if isinstance(part, Until):
+                if until_miss is not None:
+                    u = until_miss
+                    errors.append(f"scheduled k1={u + 100 + u % 4} outside window "
+                                  f"{list(range(u + 1, u + 5))} of operator at (0, {i})")
+                if isinstance(left, Always):
+                    errors.append("interval [1.0, 1.0] contains no multiple of T=2.0")
+            elif eventually_miss is not None:
+                e = eventually_miss
+                errors.append(f"scheduled k1={e + 99 + e % 3} outside window "
+                              f"{[e, e + 1, e + 2]} of operator at (0, {i})")
+        assert _outcome(eval_dsasr, s, 0, f, ID1, k1) == ("raised", ValueError, errors[0])
+        if len(errors) == 1:
+            _parity("eval_dsasr", s, 0, f, ID1, k1)
 
 
 # ---------------------------------------------------------------------------

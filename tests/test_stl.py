@@ -251,60 +251,6 @@ class TestValidation:
             validate_windows(f, GRID12)
 
 
-class TestRoundTrip:
-    CASES = [
-        "G[144,216](x1 >= 1) & G[372,444](x1 >= 1)",
-        "G[0,inf]((x1 >= 0) U[120,240] (x1 <= 5))",
-        "event => (F[120,240](x1 >= 2))",
-        "G[0,inf](F[120,240](x1 >= 2) & (x1 <= 4) U[180,420] (x2 <= 2.5))",
-        "(x1 >= 1) U[0,5] !(x2 <= 0.5) | G[1,3](x2 >= -2)",
-    ]
-
-    @pytest.mark.parametrize("text", CASES)
-    def test_named_cases(self, text):
-        f, table = parse(text, n_states=2)
-        f2, table2 = parse(pretty_print(f, table), n_states=2)
-        assert f2 == f
-        assert table2 == table
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_nested_and_negated_formulas(self, data):
-        # temporal operators nest and `!` stands anywhere; text from a pool of
-        # predicates parses to a formula that pretty_print and parse reproduce
-        pool = PredicateTable([[1.0, 0.0], [0.0, -1.0], [-1.0, 0.0]], [0.0, 2.5, -4.5])
-        window = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
-            lambda ab: (float(ab[0]), float(ab[0] + ab[1])))
-        leaf = st.one_of(st.builds(Pred, st.integers(0, 2)), st.just(TrueNode()))
-
-        def extend(sub):
-            return st.one_of(
-                st.builds(Not, sub),
-                st.builds(lambda ch, w: Eventually(ch, *w), sub, window),
-                st.builds(lambda ch, w: Always(ch, *w), sub, window),
-                st.builds(lambda l, r, w: Until(l, r, *w), sub, sub, window),
-                st.builds(And, st.lists(sub, min_size=2, max_size=3).map(tuple)),
-                st.builds(Or, st.lists(sub, min_size=2, max_size=3).map(tuple)))
-
-        theta = data.draw(st.recursive(leaf, extend, max_leaves=8))
-        root = data.draw(st.sampled_from([lambda f: f, AllTime, OneTime]))
-        text = pretty_print(root(theta), pool)
-        f, table = parse(text, n_states=2)
-        assert pretty_print(f, table) == text
-        assert parse(pretty_print(f, table), n_states=2) == (f, table)
-
-    def test_generated_formulas(self):
-        rng = random.Random(3)
-        pool = PredicateTable(
-            [[1.0, 0.0], [0.0, -1.0], [-1.0, 0.0]], [0.0, 2.5, 4.0])
-        for _ in range(200):
-            f = random_theta(rng, 3)
-            text = pretty_print(f, pool)
-            f2, table2 = parse(text, n_states=2)
-            text2 = pretty_print(f2, table2)
-            assert text2 == text
-
-
 def nested_formulas():
     """Random formulas over three predicates, nested with ``!`` anywhere or
     from the control fragment, under no wrapper, ``AllTime`` or ``OneTime``."""
@@ -325,6 +271,47 @@ def nested_formulas():
                       st.randoms().map(lambda rng: random_theta(rng, 3)))
     return st.tuples(theta, st.sampled_from([lambda f: f, AllTime, OneTime])).map(
         lambda pair: pair[1](pair[0]))
+
+
+class TestRoundTrip:
+    CASES = [
+        "G[144,216](x1 >= 1) & G[372,444](x1 >= 1)",
+        "G[0,inf]((x1 >= 0) U[120,240] (x1 <= 5))",
+        "event => (F[120,240](x1 >= 2))",
+        "G[0,inf](F[120,240](x1 >= 2) & (x1 <= 4) U[180,420] (x2 <= 2.5))",
+        "(x1 >= 1) U[0,5] !(x2 <= 0.5) | G[1,3](x2 >= -2)",
+    ]
+
+    @pytest.mark.parametrize("text", CASES)
+    def test_named_cases(self, text):
+        f, table = parse(text, n_states=2)
+        f2, table2 = parse(pretty_print(f, table), n_states=2)
+        assert f2 == f
+        assert table2 == table
+
+    # twice the examples of a recursive-only strategy: about half the draws
+    # are control-fragment formulas
+    @settings(max_examples=400, deadline=None)
+    @given(nested_formulas())
+    def test_nested_and_negated_formulas(self, formula):
+        # temporal operators nest and `!` stands anywhere; text from a pool of
+        # predicates parses to a formula that pretty_print and parse reproduce
+        pool = PredicateTable([[1.0, 0.0], [0.0, -1.0], [-1.0, 0.0]], [0.0, 2.5, -4.5])
+        text = pretty_print(formula, pool)
+        f, table = parse(text, n_states=2)
+        assert pretty_print(f, table) == text
+        assert parse(pretty_print(f, table), n_states=2) == (f, table)
+
+    def test_generated_formulas(self):
+        rng = random.Random(3)
+        pool = PredicateTable(
+            [[1.0, 0.0], [0.0, -1.0], [-1.0, 0.0]], [0.0, 2.5, 4.0])
+        for _ in range(200):
+            f = random_theta(rng, 3)
+            text = pretty_print(f, pool)
+            f2, table2 = parse(text, n_states=2)
+            text2 = pretty_print(f2, table2)
+            assert text2 == text
 
 
 def _at(f, path):

@@ -25,9 +25,10 @@ seeds 0-15; ``two_tank_phi3`` under an input penalty of 0.01 I; and
 The closed-loop traces are 51 samples long, so each pass also prints one
 ``monitor@`` digest of the six readouts (``mpc.readouts`` at ``%.17g``, with
 the schedule ``stlmpc monitor`` computes) per formula of the ``monitor_long``
-benchmark workload and of two nested formulas (``nested_phi3``: eventually
+benchmark workload and of three nested formulas (``nested_phi3``: eventually
 operators inside an always and inside an until; ``nested_until``: an until
-inside an always), per generated recording: 1001 and 3001 samples of the
+inside an always; ``nested_until_left``: an eventually as an until's left
+operand), per generated recording: 1001 and 3001 samples of the
 two-tank plant under piecewise-constant inputs and small noise, each as is,
 with ``-0.0`` samples and samples on the predicate thresholds (``+zeros``), and
 with NaN samples besides (``+nan``).  A readout of an all-time formula is a
@@ -80,6 +81,9 @@ NESTED = {
     "nested_until": stl.AllTime(stl.Or((
         stl.Always(stl.Until(_P[3], _P[4], 0.0, 36.0), 0.0, 48.0),
         stl.Eventually(_P[5], 0.0, 24.0)))),
+    # G[0,inf](F[0,24](x1 >= 2) U[180,420] (x2 <= 2.5))
+    "nested_until_left": stl.AllTime(stl.Until(stl.Eventually(_P[0], 0.0, 24.0), _P[2],
+                                               180.0, 420.0)),
 }
 
 
