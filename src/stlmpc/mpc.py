@@ -83,6 +83,8 @@ class LtiSystem:
         if x0.shape[0] != A.shape[0]:
             raise ValueError(f"x0 has length {x0.shape[0]}, expected {A.shape[0]}")
         for name, arr in (("A", A), ("B", B), ("x0", x0)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} holds a value that is not a finite number")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -109,8 +111,9 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.kind not in ("none", "gaussian"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if np.any(np.asarray(self.std) < 0):
-            raise ValueError("noise deviation must be non-negative")
+        std = np.asarray(self.std, dtype=float)
+        if not np.all(np.isfinite(std) & (std >= 0)):
+            raise ValueError("noise_std must hold finite non-negative numbers")
 
     def check(self, n: int) -> None:
         """Raise ``ValueError`` unless the deviations fit n states: one, or one per state."""

@@ -605,6 +605,9 @@ class ControlConfig:
     def bounds(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         lo = np.broadcast_to(np.asarray(self.u_min, dtype=float), (m,)).copy()
         hi = np.broadcast_to(np.asarray(self.u_max, dtype=float), (m,)).copy()
+        for name, bound in (("u_min", lo), ("u_max", hi)):
+            if np.isnan(bound).any():
+                raise ValueError(f"{name} is NaN")
         if np.any(lo > hi):
             raise ValueError("u_min exceeds u_max")
         return lo, hi
@@ -675,9 +678,13 @@ def compile_run(phi: Formula, system, table: PredicateTable, config: ControlConf
     """Validate a positive-normal-form formula and compute what no step changes.
 
     ``system`` provides A, B, x0 and the grid; a missing witness schedule is computed.
-    Raises ``FragmentError`` for a formula outside the control fragment, then
-    ``ValueError`` for a horizon shorter than the formula length.
+    Raises ``FragmentError`` for a formula outside the control fragment and
+    ``ValueError`` for a NaN margin, budget or input bound or a horizon
+    shorter than the formula length.
     """
+    for name in ("constraint_margin", "budget_total"):
+        if np.isnan(getattr(config, name) or 0.0):
+            raise ValueError(f"{name} is NaN")
     grid = system.grid
     validate_windows(phi, grid)
     config = replace(config, u_min=_owned(config.u_min), u_max=_owned(config.u_max),
@@ -826,31 +833,25 @@ def build_problem(run: CompiledRun, k0: int = 0, state_history: np.ndarray | Non
     """
     step = _predict(run, k0, state_history)
     b_in = _input_bounds(run, k0, input_history)
-    return [_assemble(run, tpl, branch_ix, step, b_in)
-            for branch_ix, tpl in enumerate(_templates(run, step))]
+    return [_assemble(run, tpl, step, b_in) for tpl in _templates(run, step)]
 
 
 class _Template(NamedTuple):
     """A branch's problem at one step shape, short of the right-hand side.
 
-    ``rows``, ``lin``, ``quad``, ``layout``, ``row_kinds`` and the predicate
-    masses are the problem's own (read-only, shared by every step of the
-    shape).  The right-hand side reads the prediction z_const: the
+    ``problem`` is the branch's :class:`QpProblem` with every field but the
+    right-hand side and what the recorded samples decide: its rows, costs,
+    layout and row kinds are read-only and shared by every step of the
+    shape.  The right-hand side reads the prediction z_const: the
     satisfaction rows take the ``samples`` after k0 less the constraint
     margin, and the weights ``w`` on the samples ``cols`` give each
     (conjunct, anchor) row's robustness at zero future input: the epigraph
-    rows' bounds, or summed, the constant cost of a one-conjunct branch.  ``preds`` and ``steps``
-    give each satisfaction row's predicate and its step relative to the
-    window start.
+    rows' bounds, or summed, the constant cost of a one-conjunct branch.
+    ``preds`` and ``steps`` give each satisfaction row's predicate and its
+    step relative to the window start.
     """
 
-    rows: SparseRows
-    lin: np.ndarray
-    quad: np.ndarray | None
-    layout: VariableLayout
-    row_kinds: tuple[str, ...]
-    cost_pred_mass: np.ndarray
-    epigraph_pred_mass: np.ndarray | None
+    problem: QpProblem
     samples: np.ndarray
     cols: np.ndarray
     w: np.ndarray
@@ -873,11 +874,11 @@ def _templates(run: CompiledRun, step: _Step) -> tuple[_Template, ...]:
     templates = run.templates.get(shape)
     if templates is None:
         templates = run.templates.setdefault(shape, tuple(
-            _template(run, tab, step) for tab in run.tables))
+            _template(run, tab, step, branch) for branch, tab in enumerate(run.tables)))
     return templates
 
 
-def _template(run: CompiledRun, tab: _BranchTable, step: _Step) -> _Template:
+def _template(run: CompiledRun, tab: _BranchTable, step: _Step, branch: int) -> _Template:
     N, m, n_mu = run.config.horizon, run.dyn.m, run.table.size
     n_anchor = step.anchors.size
     n_conj = tab.row_of.shape[0]
@@ -913,32 +914,29 @@ def _template(run: CompiledRun, tab: _BranchTable, step: _Step) -> _Template:
         lin[layout.u_slice] = -np.bincount(coeffs.index, weights=coeffs.value, minlength=N * m)
         cost_pred_mass, epigraph_pred_mass = mass.sum(axis=0), None
     problem_rows = SparseRows.from_dense(A)
-    quad = _quad(run, layout)
-    for arr in (problem_rows.start, problem_rows.index, problem_rows.value, lin, cost_pred_mass,
-                mass, samples, cols, w, *(() if quad is None else (quad,))):
+    # the problem freezes its lin, cost_pred_mass and quad itself
+    for arr in (problem_rows.start, problem_rows.index, problem_rows.value, mass, samples, cols, w):
         arr.setflags(write=False)
-    return _Template(
-        rows=problem_rows, lin=lin, quad=quad, layout=layout,
+    problem = QpProblem(
+        lin=lin, const=0.0, rows=problem_rows, b_ub=np.empty(0), layout=layout,
         row_kinds=("stl",) * samples.size + ("epigraph",) * (rows.size * multi) + run.input_kinds,
-        cost_pred_mass=cost_pred_mass, epigraph_pred_mass=epigraph_pred_mass,
-        samples=samples, cols=cols, w=w, preds=preds, steps=steps)
+        stl_row_info={}, n_predicates=n_mu, cost_pred_mass=cost_pred_mass,
+        epigraph_pred_mass=epigraph_pred_mass, branch=branch, quad=_quad(run, layout))
+    return _Template(problem, samples, cols, w, preds, steps)
 
 
-def _assemble(run: CompiledRun, tpl: _Template, branch_ix: int, step: _Step,
-              b_in: np.ndarray) -> QpProblem:
+def _assemble(run: CompiledRun, tpl: _Template, step: _Step, b_in: np.ndarray) -> QpProblem:
     """A branch's problem at this step: the template and the step's right-hand side."""
     z_const = step.z_const
     b_stl = z_const[tpl.samples] - run.config.constraint_margin
     b_epi = (tpl.w * z_const[tpl.cols]).sum(axis=1)
-    if tpl.epigraph_pred_mass is None:
+    if tpl.problem.epigraph_pred_mass is None:
         const, b_ub = float(b_epi.sum()), np.concatenate([b_stl, b_in])
     else:
         const, b_ub = 0.0, np.concatenate([b_stl, b_epi, b_in])
-    return QpProblem(
-        quad=tpl.quad, lin=tpl.lin, const=const, rows=tpl.rows, b_ub=b_ub, layout=tpl.layout,
-        row_kinds=tpl.row_kinds, stl_row_info=_row_info(tpl.preds, tpl.steps, step.t_lo),
-        n_predicates=run.table.size, cost_pred_mass=tpl.cost_pred_mass,
-        epigraph_pred_mass=tpl.epigraph_pred_mass, branch=branch_ix,
+    return replace(
+        tpl.problem, const=const, b_ub=b_ub,
+        stl_row_info=_row_info(tpl.preds, tpl.steps, step.t_lo),
         past_violated=bool((z_const[tpl.cols[tpl.cols < step.n_past]] < 0).any()),
         explain=lambda: _debug(run, step, tpl.cols, tpl.w))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stl import SamplingGrid, omega
+from .stl import SamplingGrid, omega, sampled_window
 
 __all__ = ["Schedule", "ScheduleInfeasibleError", "compute_schedule", "k1_at", "k1_many"]
 
@@ -45,8 +45,9 @@ def compute_schedule(windows: list[tuple[float, float]] | tuple[tuple[float, flo
                      grid: SamplingGrid) -> Schedule:
     """Period and baselines for the given eventually/until intervals.
 
-    Raises :class:`ScheduleInfeasibleError` when the number of operators
-    exceeds the period (too many operators for the shortest window).
+    Raises :class:`~stlmpc.stl.EmptyWindowError` for a window without a
+    sampling instant and :class:`ScheduleInfeasibleError` for more operators
+    than the period (the sample count of the shortest window).
     """
     windows = tuple((float(a), float(b)) for a, b in windows)
     if not windows:
@@ -55,9 +56,7 @@ def compute_schedule(windows: list[tuple[float, float]] | tuple[tuple[float, flo
     k_min: list[int] = []
     d: list[int] = []
     for a, b in windows:
-        om = omega(a, b, grid)
-        if len(om) == 0:
-            raise ValueError(f"interval [{a}, {b}] contains no multiple of T={grid.T}")
+        om = sampled_window(a, b, grid)
         k_min.append(om[0])
         d.append(om[-1] - om[0])
     delta = min(d) + 1

@@ -11,22 +11,20 @@ Five readouts are provided:
 * :func:`prd`         -- sum of same-sign predicate margins over each
   predicate's domain of influence.
 
-Evaluation is array-at-a-time.  The recursion runs over the formula tree,
-not over time: each node is evaluated once, as a numpy array over every
-anchor (evaluation step) it is needed at.  A temporal window becomes one
-vector operation per window offset, folded into an array the fold owns
-(never into a child's values), and an until keeps a running prefix of its
-left operand that is combined with the right operand at each offset of the
-window.
+Evaluation is array-at-a-time, by one recursive evaluator for every
+readout but prd.  The recursion runs over the formula tree, not over time:
+each node is evaluated once, as a numpy array over every anchor (evaluation
+step) it is needed at.  A temporal window becomes one vector operation per
+window offset, folded into an array the fold owns (never into a child's
+values), and an until keeps a running prefix of its left operand that is
+combined with the right operand at each offset of the window.
 
-The scheduled readout fixes each until/eventually witness up front, so a
-subformula's value at a step does not depend on which anchor reached it,
-and it is evaluated span by span too: an eventually's child and an until's
-right operand over the steps from the first witness to the last, an until's
-left operand from the first anchor to the last witness, each anchor's mean
-read from the left-to-right window sums over that span.  The schedule is
-consulted at every anchor of each operator's span, and of several errors
-the first failing node's in document order is raised.
+The readouts differ only in how that evaluator maps the operators onto
+array operations.  dsasr is dasr with each eventually/until witness fixed
+up front by the schedule, so an eventually or until reads its children at
+each anchor's witness: its child or right operand over the steps from the
+first witness to the last, its left operand's means from the left-to-right
+window sums over the steps from the first anchor to the last witness.
 
 The results are bit-identical to applying the definitions one anchor at a
 time with Python floats:
@@ -44,6 +42,7 @@ readouts of one signal compute it once.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Union
@@ -68,8 +67,8 @@ from .stl import (
     discrete_length,
     event_index,
     iter_nodes,
-    omega,
     predicate_ids,
+    sampled_window,
     subformulas,
 )
 
@@ -140,15 +139,6 @@ class RobustnessReadout:
 K1Provider = Union[Schedule, Callable[[int, int], int]]
 
 
-def _offsets(node, grid: SamplingGrid) -> range:
-    """Offsets of the node's temporal window from its anchor."""
-    base = omega(node.a, node.b, grid)
-    if len(base) == 0:
-        raise ValueError(
-            f"interval [{node.a}, {node.b}] contains no multiple of T={grid.T}")
-    return base
-
-
 def _root(f: Formula, k: int, last: int, grid: SamplingGrid) -> tuple[Formula, int, int]:
     """Unwrapped formula, first anchor and anchor count of an evaluation at k.
 
@@ -177,19 +167,13 @@ def _anchors(sig: Signal, k: int, f: Formula) -> tuple[Formula, int, int]:
 
 def _op_paths(f: Formula) -> dict[tuple, int]:
     """Document-order index of every eventually/until position."""
-    table: dict[tuple, int] = {}
-    counter = 0
-
-    def walk(g: Formula, path: tuple) -> None:
-        nonlocal counter
+    def walk(g: Formula, path: tuple):
         if isinstance(g, (Until, Eventually)):
-            table[path] = counter
-            counter += 1
+            yield path
         for i, ch in enumerate(subformulas(g)):
-            walk(ch, path + (i,))
+            yield from walk(ch, path + (i,))
 
-    walk(f, ())
-    return table
+    return {path: op for op, path in enumerate(walk(f, ()))}
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +257,7 @@ class _Semantics(NamedTuple):
     top: bool | float       # value of true
     bottom: bool | float    # value of an until before any witness
     averaged: bool          # always-windows and until left operands use means
+    witness: Callable[..., np.ndarray] | None = None    # dsasr: (g, lo, n, path) -> k1
 
 
 _BOOL = _Semantics(lambda z: z >= 0.0, np.logical_not, np.logical_and, np.logical_or,
@@ -282,8 +267,12 @@ _DASR = _SR._replace(averaged=True)
 
 
 def _eval(g: Formula, lo: int, n: int, z: np.ndarray, grid: SamplingGrid,
-          sem: _Semantics) -> np.ndarray:
-    """Values of g at the anchors lo .. lo+n-1.
+          sem: _Semantics, path: tuple = ()) -> np.ndarray:
+    """Values of g, the node at ``path`` in the formula, at the anchors lo .. lo+n-1.
+
+    Under fixed witnesses (``sem.witness``, set for dsasr only) an
+    eventually or until reads its children at each anchor's witness instead
+    of folding over its window.
 
     Children are evaluated in the order the definitions visit them, so the
     first malformed node raises the same error a time recursion would.  A
@@ -295,23 +284,36 @@ def _eval(g: Formula, lo: int, n: int, z: np.ndarray, grid: SamplingGrid,
     if isinstance(g, Pred):
         return sem.leaf(_column(z, g.pred_id, lo, n))
     if isinstance(g, Not):
-        return sem.neg(_eval(g.child, lo, n, z, grid, sem))
+        return sem.neg(_eval(g.child, lo, n, z, grid, sem, path + (0,)))
     if isinstance(g, (And, Or)):
         fold = sem.meet if isinstance(g, And) else sem.join
-        acc = _eval(g.children[0], lo, n, z, grid, sem)
-        for ch in g.children[1:]:
-            acc = fold(acc, _eval(ch, lo, n, z, grid, sem))
+        acc = _eval(g.children[0], lo, n, z, grid, sem, path + (0,))
+        for i, ch in enumerate(g.children[1:], 1):
+            acc = fold(acc, _eval(ch, lo, n, z, grid, sem, path + (i,)))
         return acc
+    if sem.witness is not None and isinstance(g, (Eventually, Until)):
+        k1 = sem.witness(g, lo, n, path)
+        first, last = int(k1.min()), int(k1.max())
+        if isinstance(g, Eventually):
+            child = _eval(g.child, first, last - first + 1, z, grid, sem, path + (0,))
+            return child[k1 - first]
+        # until: mean of the left operand from the anchor to the witness, read
+        # from the left-to-right sums over the span from the first anchor on
+        steps = k1 - np.arange(lo, lo + n)
+        left = _eval(g.left, lo, last - lo + 1, z, grid, sem, path + (0,))
+        held = _window_sums(left, int(steps.max()) + 1)[steps, np.arange(n)]
+        right = _eval(g.right, first, last - first + 1, z, grid, sem, path + (1,))
+        return 0.5 * (held / (steps + 1) + right[k1 - first])
     if isinstance(g, Until):
-        win = _offsets(g, grid)
+        win = sampled_window(g.a, g.b, grid)
         span = n + win[-1] - win.start
         if sem.averaged:
-            left = _eval(g.left, lo, n + win[-1], z, grid, sem)
-            right = _eval(g.right, lo + win.start, span, z, grid, sem)
+            left = _eval(g.left, lo, n + win[-1], z, grid, sem, path + (0,))
+            right = _eval(g.right, lo + win.start, span, z, grid, sem, path + (1,))
             held = 0.0 + left[:n]
         else:
-            right = _eval(g.right, lo + win.start, span, z, grid, sem)
-            left = _eval(g.left, lo, n + win[-1], z, grid, sem)
+            right = _eval(g.right, lo + win.start, span, z, grid, sem, path + (1,))
+            left = _eval(g.left, lo, n + win[-1], z, grid, sem, path + (0,))
             held = left[:n].copy()
         best = np.full(n, sem.bottom)
         cand = np.empty_like(best)
@@ -332,8 +334,9 @@ def _eval(g: Formula, lo: int, n: int, z: np.ndarray, grid: SamplingGrid,
                 sem.join(best, cand, out=best)
         return best
     if isinstance(g, (Eventually, Always)):
-        win = _offsets(g, grid)
-        child = _eval(g.child, lo + win.start, n + win[-1] - win.start, z, grid, sem)
+        win = sampled_window(g.a, g.b, grid)
+        child = _eval(g.child, lo + win.start, n + win[-1] - win.start, z, grid, sem,
+                      path + (0,))
         if isinstance(g, Always) and sem.averaged:
             return _window_mean(child, n, len(win))
         fold = sem.join if isinstance(g, Eventually) else sem.meet
@@ -380,20 +383,17 @@ def eval_dasr(sig: Signal, k: int, f: Formula, table: PredicateTable) -> float:
 # Scheduled average space robustness
 
 
-def _has_witness(g: Formula) -> bool:
-    return any(isinstance(node, (Until, Eventually)) for node in iter_nodes(g))
-
-
-def _witnesses(g: Eventually | Until, lo: int, n: int, grid: SamplingGrid,
-               schedule: K1Provider, op: int, path: tuple) -> np.ndarray:
-    """Witness instants of operator ``op`` (the node g at ``path``) at the
-    anchors lo .. lo+n-1, each checked to lie in g's window at its anchor."""
+def _witnesses(grid: SamplingGrid, schedule: K1Provider, paths: dict[tuple, int],
+               g: Eventually | Until, lo: int, n: int, path: tuple) -> np.ndarray:
+    """Witness instants of the node g at ``path`` (operator ``paths[path]``)
+    at the anchors lo .. lo+n-1, each checked to lie in g's window at its anchor."""
+    op = paths[path]
     anchors = np.arange(lo, lo + n)
     if isinstance(schedule, Schedule):
         k1 = k1_many(schedule, op, anchors)
     else:
         k1 = np.array([int(schedule(op, kk)) for kk in range(lo, lo + n)], dtype=np.int64)
-    win = _offsets(g, grid)
+    win = sampled_window(g.a, g.b, grid)
     outside = np.flatnonzero((k1 < anchors + win.start) | (k1 > anchors + win[-1]))
     if outside.size:
         i = int(outside[0])
@@ -403,45 +403,9 @@ def _witnesses(g: Eventually | Until, lo: int, n: int, grid: SamplingGrid,
     return k1
 
 
-def _scheduled(g: Formula, lo: int, n: int, z: np.ndarray, grid: SamplingGrid,
-               schedule: K1Provider, paths: dict[tuple, int], path: tuple) -> np.ndarray:
-    """dsasr values of g (at ``path`` in the formula) at the anchors lo .. lo+n-1.
-
-    Like :func:`_eval`, each node is evaluated once over the contiguous span
-    of steps its parent reads; ``paths`` indexes the eventually/until
-    operators for the schedule.
-    """
-    if not _has_witness(g):
-        return _eval(g, lo, n, z, grid, _DASR)
-    if isinstance(g, (Not, And, Or)):
-        vals = [_scheduled(ch, lo, n, z, grid, schedule, paths, path + (i,))
-                for i, ch in enumerate(subformulas(g))]
-        if isinstance(g, Not):
-            return -vals[0]
-        fold = _min if isinstance(g, And) else _max
-        acc = vals[0]
-        for v in vals[1:]:
-            acc = fold(acc, v)
-        return acc
-    if isinstance(g, Always):
-        win = _offsets(g, grid)
-        child = _scheduled(g.child, lo + win.start, n + win[-1] - win.start, z, grid,
-                           schedule, paths, path + (0,))
-        return _window_mean(child, n, len(win))
-    if not isinstance(g, (Eventually, Until)):
-        raise TypeError(f"not a formula node: {g!r}")
-    k1 = _witnesses(g, lo, n, grid, schedule, paths[path], path)
-    first, last = int(k1.min()), int(k1.max())
-    if isinstance(g, Eventually):
-        child = _scheduled(g.child, first, last - first + 1, z, grid, schedule, paths, path + (0,))
-        return child[k1 - first]
-    # until: mean of the left operand from the anchor to the witness, read
-    # from the left-to-right sums over the span from the first anchor on
-    steps = k1 - np.arange(lo, lo + n)
-    left = _scheduled(g.left, lo, last - lo + 1, z, grid, schedule, paths, path + (0,))
-    held = _window_sums(left, int(steps.max()) + 1)[steps, np.arange(n)]
-    right = _scheduled(g.right, first, last - first + 1, z, grid, schedule, paths, path + (1,))
-    return 0.5 * (held / (steps + 1) + right[k1 - first])
+def _dsasr(grid: SamplingGrid, schedule: K1Provider, paths: dict[tuple, int]) -> _Semantics:
+    """dasr with every eventually/until witness read from the schedule."""
+    return _DASR._replace(witness=functools.partial(_witnesses, grid, schedule, paths))
 
 
 def eval_dsasr(sig: Signal, k: int, f: Formula, table: PredicateTable,
@@ -469,7 +433,8 @@ def eval_dsasr(sig: Signal, k: int, f: Formula, table: PredicateTable,
     if schedule is None and paths:
         raise ValueError("formula contains eventually/until operators but no schedule given")
     with np.errstate(all="ignore"):
-        vals = _scheduled(g, lo, n, z, sig.grid, schedule, paths, (0,) if g is not f else ())
+        vals = _eval(g, lo, n, z, sig.grid, _dsasr(sig.grid, schedule, paths),
+                     (0,) if g is not f else ())
         return _sum([vals]) / n if isinstance(f, AllTime) else float(vals[0])
 
 
@@ -484,11 +449,11 @@ def _exposure(g: Formula, lo: int, hi: int, grid: SamplingGrid,
     if isinstance(g, Pred):
         out.setdefault(g.pred_id, []).append((lo, hi))
     elif isinstance(g, Until):
-        win = _offsets(g, grid)
+        win = sampled_window(g.a, g.b, grid)
         _exposure(g.left, lo, hi + win[-1], grid, out)
         _exposure(g.right, lo + win.start, hi + win[-1], grid, out)
     elif isinstance(g, (Eventually, Always)):
-        win = _offsets(g, grid)
+        win = sampled_window(g.a, g.b, grid)
         _exposure(g.child, lo + win.start, hi + win[-1], grid, out)
     elif isinstance(g, (AllTime, OneTime)):
         raise TypeError(f"not a formula node: {g!r}")
@@ -580,7 +545,7 @@ def robustness_degree_axis(sig: Signal, f: Formula, k: int, table: PredicateTabl
         if isinstance(g, Always):
             if not isinstance(g.child, Pred):
                 raise ValueError("unsupported: always-operator over a non-predicate")
-            return [(g.child.pred_id, _offsets(g, grid))]
+            return [(g.child.pred_id, sampled_window(g.a, g.b, grid))]
         raise ValueError(
             f"unsupported formula shape for the axis-aligned robustness degree: {type(g).__name__}")
 

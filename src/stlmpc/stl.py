@@ -44,6 +44,7 @@ __all__ = [
     "FragmentError",
     "EmptyWindowError",
     "omega",
+    "sampled_window",
     "continuous_length",
     "discrete_length",
     "to_pnf",
@@ -87,6 +88,15 @@ def omega(a: float, b: float, grid: SamplingGrid) -> range:
     lo = max(0, math.ceil(a / grid.T - _GRID_EPS))
     hi = math.floor(b / grid.T + _GRID_EPS)
     return range(lo, hi + 1)
+
+
+def sampled_window(a: float, b: float, grid: SamplingGrid) -> range:
+    """:func:`omega` of a temporal window; raises :class:`EmptyWindowError`
+    when the window holds no sampling instant."""
+    base = omega(a, b, grid)
+    if len(base) == 0:
+        raise EmptyWindowError(f"interval [{a}, {b}] contains no multiple of T={grid.T}")
+    return base
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +425,9 @@ def validate_windows(f: Formula, grid: SamplingGrid) -> None:
     """
     for node in iter_nodes(f):
         if isinstance(node, _TEMPORAL):
-            if len(omega(node.a, node.b, grid)) == 0:
-                raise EmptyWindowError(
-                    f"interval [{node.a}, {node.b}] contains no multiple of T={grid.T}")
+            sampled_window(node.a, node.b, grid)
         if isinstance(node, OneTime):
-            if len(omega(node.event_time, node.event_time, grid)) != 1:
-                raise EmptyWindowError(
-                    f"event time {node.event_time} is not a sampling instant of T={grid.T}")
+            event_index(node, grid)
 
 
 def event_index(f: OneTime, grid: SamplingGrid) -> int:

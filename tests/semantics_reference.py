@@ -21,6 +21,7 @@ from stlmpc.stl import (
     AllTime,
     Always,
     And,
+    EmptyWindowError,
     Eventually,
     Formula,
     Not,
@@ -42,7 +43,7 @@ from stlmpc.stl import (
 def _window(node, k: int, grid: SamplingGrid) -> range:
     base = omega(node.a, node.b, grid)
     if len(base) == 0:
-        raise ValueError(
+        raise EmptyWindowError(
             f"interval [{node.a}, {node.b}] contains no multiple of T={grid.T}")
     return range(k + base.start, k + base.stop)
 

@@ -495,6 +495,18 @@ UNKNOWN = {
 }
 
 
+# edits of two_tank_phi2 that set one number to NaN, by the key the error names
+NAN = {
+    "u_min": lambda text: text.replace("u_min = 0", "u_min = nan"),
+    "u_max": lambda text: text.replace("u_max = 6", "u_max = nan"),
+    "constraint_margin": lambda text: text.replace("slack = on",
+                                                   "slack = on\nconstraint_margin = nan"),
+    "budget": lambda text: text.replace("slack = on", "slack = on\nbudget = nan"),
+    "noise_std": lambda text: text.replace("noise = none", "noise = gaussian\nnoise_std = 0.1 nan"),
+    "x0": lambda text: text.replace("x0 = 0 0", "x0 = 0 nan"),
+}
+
+
 class TestSchema:
     def test_docstring_example_lists_every_accepted_key(self):
         lines = cli.__doc__.split("::\n", 1)[1].splitlines()
@@ -517,6 +529,24 @@ class TestSchema:
             err = capsys.readouterr().err
             assert str(path) in err and section in err and key in err
         assert not (tmp_path / "two_tank_phi2_trace.csv").exists()
+
+    @pytest.mark.parametrize("key", sorted(NAN))
+    def test_nan_number_is_an_error(self, key, tmp_path, capsys, monkeypatch):
+        # a scenario error, so check rejects it too and no run is attempted
+        monkeypatch.chdir(tmp_path)
+        path = preset_copy(tmp_path, NAN[key])
+        for command in ("check", "run"):
+            assert main([command, str(path)]) == 2
+            assert key in capsys.readouterr().err
+        assert not (tmp_path / "two_tank_phi2_trace.csv").exists()
+
+    def test_infinite_budget_runs(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = preset_copy(tmp_path, lambda text: text.replace("slack = on",
+                                                               "slack = on\nbudget = inf"))
+        assert main(["check", str(path)]) == 0
+        assert main(["run", str(path)]) == 0
+        assert "satisfied = true" in capsys.readouterr().out
 
     def test_noise_std_holds_one_value_or_one_per_state(self, tmp_path, capsys):
         def noisy(std):

@@ -260,6 +260,33 @@ class TestBuildProblem:
                 assert np.array_equal(p.b_ub[:n], p.debug["z_const"][cols] - 0.25)
         assert recorded > 0 and violated == {False, True}
 
+    def test_steps_of_one_shape_share_their_template(self):
+        # a step's matrices are its shape's, read-only and shared; its right-hand
+        # side is its own, equal to that of a run that never built the shape
+        system = LtiSystem(np.array([[0.8]]), np.array([[1.0]]), np.zeros(1), GRID1)
+        phi, table = _parse_pnf("G[0,inf]((G[0,2](x1 >= 0.5) & ((x1 >= 0) U[1,3] (x1 <= 5)))"
+                                " | F[0,2](x1 >= 1))", n_states=1)
+        config = ControlConfig(horizon=5, u_min=-1, u_max=4, input_penalty=np.eye(1))
+        run = compile_run(phi, system, table, config)
+        history = np.random.default_rng(5).uniform(-1, 6, size=(12, 1))
+        k0, delta = run.h_d, run.schedule.delta
+        first, second = (build_problem(run, k0=k, state_history=history[:k + 1])
+                         for k in (k0, k0 + delta))
+        fresh = build_problem(compile_run(phi, system, table, config), k0=k0 + delta,
+                              state_history=history[:k0 + delta + 1])
+        for branch, (a, b, c) in enumerate(zip(first, second, fresh, strict=True)):
+            assert a.branch == b.branch == c.branch == branch
+            for name in ("rows", "lin", "quad", "layout", "row_kinds"):
+                assert getattr(a, name) is getattr(b, name), name
+            for arr in (a.rows.start, a.rows.index, a.rows.value, a.lin, a.quad):
+                assert not arr.flags.writeable
+            assert list(b.stl_row_info.values()) == [
+                (p, k + delta) for p, k in a.stl_row_info.values()]
+            assert not np.array_equal(a.b_ub, b.b_ub)
+            assert np.array_equal(b.b_ub, c.b_ub) and b.const == c.const
+            assert b.stl_row_info == c.stl_row_info and b.past_violated == c.past_violated
+        assert len(first) == 2 and first[0].layout.n_epigraph and not first[1].layout.n_epigraph
+
     def test_matches_literal_until_matrix(self):
         # the general compiler and each single-operator constructor agree on a
         # steady-state problem with that one operator

@@ -14,6 +14,7 @@ from stlmpc import (
     AllTime,
     Always,
     And,
+    EmptyWindowError,
     Eventually,
     Not,
     OneTime,
@@ -434,8 +435,10 @@ def _consulted_as_visited(f) -> bool:
     """Whether eval_dsasr consults a callable at exactly the pairs the
     definitions visit: no eventually/until sits below an eventually or an
     until's right operand, whose spans run from the first witness to the last."""
-    return not any(semantics._has_witness(node.child if isinstance(node, Eventually) else node.right)
-                   for node in iter_nodes(f) if isinstance(node, (Eventually, Until)))
+    return not any(isinstance(below, (Eventually, Until))
+                   for node in iter_nodes(f) if isinstance(node, (Eventually, Until))
+                   for below in iter_nodes(node.child if isinstance(node, Eventually)
+                                           else node.right))
 
 
 def _assert_consulted(f, seen_new: list, seen_old: list) -> None:
@@ -763,7 +766,8 @@ class TestLongSignals:
         with np.errstate(all="ignore"):
             new = {"eval_sr": semantics._eval(g, 0, n, z, GRID1, semantics._SR),
                    "eval_dasr": semantics._eval(g, 0, n, z, GRID1, semantics._DASR),
-                   "eval_dsasr": semantics._scheduled(g, 0, n, z, GRID1, k1_of, paths, (0,))}
+                   "eval_dsasr": semantics._eval(g, 0, n, z, GRID1,
+                                                 semantics._dsasr(GRID1, k1_of, paths), (0,))}
         for name, values in new.items():
             extra = (k1_of,) if name == "eval_dsasr" else ()
             old = [getattr(oracle, name)(s, k, g, LONG_TABLE, *extra) for k in range(n)]
@@ -785,8 +789,8 @@ class TestLongSignals:
         g = unwrap(cfg.formula)
         n = s.last_index - discrete_length(g, grid) + 1
         with np.errstate(all="ignore"):
-            new = semantics._scheduled(g, 0, n, z, grid, sched, semantics._op_paths(cfg.formula),
-                                       (0,))
+            new = semantics._eval(g, 0, n, z, grid, semantics._dsasr(
+                grid, sched, semantics._op_paths(cfg.formula)), (0,))
         old = [oracle.eval_dsasr(s, k, g, cfg.table, sched) for k in range(n)]
         assert list(map(repr, new.tolist())) == list(map(repr, old))
 
@@ -803,8 +807,8 @@ class TestLongSignals:
         n = s.last_index - discrete_length(g, GRID1) + 1
         sched = compute_schedule(collect_event_ops(g), GRID1)
         with np.errstate(all="ignore"):
-            new = semantics._scheduled(g, 0, n, z, GRID1, sched, semantics._op_paths(formula),
-                                       (0,))
+            new = semantics._eval(g, 0, n, z, GRID1, semantics._dsasr(
+                GRID1, sched, semantics._op_paths(formula)), (0,))
         old = [oracle.eval_dsasr(s, k, g, LONG_TABLE, sched) for k in range(n)]
         assert list(map(repr, new.tolist())) == list(map(repr, old))
 
@@ -853,15 +857,16 @@ class TestLongSignals:
             if isinstance(part, Until):
                 if until_miss is not None:
                     u = until_miss
-                    errors.append(f"scheduled k1={u + 100 + u % 4} outside window "
-                                  f"{list(range(u + 1, u + 5))} of operator at (0, {i})")
+                    errors.append((ValueError, f"scheduled k1={u + 100 + u % 4} outside window "
+                                   f"{list(range(u + 1, u + 5))} of operator at (0, {i})"))
                 if isinstance(left, Always):
-                    errors.append("interval [1.0, 1.0] contains no multiple of T=2.0")
+                    errors.append((EmptyWindowError,
+                                   "interval [1.0, 1.0] contains no multiple of T=2.0"))
             elif eventually_miss is not None:
                 e = eventually_miss
-                errors.append(f"scheduled k1={e + 99 + e % 3} outside window "
-                              f"{[e, e + 1, e + 2]} of operator at (0, {i})")
-        assert _outcome(eval_dsasr, s, 0, f, ID1, k1) == ("raised", ValueError, errors[0])
+                errors.append((ValueError, f"scheduled k1={e + 99 + e % 3} outside window "
+                               f"{[e, e + 1, e + 2]} of operator at (0, {i})"))
+        assert _outcome(eval_dsasr, s, 0, f, ID1, k1) == ("raised", *errors[0])
         if len(errors) == 1:
             _parity("eval_dsasr", s, 0, f, ID1, k1)
 

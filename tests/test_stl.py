@@ -27,6 +27,7 @@ from stlmpc import (
     TrueNode,
     Until,
     collect_event_ops,
+    compute_schedule,
     continuous_length,
     discrete_length,
     eval_bool,
@@ -249,6 +250,18 @@ class TestValidation:
         f, _ = parse("event => F[0,24](x1 >= 0)", event_time=5.0)
         with pytest.raises(EmptyWindowError):
             validate_windows(f, GRID12)
+
+    def test_empty_window_is_the_same_error_everywhere(self):
+        # the readouts and the schedule meet an unvalidated empty window with
+        # the error and the message validate_windows gives
+        f, table = parse("G[5,7](x1 >= 0)")
+        message = r"^interval \[5.0, 7.0\] contains no multiple of T=12.0$"
+        with pytest.raises(EmptyWindowError, match=message):
+            validate_windows(f, GRID12)
+        with pytest.raises(EmptyWindowError, match=message):
+            eval_bool(Signal(np.zeros((3, 1)), GRID12), 0, f, table)
+        with pytest.raises(EmptyWindowError, match=message):
+            compute_schedule([(5.0, 7.0)], GRID12)
 
 
 def nested_formulas():

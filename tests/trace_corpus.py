@@ -19,8 +19,11 @@ pass meets each scenario for the first time, the ``warm`` pass repeats it,
 so a cache kept between runs is covered both ways.  BLAS runs on one thread.
 
 The corpus: the five noise-free presets; the three noisy presets at noise
-seeds 0-15; ``two_tank_phi3`` under an input penalty of 0.01 I; and
-``two_tank_phi3`` under a total input budget of 40 (which binds).
+seeds 0-15; ``two_tank_phi3`` under an input penalty of 0.01 I;
+``two_tank_phi3`` under a total input budget of 40 (which binds); and
+``two_tank_phi3_noisy`` at noise seeds 0-3 with its formula in a disjunction
+(``+or``), so each step solves two branches: one with epigraph rows and one
+whose cost is a vector only.
 
 The closed-loop traces are 51 samples long, so each pass also prints one
 ``monitor@`` digest of the six readouts (``mpc.readouts`` at ``%.17g``, with
@@ -58,11 +61,15 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from stlmpc import cli, compute_schedule, mpc, semantics, stl  # noqa: E402
+from stlmpc import cli, compute_schedule, mpc, parser, semantics, stl  # noqa: E402
 
 NOISE_FREE = ("two_tank_phi1", "two_tank_phi2", "two_tank_phi3", "example2_dasr", "example2_sr")
 NOISY = ("two_tank_phi1_noisy", "two_tank_phi2_noisy", "two_tank_phi3_noisy")
 SEEDS = range(16)
+# two_tank_phi3_noisy's formula or an always: a two-conjunct and a one-conjunct branch
+DISJUNCTION = ("G[0,inf](F[120,240](x1 >= 2) & (x1 <= 4) U[180,420] (x2 <= 2.5)"
+               " | G[0,60](x1 <= 1.5))")
+DISJUNCTION_SEEDS = range(4)
 MONITOR = ("two_tank_phi1", "two_tank_phi2", "two_tank_phi3", "example2_dasr")
 MONITOR_SAMPLES = (1001, 3001)
 THRESHOLDS = ((0, (0.0, 1.0, 2.0, 4.0, 5.0)), (1, (2.5,)))     # (state, values)
@@ -104,6 +111,12 @@ def corpus():
     for label, change in variants.items():
         control = dataclasses.replace(cfg.run_config.control, **change)
         yield label, cfg, dataclasses.replace(cfg.run_config, control=control), cfg.noise
+    cfg = cli.ScenarioConfig.from_file(cli.preset_path("two_tank_phi3_noisy"))
+    formula, table = stl.to_pnf(*parser.parse(DISJUNCTION, n_states=cfg.system.n))
+    cfg = dataclasses.replace(cfg, formula=formula, table=table)
+    for seed in DISJUNCTION_SEEDS:
+        yield (f"two_tank_phi3_noisy+or@{seed}", cfg, cfg.run_config,
+               dataclasses.replace(cfg.noise, seed=seed))
 
 
 def _update(h, arrays, statuses) -> None:
