@@ -50,7 +50,6 @@ from .qp_builder import (
     build_E_eventually,
     build_E_until,
     build_problem,
-    build_R,
     build_sr_baseline,
     CompiledRun,
     compile_run,

@@ -312,7 +312,8 @@ def read_trace(path: str | Path):
     """Read an emitted CSV back into (states, inputs, noises, statuses, objectives).
 
     ``#`` starts a comment anywhere in a line; blank lines and comments are
-    skipped, and columns after the objective are ignored.  Raises
+    skipped, and columns after the objective are ignored; a trace without
+    data rows reads as arrays of zero rows.  Raises
     ``ValueError`` when the header lacks a column the format needs or a data
     row's field count differs from the header's, and when a numeric field is
     not a decimal number (unlike ``float()``, the reader takes no ``_`` digit
@@ -327,14 +328,14 @@ def read_trace(path: str | Path):
     named = header[:header.index("status")] if "status" in header else header
     n = sum(1 for h in named if h.startswith("x"))
     m = sum(1 for h in named if h.startswith("u"))
-    # the first data line is usually the first line; no data at all would
-    # make loadtxt warn
-    if not any(line and line[0] != "#" for line in lines):
-        return np.array([]), np.array([]), np.array([]), (), np.array([])
     width, status = len(header), 2 + 2 * n + m
     if width < status + 2:
         raise ValueError(f"{path}: the header has {width} columns, fewer than the {status + 2} "
                          f"of k, t, {n} states, {m} inputs, {n} noises, status and objective")
+    # the first data line is usually the first line; no data at all would
+    # make loadtxt warn
+    if not any(line and line[0] != "#" for line in lines):
+        return np.empty((0, n)), np.empty((0, m)), np.empty((0, n)), (), np.empty(0)
     # One field per column, so loadtxt rejects a row of another width.  k, t
     # and the columns after the objective stay unparsed; the status is kept
     # whole as an object.  loadtxt drops comments and blank lines and parses
@@ -413,11 +414,7 @@ def monitor_scenario(config_path: str | Path, trace_path: str | Path) -> int:
     """Offline robustness evaluation of a recorded trace: the readout lines ``run`` prints."""
     cfg = ScenarioConfig.from_file(config_path)
     states = read_trace(trace_path)[0]
-    if states.ndim == 1:
-        # no data rows read back as a flat empty array: no samples of the
-        # scenario's states, so every readout is unverifiable
-        states = np.empty((0, cfg.system.n))
-    elif states.shape[1] != cfg.system.n:
+    if states.shape[1] != cfg.system.n:
         raise ValueError(f"{trace_path} has {states.shape[1]} state columns, "
                          f"the scenario has n = {cfg.system.n} states")
     windows = collect_event_ops(cfg.formula)

@@ -27,7 +27,6 @@ wrapper, and the wrappers only at the root.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -72,8 +71,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass
-class _Token:
+class _Token(NamedTuple):
     kind: str
     value: str
     pos: int
@@ -89,56 +87,19 @@ def _tokenize(text: str) -> list[_Token]:
             if not stripped:
                 break
             raise ParseError(f"unexpected character {stripped[0]!r}", text, len(text) - len(stripped))
-        for kind in ("num", "var", "word", "op"):
-            val = m.group(kind)
-            if val is not None:
-                tokens.append(_Token(kind if kind != "op" else val, val, m.start(kind)))
-                break
+        kind, val = m.lastgroup, m.group(m.lastgroup)
+        tokens.append(_Token(val if kind == "op" else kind, val, m.start(kind)))
         pos = m.end()
     return tokens
 
 
-class _PredicatePool:
-    """Deduplicating accumulator for predicate rows while parsing."""
-
-    def __init__(self) -> None:
-        self.entries: list[tuple[tuple[float, ...], float, str]] = []
-        self._index: dict[tuple[tuple[float, ...], float], int] = {}
-        self.max_state = 0
-
-    def add(self, state_ix: int, sign: float, offset: float, name: str) -> tuple[int, int]:
-        """Register x{state_ix} with given sign/offset; returns (pred_id, state_ix)."""
-        self.max_state = max(self.max_state, state_ix)
-        key = (state_ix, sign, offset)
-        idx = self._index.get(key)
-        if idx is None:
-            idx = len(self.entries)
-            self.entries.append((key, name))  # type: ignore[arg-type]
-            self._index[key] = idx
-        return idx, state_ix
-
-    def table(self, n_states: int | None) -> PredicateTable:
-        n = n_states if n_states is not None else max(self.max_state, 1)
-        if n < self.max_state:
-            raise ValueError(f"formula references x{self.max_state} but n_states={n}")
-        rows = np.zeros((max(len(self.entries), 1), n))
-        offs = np.zeros(max(len(self.entries), 1))
-        names = []
-        for i, ((state_ix, sign, offset), name) in enumerate(self.entries):
-            rows[i, state_ix - 1] = sign
-            offs[i] = offset
-            names.append(name)
-        if not self.entries:
-            names = ["p0"]
-        return PredicateTable(rows, offs, names)
-
-
 class _Parser:
-    def __init__(self, text: str, pool: _PredicatePool):
+    def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
-        self.pool = pool
+        # (state, sign, offset) -> (id, name), in order of first appearance
+        self.preds: dict[tuple[int, float, float], tuple[int, str]] = {}
 
     # -- token helpers
 
@@ -152,70 +113,52 @@ class _Parser:
         self.i += 1
         return tok
 
-    def _expect(self, kind: str) -> _Token:
+    def _expect(self, value: str) -> None:
         tok = self._next()
-        if tok.kind != kind and tok.value != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.value!r}", self.text, tok.pos)
-        return tok
+        if tok.value != value:
+            raise ParseError(f"expected {value!r}, found {tok.value!r}", self.text, tok.pos)
 
-    def _fail(self, message: str) -> ParseError:
-        tok = self._peek()
-        pos = tok.pos if tok is not None else len(self.text)
-        return ParseError(message, self.text, pos)
+    def _accept(self, value: str) -> bool:
+        """Consume the next token if its value is ``value``."""
+        if (tok := self._peek()) is not None and tok.value == value:
+            self.i += 1
+            return True
+        return False
 
     # -- grammar
 
     def parse_formula(self) -> Formula:
-        tok = self._peek()
-        if tok is not None and tok.value == "event":
-            self._next()
+        if self._accept("event"):
             self._expect("=>")
-            child = self.parse_theta()
-            out: Formula = OneTime(child)
-        elif tok is not None and tok.value == "G" and self._is_alltime_interval():
-            self._next()
-            self._expect("[")
-            self._expect("num")
-            self._expect(",")
-            self._expect("inf")
+            out: Formula = OneTime(self.parse_theta())
+        elif [float(t.value) if t.kind == "num" else t.value
+              for t in self.tokens[:5]] == ["G", "[", 0.0, ",", "inf"]:
+            self.i = 5  # skip the checked G [ 0 , inf
             self._expect("]")
             self._expect("(")
-            child = self.parse_theta()
+            out = AllTime(self.parse_theta())
             self._expect(")")
-            out = AllTime(child)
         else:
             out = self.parse_theta()
-        leftover = self._peek()
-        if leftover is not None:
+        if (leftover := self._peek()) is not None:
             raise ParseError(f"unexpected token {leftover.value!r}", self.text, leftover.pos)
         return out
 
-    def _is_alltime_interval(self) -> bool:
-        # G followed by [ <num> , inf ]
-        toks = self.tokens[self.i:self.i + 6]
-        return (len(toks) >= 5 and toks[1].value == "["
-                and toks[2].kind == "num" and float(toks[2].value) == 0.0
-                and toks[3].value == "," and toks[4].value == "inf")
-
     def parse_theta(self) -> Formula:
         terms = [self.parse_conj()]
-        while (tok := self._peek()) is not None and tok.value == "|":
-            self._next()
+        while self._accept("|"):
             terms.append(self.parse_conj())
         return terms[0] if len(terms) == 1 else Or(tuple(terms))
 
     def parse_conj(self) -> Formula:
         terms = [self.parse_until()]
-        while (tok := self._peek()) is not None and tok.value == "&":
-            self._next()
+        while self._accept("&"):
             terms.append(self.parse_until())
         return terms[0] if len(terms) == 1 else And(tuple(terms))
 
     def parse_until(self) -> Formula:
         left = self.parse_unary()
-        tok = self._peek()
-        if tok is not None and tok.value == "U":
-            self._next()
+        if self._accept("U"):
             a, b = self.parse_interval()
             return Until(left, self.parse_unary(), a, b)
         return left
@@ -243,31 +186,24 @@ class _Parser:
         return a, b
 
     def parse_unary(self) -> Formula:
-        tok = self._peek()
-        if tok is None:
-            raise self._fail("unexpected end of input")
+        tok = self._next()
         if tok.value == "!":
-            self._next()
             return Not(self.parse_unary())
         if tok.value in ("F", "G"):
-            self._next()
             a, b = self.parse_interval()
             child = self.parse_unary()
             return Eventually(child, a, b) if tok.value == "F" else Always(child, a, b)
         if tok.value == "(":
-            self._next()
             inner = self.parse_theta()
             self._expect(")")
             return inner
         if tok.value == "true":
-            self._next()
             return TrueNode()
         if tok.kind == "var":
-            return self.parse_predicate()
+            return self.parse_predicate(tok)
         raise ParseError(f"unexpected token {tok.value!r}", self.text, tok.pos)
 
-    def parse_predicate(self) -> Formula:
-        var = self._next()
+    def parse_predicate(self, var: _Token) -> Formula:
         state_ix = int(var.value[1:])
         if state_ix < 1:
             raise ParseError("state indices are 1-based", self.text, var.pos)
@@ -281,8 +217,7 @@ class _Parser:
         sign = 1.0 if cmp_tok.value == ">=" else -1.0
         offset = -r if cmp_tok.value == ">=" else r
         name = f"x{state_ix} {cmp_tok.value} {_fmt_num(r)}"
-        pred_id, _ = self.pool.add(state_ix, sign, offset, name)
-        return Pred(pred_id)
+        return Pred(self.preds.setdefault((state_ix, sign, offset), (len(self.preds), name))[0])
 
 
 def parse(text: str, n_states: int | None = None, event_time: float | None = None) -> ParsedFormula:
@@ -292,14 +227,23 @@ def parse(text: str, n_states: int | None = None, event_time: float | None = Non
     index mentioned).  ``event_time`` anchors a one-time formula in seconds;
     it is an error to pass it for formulas without the event wrapper.
     """
-    pool = _PredicatePool()
-    parser = _Parser(text, pool)
+    parser = _Parser(text)
     formula = parser.parse_formula()
     if event_time is not None:
         if not isinstance(formula, OneTime):
             raise ValueError("event_time given but the formula has no 'event =>' wrapper")
         formula = OneTime(formula.child, float(event_time))
-    return ParsedFormula(formula, pool.table(n_states))
+    max_state = max((state for state, _, _ in parser.preds), default=0)
+    n = max(max_state, 1) if n_states is None else n_states
+    if n < max_state:
+        raise ValueError(f"formula references x{max_state} but n_states={n}")
+    # a formula without predicates keeps one zero row
+    size = max(len(parser.preds), 1)
+    rows, offsets = np.zeros((size, n)), np.zeros(size)
+    for i, (state, sign, offset) in enumerate(parser.preds):
+        rows[i, state - 1], offsets[i] = sign, offset
+    names = [name for _, name in parser.preds.values()] or ["p0"]
+    return ParsedFormula(formula, PredicateTable(rows, offsets, names))
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,6 @@ __all__ = [
     "build_E_until",
     "build_E_eventually",
     "build_E_always",
-    "build_R",
     "compile_run",
     "build_problem",
     "add_slack_relaxation",
@@ -549,36 +548,6 @@ def _tabulate(branch, schedule: Schedule | None, grid: SamplingGrid, n_mu: int,
     return replace(table, inputs=inputs)
 
 
-def build_R(theta: Formula, schedule: Schedule | None, N: int, k_l: int, k_h: int,
-            grid: SamplingGrid, table: PredicateTable):
-    """Satisfaction rows over the stacked predicate vector.
-
-    Returns (R, meta): one row per (predicate, step) inequality, in
-    (step, predicate) order, with meta listing the (predicate id, step) of
-    every row.  The columns are the predicate samples of steps
-    k_l .. k_l + N + h_d - 1; anchors k_l .. k_h must be steps >= 0.  The
-    formula must be a conjunction (use one branch of the DNF for
-    disjunctions).
-    """
-    branches = _dnf(theta)
-    if len(branches) != 1:
-        raise FragmentError(
-            "build_R expects a conjunction; compile disjunction branches separately")
-    h_d = discrete_length(theta, grid)
-    n_mu = table.size
-    t_hi = k_l + N + h_d - 1
-    anchors = np.arange(k_l, k_h + 1)
-    hit = np.zeros((t_hi - k_l + 1) * n_mu, dtype=bool)
-    samples = _terms_at(_tabulate(branches[0], schedule, grid, n_mu), anchors, 0, n_mu)[1]
-    k, p = np.divmod(samples, n_mu)
-    hit[_window_cols(k, p, k_l, t_hi, n_mu)] = True
-    cols = np.flatnonzero(hit)
-    R = np.zeros((cols.size, hit.size))
-    R[np.arange(cols.size), cols] = 1.0
-    ks, ps = np.divmod(cols, n_mu)
-    return R, list(zip(ps.tolist(), (ks + k_l).tolist()))
-
-
 # ---------------------------------------------------------------------------
 # Full problem assembly
 
@@ -605,9 +574,12 @@ class ControlConfig:
     def bounds(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         lo = np.broadcast_to(np.asarray(self.u_min, dtype=float), (m,)).copy()
         hi = np.broadcast_to(np.asarray(self.u_max, dtype=float), (m,)).copy()
-        for name, bound in (("u_min", lo), ("u_max", hi)):
+        # lo > hi misses an empty box of two equal infinities
+        for name, bound, empty in (("u_min", lo, np.inf), ("u_max", hi, -np.inf)):
             if np.isnan(bound).any():
                 raise ValueError(f"{name} is NaN")
+            if (bound == empty).any():
+                raise ValueError(f"{name} is {empty:g}, which leaves no input")
         if np.any(lo > hi):
             raise ValueError("u_min exceeds u_max")
         return lo, hi

@@ -122,11 +122,7 @@ class TestTraceFiles:
         path = tmp_path / "t.csv"
         emit_trace(trace, path)
         got = read_trace(path)
-        if rows == 0:
-            # a header-only file reads back as flat empty arrays
-            expect = (np.array([]),) * 3 + ((), np.array([]))
-        else:
-            expect = (states, inputs, noises, statuses, objectives)
+        expect = (states, inputs, noises, statuses, objectives)
         assert got[3] == expect[3]
         for a, b in zip(got[:3] + got[4:], expect[:3] + expect[4:]):
             assert a.dtype == b.dtype and a.shape == b.shape
@@ -134,12 +130,11 @@ class TestTraceFiles:
             assert a.tobytes() == b.tobytes()
 
     def test_empty_file_reads_as_empty_arrays(self, tmp_path):
+        # an empty file has not even the header, so it reads as no arrays at all
         path = tmp_path / "empty.csv"
         path.write_text("")
-        states, inputs, noises, statuses, objectives = read_trace(path)
-        assert statuses == ()
-        for a in (states, inputs, noises, objectives):
-            assert a.shape == (0,) and a.dtype == np.float64
+        with pytest.raises(ValueError, match="empty.csv: the header has 1 columns, fewer than"):
+            read_trace(path)
 
     def test_summary_lines_are_comments(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -326,6 +321,11 @@ class TestMalformedTraces:
     def test_monitor_header_only_is_unverifiable(self, header, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text(header + "\n")
+        if header != HEADER:
+            # a header of another state count is rejected, rows or not
+            assert main(["monitor", "two_tank_phi3", str(path)]) == 2
+            assert "1 state columns, the scenario has n = 2 states" in capsys.readouterr().err
+            return
         assert main(["monitor", "two_tank_phi3", str(path)]) == 0
         assert capsys.readouterr().out.splitlines() == [
             f"{name} = unverifiable" for name in ("satisfied", "sr", "dasr", "dsasr", "prd", "rd")]
@@ -336,6 +336,11 @@ class TestMalformedTraces:
         cfg = phi3_copy(tmp_path, "atomic", "x1 >= 2")
         path = tmp_path / "empty.csv"
         path.write_text(text)
+        if not text:
+            # an empty file lacks the header
+            assert main(["monitor", str(cfg), str(path)]) == 2
+            assert "the header has 1 columns" in capsys.readouterr().err
+            return
         assert main(["monitor", str(cfg), str(path)]) == 0
         assert capsys.readouterr().out.splitlines() == [
             f"{name} = unverifiable" for name in ("satisfied", "sr", "dasr", "dsasr", "prd", "rd")]
@@ -404,9 +409,10 @@ class TestCommentsAndHandEdits:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             states, inputs, noises, statuses, objectives = read_trace(path)
+        # the header's 2 states, 1 input and 2 noises, no rows
         assert statuses == ()
-        for a in (states, inputs, noises, objectives):
-            assert a.shape == (0,) and a.dtype == np.float64
+        for a, shape in zip((states, inputs, noises, objectives), ((0, 2), (0, 1), (0, 2), (0,))):
+            assert a.shape == shape and a.dtype == np.float64
 
     @pytest.mark.parametrize("status", ["a,b", "#", "note # here", "two\nlines", "cr\r"])
     def test_emit_refuses_a_status_it_could_not_read_back(self, status, tmp_path):
@@ -506,6 +512,15 @@ NAN = {
     "x0": lambda text: text.replace("x0 = 0 0", "x0 = 0 nan"),
 }
 
+# edits of two_tank_phi2 whose input box is empty though u_min > u_max is false,
+# by the key the error names
+EMPTY_BOX = {
+    "u_min": lambda text: text.replace("u_min = 0", "u_min = inf").replace("u_max = 6",
+                                                                          "u_max = inf"),
+    "u_max": lambda text: text.replace("u_min = 0", "u_min = -inf").replace("u_max = 6",
+                                                                           "u_max = -inf"),
+}
+
 
 class TestSchema:
     def test_docstring_example_lists_every_accepted_key(self):
@@ -538,6 +553,15 @@ class TestSchema:
         for command in ("check", "run"):
             assert main([command, str(path)]) == 2
             assert key in capsys.readouterr().err
+        assert not (tmp_path / "two_tank_phi2_trace.csv").exists()
+
+    @pytest.mark.parametrize("key", sorted(EMPTY_BOX))
+    def test_infinite_empty_input_box_is_an_error(self, key, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = preset_copy(tmp_path, EMPTY_BOX[key])
+        for command in ("check", "run"):
+            assert main([command, str(path)]) == 2
+            assert f"{key} is" in capsys.readouterr().err
         assert not (tmp_path / "two_tank_phi2_trace.csv").exists()
 
     def test_infinite_budget_runs(self, tmp_path, capsys, monkeypatch):

@@ -23,7 +23,6 @@ from stlmpc import (
     build_E_eventually,
     build_E_until,
     build_problem,
-    build_R,
     build_sr_baseline,
     collect_event_ops,
     compile_run,
@@ -176,33 +175,6 @@ class TestEMatrices:
         ):
             assert (E >= 0).all()
             np.testing.assert_allclose(E.sum(axis=1), 1.0)
-
-
-class TestBuildR:
-    def test_always_rows_pin_window(self):
-        theta = Always(Pred(0), 0.0, 2.0)
-        table = PredicateTable([[1.0]], [0.0])
-        R, meta = build_R(theta, None, N=3, k_l=0, k_h=1, grid=GRID1, table=table)
-        # anchors 0 and 1 cover times {0,1,2} and {1,2,3}
-        assert sorted(k for _, k in meta) == [0, 1, 2, 3]
-        assert R.shape == (4, 5)
-        assert (R.sum(axis=1) == 1.0).all()
-
-    def test_eventually_one_row_per_anchor(self):
-        theta = Eventually(Pred(0), 1.0, 3.0)
-        table = PredicateTable([[1.0]], [0.0])
-        sched = compute_schedule([(1.0, 3.0)], GRID1)
-        R, meta = build_R(theta, sched, N=4, k_l=0, k_h=3, grid=GRID1, table=table)
-        witnesses = {sched.k1_at(0, k) for k in range(4)}
-        assert {k for _, k in meta} == witnesses
-
-    def test_overlapping_windows_deduplicate(self):
-        horizon = 6
-        theta = Always(Pred(0), 0.0, 3.0)
-        table = PredicateTable([[1.0]], [0.0])
-        R, meta = build_R(theta, None, N=horizon + 1, k_l=0, k_h=horizon - 3,
-                          grid=GRID1, table=table)
-        assert len(meta) == horizon + 1  # the union of shifted windows is one interval
 
 
 def two_tank_system(T=12.0):

@@ -76,6 +76,28 @@ class TestParse:
         np.testing.assert_array_equal(table.C, [[0.0, -1.0]])
         np.testing.assert_array_equal(table.c, [5.0])
 
+    def test_predicate_table(self):
+        text = "x2 >= 1 & x1 <= -0 & x2 <= 1 | x2 >= 1.0 & x1 <= 0 & x1 >= 3"
+        f, table = parse(text)
+        # ids in order of first appearance; equal (state, sign, offset) share one
+        assert f == Or((And((Pred(0), Pred(1), Pred(2))), And((Pred(0), Pred(1), Pred(3)))))
+        np.testing.assert_array_equal(table.C, [[0, 1], [-1, 0], [0, -1], [1, 0]])
+        np.testing.assert_array_equal(table.c, [-1, 0, 1, -3])
+        # x1 <= 0 keeps the offset of its first spelling, -0
+        assert np.signbit(table.c[1])
+        assert table.names == ("x2 >= 1", "x1 <= 0", "x2 <= 1", "x1 >= 3")
+        assert parse(text, n_states=3).table.C.shape == (4, 3)
+        with pytest.raises(ValueError, match="formula references x2 but n_states=1"):
+            parse(text, n_states=1)
+
+    def test_true_has_one_zero_predicate(self):
+        f, table = parse("true")
+        assert f == TrueNode()
+        np.testing.assert_array_equal(table.C, [[0.0]])
+        np.testing.assert_array_equal(table.c, [0.0])
+        assert table.names == ("p0",)
+        np.testing.assert_array_equal(parse("true", n_states=2).table.C, [[0.0, 0.0]])
+
     def test_unit_axis(self):
         table = PredicateTable([[0.0, -1.0], [1.0, 0.0], [2.0, 0.0], [1.0, 1.0]],
                                [5.0, 0.0, 0.0, 0.0])

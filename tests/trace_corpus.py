@@ -44,6 +44,12 @@ Each pass also prints one ``read@3001[+edit]`` digest of the five arrays
 ``cli.emit_trace``: as written, with CRLF line ends (``+crlf``), with blank
 and whitespace-only lines (``+blank``), with indented comment lines
 (``+comments``) and with a trailing column (``+column``).
+
+Each pass also prints one ``parse@`` digest per packaged preset's formula
+text and the disjunction's, parsed as written with the default
+``n_states``, and one per nested formula above, pretty-printed over its
+table and parsed back.  A ``parse@`` digest covers the formula's ``repr``
+and the table's ``C`` and ``c`` at ``%.17g`` and its names.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ import os
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import argparse  # noqa: E402
+import configparser  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import sys  # noqa: E402
@@ -214,6 +221,27 @@ def monitor_digests():
                 yield f"monitor@{name}@{samples}{variant}", h.hexdigest()
 
 
+def _parse_digest(text: str, event_time=None) -> str:
+    formula, table = parser.parse(text, event_time=event_time)
+    h = hashlib.sha256(repr(formula).encode())
+    h.update(" ".join("%.17g" % v for v in (*table.C.ravel(), *table.c)).encode())
+    h.update("\n".join(table.names).encode())
+    return h.hexdigest()
+
+
+def parse_digests():
+    """(label, digest) of the formula and table that every preset's formula
+    text and every pretty-printed nested formula parse to."""
+    for path in sorted(cli.preset_path("two_tank_phi1").parent.glob("*.ini")):
+        cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        cp.read(path)
+        sec = cp["formula"]
+        yield f"parse@{path.stem}", _parse_digest(sec["text"], sec.getfloat("event_time"))
+    yield "parse@two_tank_phi3_noisy+or", _parse_digest(DISJUNCTION)
+    for name, phi in NESTED.items():
+        yield f"parse@{name}", _parse_digest(parser.pretty_print(phi, NESTED_TABLE))
+
+
 def digests():
     """(pass, label, digest) of every run, cold pass first."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -225,6 +253,8 @@ def digests():
             for label, d in monitor_digests():
                 yield pass_name, label, d
             for label, d in read_digests(csv):
+                yield pass_name, label, d
+            for label, d in parse_digests():
                 yield pass_name, label, d
 
 

@@ -23,7 +23,7 @@ def read_trace(path: str | Path):
     rows = [line.split(",") for raw in body.split("\n")
             if (line := raw.strip()) and not line.startswith("#")]
     if not rows:
-        return np.array([]), np.array([]), np.array([]), (), np.array([])
+        return np.empty((0, n)), np.empty((0, m)), np.empty((0, n)), (), np.empty(0)
     status = 2 + 2 * n + m
     statuses = tuple(r[status] for r in rows)
     # states, inputs, noises, objective: every numeric column after k and t
