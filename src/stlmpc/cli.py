@@ -13,7 +13,7 @@ Scenarios are flat INI files (see ``presets/`` for complete examples)::
     event_time = 120           ; seconds, one-time formulas only
 
     [control]
-    horizon = 20               ; defaults to the formula length
+    horizon = 20               ; defaults to the formula length, one step at least
     u_min = 0
     u_max = 6
     input_penalty = 0          ; scalar or matrix, like `a`
@@ -166,7 +166,7 @@ class ScenarioConfig:
         h_d = discrete_length(unwrap(formula), grid)
 
         ctrl = cp["control"] if cp.has_section("control") else {}
-        horizon = int(ctrl.get("horizon", h_d))
+        horizon = int(ctrl.get("horizon", max(h_d, 1)))
         budget_total = ctrl.get("budget")
         control = ControlConfig(
             horizon=horizon,

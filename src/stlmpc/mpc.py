@@ -114,6 +114,8 @@ class NoiseModel:
         std = np.asarray(self.std, dtype=float)
         if not np.all(np.isfinite(std) & (std >= 0)):
             raise ValueError("noise_std must hold finite non-negative numbers")
+        if self.seed < 0:
+            raise ValueError(f"seed is {self.seed}; it must be a non-negative integer")
 
     def check(self, n: int) -> None:
         """Raise ``ValueError`` unless the deviations fit n states: one, or one per state."""
@@ -179,12 +181,14 @@ def snr_db(trace: Trace) -> float:
     return 10.0 * math.log10(p_x / p_v)
 
 
-def _pick_best(problems, solutions, statuses=("optimal",)):
-    """Best solution among the given statuses, ties to the lowest branch index; branches
-    with an intact past come first, since only they can still satisfy the formula."""
-    usable = [(p.past_violated, -sol.objective, i)
-              for i, (p, sol) in enumerate(zip(problems, solutions)) if sol.status in statuses]
-    return solutions[min(usable)[2]] if usable else None
+def _pick_best(problems, solutions):
+    """Best usable solution: optimal before iteration-limit, then branches with an
+    intact past, since only they can still satisfy the formula, then the highest
+    objective, ties to the lowest branch index."""
+    usable = [(sol.status != "optimal", p.past_violated, -sol.objective, i)
+              for i, (p, sol) in enumerate(zip(problems, solutions))
+              if sol.status in ("optimal", "iteration-limit")]
+    return solutions[min(usable)[-1]] if usable else None
 
 
 # the compiled runs of the last few distinct scenarios, by the value of their
@@ -243,25 +247,24 @@ def run(system: LtiSystem, phi: Formula, table: PredicateTable, config: RunConfi
 
     K = config.sim_steps
     n, m = system.n, system.m
-    noise_samples = noise.samples(K, n)
 
     states = np.zeros((K + 1, n))
     inputs = np.zeros((K + 1, m))
     noises = np.zeros((K + 1, n))
+    noises[:K] = noise.samples(K, n)
     objectives = np.full(K + 1, np.nan)
     statuses: list[str] = []
     states[0] = system.x0
 
-    plan: np.ndarray | None = None
+    plan = np.zeros((0, m))         # the inputs of the last solved step, from plan_start
     plan_start = 0
     weight = None                   # of the slack, set at the first relaxed step
 
     for k0 in range(K):
         if k_event is not None and (k0 < k_event or k0 >= k_event + h_d):
-            u = np.zeros(m)
             statuses.append("idle")
-        elif plan is not None and not config.resolve_each_step and k0 - plan_start < plan.shape[0]:
-            u = plan[k0 - plan_start]
+        elif k0 - plan_start < len(plan):
+            inputs[k0] = plan[k0 - plan_start]
             statuses.append("planned")
         else:
             history = states[:k0 + 1]
@@ -273,9 +276,8 @@ def run(system: LtiSystem, phi: Formula, table: PredicateTable, config: RunConfi
                 problems = build_problem(compiled, k0=k0, state_history=history,
                                          input_history=past_u)
             solutions = [solve(p) for p in problems]
-            best = _pick_best(problems, solutions)
-            status = "optimal"
-            if best is None and all(s.status == "infeasible" for s in solutions):
+            relaxed = all(s.status == "infeasible" for s in solutions)
+            if relaxed:
                 # relax only on reported infeasibility, never on slow convergence
                 if not config.slack_enabled:
                     raise ControlError(
@@ -285,22 +287,16 @@ def run(system: LtiSystem, phi: Formula, table: PredicateTable, config: RunConfi
                     weight = default_slack_weight(table, scale)
                 problems = [add_slack_relaxation(p, weight) for p in problems]
                 solutions = [solve(p) for p in problems]
-                best = _pick_best(problems, solutions)
-                status = "relaxed"
+            best = _pick_best(problems, solutions)
             if best is None:
-                best = _pick_best(problems, solutions, statuses=("optimal", "iteration-limit"))
-                if status == "optimal":
-                    status = "iteration-limit"
-                if best is None:
-                    raise ControlError(f"no usable solution at step {k0}")
+                raise ControlError(f"no usable solution at step {k0}")
             objectives[k0] = best.objective
-            statuses.append(status)
-            u = np.clip(best.first_input, compiled.lo, compiled.hi)
-            if not config.resolve_each_step:
-                plan = np.clip(best.inputs, compiled.lo, compiled.hi)
-                plan_start = k0
-        inputs[k0] = u
-        noises[k0] = noise_samples[k0]
+            statuses.append("relaxed" if relaxed else best.status)
+            # without re-solving, the plan's later inputs serve the next steps
+            plan = np.clip(best.inputs[:1] if config.resolve_each_step else best.inputs,
+                           compiled.lo, compiled.hi)
+            plan_start = k0
+            inputs[k0] = plan[0]
         states[k0 + 1] = system.step(states[k0], inputs[k0], noises[k0])
     statuses.append("final")
 

@@ -92,7 +92,6 @@ __all__ = [
     "add_slack_relaxation",
     "build_sr_baseline",
     "default_slack_weight",
-    "dump_problem",
 ]
 
 
@@ -244,7 +243,7 @@ class QpProblem:
 class QpSolution:
     """Solver output in the problem's maximize sense."""
 
-    status: str  # optimal | infeasible | iteration-limit | relaxed (set by the controller)
+    status: str                 # optimal | infeasible | iteration-limit
     objective: float
     y: np.ndarray
     inputs: np.ndarray          # (N, m)
@@ -253,10 +252,6 @@ class QpSolution:
     iterations: int = 0
     primal_residual: float = float("nan")
     dual_residual: float = float("nan")
-
-    @property
-    def first_input(self) -> np.ndarray:
-        return self.inputs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -651,12 +646,15 @@ def compile_run(phi: Formula, system, table: PredicateTable, config: ControlConf
 
     ``system`` provides A, B, x0 and the grid; a missing witness schedule is computed.
     Raises ``FragmentError`` for a formula outside the control fragment and
-    ``ValueError`` for a NaN margin, budget or input bound or a horizon
-    shorter than the formula length.
+    ``ValueError`` for a NaN margin, budget or input bound, a margin of inf, a
+    budget of -inf or a horizon shorter than the formula length.
     """
-    for name in ("constraint_margin", "budget_total"):
-        if np.isnan(getattr(config, name) or 0.0):
+    for name, empty in (("constraint_margin", np.inf), ("budget_total", -np.inf)):
+        value = getattr(config, name) or 0.0
+        if np.isnan(value):
             raise ValueError(f"{name} is NaN")
+        if value == empty:
+            raise ValueError(f"{name} is {empty:g}, which leaves no plan")
     grid = system.grid
     validate_windows(phi, grid)
     config = replace(config, u_min=_owned(config.u_min), u_max=_owned(config.u_max),
@@ -1019,19 +1017,3 @@ def build_sr_baseline(run: CompiledRun, k0: int = 0, state_history: np.ndarray |
         layout=layout, row_kinds=("stl",) * samples.size + run.input_kinds,
         stl_row_info=_row_info(preds, steps, step.t_lo), n_predicates=table.size,
         cost_pred_mass=np.zeros(table.size))
-
-
-def dump_problem(p: QpProblem) -> str:
-    """Plain-text matrix dump for golden-file comparisons."""
-
-    def mat(name: str, a: np.ndarray) -> str:
-        a = np.atleast_2d(a)
-        body = "\n".join(" ".join(f"{v:.17g}" for v in row) for row in a)
-        return f"{name} {a.shape[0]}x{a.shape[1]}\n{body}"
-
-    quad = np.zeros((p.n_vars, p.n_vars)) if p.quad is None else p.quad
-    parts = [mat("lin", p.lin), mat("quad", quad), mat("A_ub", p.A_ub), mat("b_ub", p.b_ub)]
-    if p.debug:
-        parts.insert(0, mat("E", p.debug["E"]))
-    parts.append(f"const {p.const:.17g}")
-    return "\n".join(parts)

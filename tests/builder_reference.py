@@ -303,8 +303,7 @@ def build_sr_baseline(run: CompiledRun, k0: int = 0, state_history: np.ndarray |
     points = _sat_points([_psi_terms(g, None, pred.anchors, None, run.grid) for g in gs])
     A_stl, b_stl, stl_row_info = _stl_rows(pred, points, layout)
     A_stl[:, 0] = 1.0
-    # rows at recorded steps have no input terms; writing +0 there rather
-    # than -0 keeps the baseline's dump_problem text stable
+    # rows at recorded steps have no input terms, written as +0 rather than -0
     A_stl[points[0] <= k0, layout.u_slice] = 0.0
     A_in, b_in, in_kinds, quad = _input_rows(run, k0, layout, input_history)
 

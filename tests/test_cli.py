@@ -433,6 +433,18 @@ class TestScenarioConfig:
         path.write_text(path.read_text().replace("duration = 6\n", ""))
         assert ScenarioConfig.from_file(path).run_config.sim_steps == 3
 
+    @pytest.mark.parametrize("text", ["G[0,inf](G[0,0](x1 >= 0))", "G[0,inf](F[0,0](x1 >= 1))"])
+    def test_horizon_defaults_to_one_step_for_a_length_zero_formula(self, text, tmp_path,
+                                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = write_mini(tmp_path)
+        path.write_text(path.read_text().replace("horizon = 4\n", "").replace(
+            "G[0,inf](G[0,3](x1 >= 0))", text))
+        assert ScenarioConfig.from_file(path).control.horizon == 1
+        assert main(["check", str(path)]) == 0
+        assert main(["run", str(path)]) == 0
+        assert (tmp_path / "mini.csv").exists()
+
     def test_duration_defaults_to_one_step_without_temporal_operators(self, tmp_path, capsys):
         path = write_mini(tmp_path)
         path.write_text(path.read_text().replace("duration = 6\n", "").replace(
@@ -522,6 +534,17 @@ EMPTY_BOX = {
 }
 
 
+# edits of two_tank_phi2 whose numbers parse but leave nothing to run, by the key
+# the error names
+UNRUNNABLE = {
+    "constraint_margin": lambda text: text.replace("slack = on",
+                                                   "slack = on\nconstraint_margin = inf"),
+    "budget": lambda text: text.replace("slack = on", "slack = on\nbudget = -inf"),
+    "seed": lambda text: text.replace("noise = none",
+                                      "noise = gaussian\nnoise_std = 0.1\nseed = -1"),
+}
+
+
 class TestSchema:
     def test_docstring_example_lists_every_accepted_key(self):
         lines = cli.__doc__.split("::\n", 1)[1].splitlines()
@@ -562,6 +585,16 @@ class TestSchema:
         for command in ("check", "run"):
             assert main([command, str(path)]) == 2
             assert f"{key} is" in capsys.readouterr().err
+        assert not (tmp_path / "two_tank_phi2_trace.csv").exists()
+
+    @pytest.mark.parametrize("key", sorted(UNRUNNABLE))
+    def test_unrunnable_number_is_an_error(self, key, tmp_path, capsys, monkeypatch):
+        # check rejects what run would fail on, naming the key
+        monkeypatch.chdir(tmp_path)
+        path = preset_copy(tmp_path, UNRUNNABLE[key])
+        for command in ("check", "run"):
+            assert main([command, str(path)]) == 2
+            assert key in capsys.readouterr().err
         assert not (tmp_path / "two_tank_phi2_trace.csv").exists()
 
     def test_infinite_budget_runs(self, tmp_path, capsys, monkeypatch):

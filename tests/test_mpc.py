@@ -204,6 +204,76 @@ class TestRelaxation:
         assert "relaxed" not in trace.statuses
 
 
+class TestStepDecision:
+    """One step's status and winner under every mix of branch statuses.
+
+    Branch 0 of the disjunction is intact and branch 1's past is violated from
+    step 0; the solver's statuses are overridden per (branch, relaxed)."""
+
+    TEXT = "G[0,inf](G[0,2](x1 <= 1) | G[0,2](x1 >= 0.5))"
+    # (statuses of branches 0 and 1, then of their relaxed forms or None when
+    # the step must not relax) -> (step status, winning (branch, relaxed))
+    TABLE = {
+        "optimal beats iteration-limit": (("optimal", "iteration-limit"), None,
+                                          "optimal", (0, False)),
+        "optimal with a violated past beats an intact iteration-limit":
+            (("iteration-limit", "optimal"), None, "optimal", (1, False)),
+        "iteration-limit when no branch is optimal": (("iteration-limit", "infeasible"), None,
+                                                      "iteration-limit", (0, False)),
+        "relaxed optimal wins": (("infeasible", "infeasible"), ("iteration-limit", "optimal"),
+                                 "relaxed", (1, True)),
+        "relaxed iteration-limit is usable": (("infeasible", "infeasible"),
+                                              ("iteration-limit", "infeasible"),
+                                              "relaxed", (0, True)),
+    }
+
+    @staticmethod
+    def scenario(steps=1, resolve_each_step=True):
+        system = LtiSystem(np.array([[0.5]]), np.array([[1.0]]), np.zeros(1), GRID1)
+        phi, table = parse(TestStepDecision.TEXT)
+        cfg = RunConfig(control=ControlConfig(horizon=3, u_min=-0.1, u_max=5), sim_steps=steps,
+                        resolve_each_step=resolve_each_step)
+        return system, phi, table, cfg
+
+    @staticmethod
+    def override(monkeypatch, plain, relaxed):
+        """Patch the controller's solver; returns the objectives it saw by (branch, relaxed)."""
+        real, seen = mpc.solve, {}
+
+        def solve(p):
+            sol = real(p)
+            is_relaxed = p.layout.n_slack > 0
+            statuses = relaxed if is_relaxed else plain
+            if statuses is None:
+                pytest.fail("the step relaxed although a branch was usable")
+            branch = int(p.past_violated)
+            seen[branch, is_relaxed] = sol.objective
+            return replace(sol, status=statuses[branch])
+
+        monkeypatch.setattr(mpc, "solve", solve)
+        mpc._runs.clear()
+        return seen
+
+    @pytest.mark.parametrize("case", sorted(TABLE))
+    def test_status_and_winner(self, case, monkeypatch):
+        plain, relaxed, status, winner = self.TABLE[case]
+        seen = self.override(monkeypatch, plain, relaxed)
+        trace = run(*self.scenario())
+        assert trace.statuses == (status, "final")
+        assert trace.objectives[0] == seen[winner]
+
+    def test_nothing_usable_after_relaxing_raises(self, monkeypatch):
+        self.override(monkeypatch, ("infeasible", "infeasible"), ("infeasible", "infeasible"))
+        with pytest.raises(ControlError, match="no usable solution at step 0"):
+            run(*self.scenario())
+
+    def test_plan_serves_the_steps_it_covers(self):
+        mpc._runs.clear()
+        trace = run(*self.scenario(steps=7, resolve_each_step=False))
+        assert trace.statuses == ("optimal", "planned", "planned", "optimal", "planned",
+                                  "planned", "optimal", "final")
+
+
 class TestCompileOnce:
     def test_dynamics_stacked_once_per_run(self, monkeypatch):
         calls = []

@@ -636,19 +636,3 @@ class TestInputBudget:
         history = None if rows is None else np.ones((rows, 1))
         with pytest.raises(ValueError, match=r"input_history must hold u\(0\.\.2\)"):
             build(self._run(), k0=3, state_history=np.zeros((4, 1)), input_history=history)
-
-
-class TestDebugDump:
-    def test_plain_text_matrices(self, tank):
-        from stlmpc.qp_builder import dump_problem
-
-        phi, table = _parse_pnf("G[0,inf](G[0,120](x1 >= 0))")
-        p = build_problem(compile_run(phi, tank, table,
-                                      ControlConfig(horizon=10, u_min=0, u_max=6)))[0]
-        text = dump_problem(p)
-        assert text.splitlines()[0].startswith("E ")
-        assert "A_ub" in text and "const" in text
-        # golden-file style stability: identical problem gives identical dump
-        p2 = build_problem(compile_run(phi, tank, table,
-                                       ControlConfig(horizon=10, u_min=0, u_max=6)))[0]
-        assert dump_problem(p2) == text
