@@ -1,20 +1,19 @@
 """Receding-horizon closed loop for discrete LTI systems under STL objectives.
 
-The run is compiled once; each sampling step builds its problems around the
-current state and recorded history, solves every disjunction branch, applies
-the first input of the best feasible branch, then advances the plant with
-optional additive Gaussian noise.  If every branch is infeasible (no plan
-satisfies the formula after the current step) and the slack policy is
-enabled, the step is re-solved in the relaxed (least-violating) form and
-marked accordingly.
+The run is compiled once and kept on its ``RunConfig`` for the next run of
+the same plant, formula and table; each sampling step builds its problems
+around the current state and recorded history, solves every disjunction
+branch, applies the first input of the best feasible branch, then advances
+the plant with optional additive Gaussian noise.  If every branch is
+infeasible (no plan satisfies the formula after the current step) and the
+slack policy is enabled, the step is re-solved in the relaxed
+(least-violating) form and marked accordingly.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -135,13 +134,24 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Closed-loop run description on top of the optimizer knobs."""
+    """Closed-loop run description on top of the optimizer knobs.
+
+    :func:`run` keeps on the config the compiled run of the last plant,
+    formula and table it ran with, and reuses it while the same three
+    objects (matched by identity; all of them immutable) come back with this
+    config: another noise seed skips the compile and finds every step
+    template built so far.  The config holds that one compiled run and keeps
+    its plant, formula and table alive with it.  An equal but new config,
+    such as one made with ``dataclasses.replace``, compiles anew.
+    """
 
     control: ControlConfig
     sim_steps: int
     slack_enabled: bool = True
     objective: str = "dsasr"        # dsasr | sr-baseline
     resolve_each_step: bool = True
+    _kept: tuple[LtiSystem, Formula, PredicateTable, CompiledRun] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.objective not in ("dsasr", "sr-baseline"):
@@ -191,58 +201,23 @@ def _pick_best(problems, solutions):
     return solutions[min(usable)[-1]] if usable else None
 
 
-# the compiled runs of the last few distinct scenarios, by the value of their
-# compile inputs
-_KEPT_RUNS = 8
-_runs: OrderedDict[tuple, CompiledRun] = OrderedDict()
-_runs_lock = threading.Lock()
-
-
-def _value(v):
-    """A hashable stand-in for v, equal exactly when the values are: arrays and
-    numbers by their float64 bytes."""
-    if v is None:
-        return None
-    arr = np.asarray(v, dtype=float)
-    return arr.shape, arr.tobytes()
-
-
-def _compile(phi: Formula, system: LtiSystem, table: PredicateTable, control: ControlConfig,
-             schedule: Schedule | None) -> CompiledRun:
-    """``compile_run``, reused while the same compile inputs (by value) come back.
-
-    A simulation of a known scenario, such as another noise seed, thus skips
-    the compile and finds the step templates of the earlier runs.  The
-    compiled run holds its own read-only copies of the arrays, so a caller
-    editing an array in place changes the key, never a kept run.
-    """
-    key = (phi, schedule, system.grid, table.names,
-           *map(_value, (system.A, system.B, system.x0, table.C, table.c)),
-           *(_value(getattr(control, f.name)) for f in fields(control)))
-    with _runs_lock:
-        compiled = _runs.get(key)
-        if compiled is not None:
-            _runs.move_to_end(key)
-            return compiled
-    compiled = compile_run(phi, system, table, control, schedule)
-    with _runs_lock:
-        compiled = _runs.setdefault(key, compiled)
-        _runs.move_to_end(key)
-        while len(_runs) > _KEPT_RUNS:
-            _runs.popitem(last=False)
-    return compiled
-
-
 def run(system: LtiSystem, phi: Formula, table: PredicateTable, config: RunConfig,
         noise: NoiseModel | None = None) -> Trace:
     """Simulate the closed loop and return the recorded trace with readouts."""
     noise = noise or NoiseModel()
     grid = system.grid
-    phi, table = to_pnf(phi, table)
-    validate_windows(phi, grid)
-    windows = collect_event_ops(phi)
-    schedule = compute_schedule(windows, grid) if windows else None
-    compiled = _compile(phi, system, table, config.control, schedule)
+    key = (system, phi, table)
+    kept = config._kept
+    if kept is not None and all(a is b for a, b in zip(kept, key)):
+        compiled = kept[-1]
+    else:
+        phi, table = to_pnf(phi, table)
+        validate_windows(phi, grid)
+        windows = collect_event_ops(phi)
+        schedule = compute_schedule(windows, grid) if windows else None
+        compiled = compile_run(phi, system, table, config.control, schedule)
+        object.__setattr__(config, "_kept", (*key, compiled))
+    phi, table, schedule = compiled.phi, compiled.table, compiled.schedule
     h_d, k_event = compiled.h_d, compiled.k_event
 
     K = config.sim_steps

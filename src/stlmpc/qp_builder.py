@@ -175,6 +175,11 @@ def _frozen(a) -> np.ndarray:
     return arr
 
 
+def _owned(v):
+    """A read-only copy of an array-like value; None and numbers as they are."""
+    return v if v is None or np.isscalar(v) else _frozen(np.array(v, dtype=float))
+
+
 @dataclass(frozen=True)
 class QpProblem:
     """maximize lin @ y - y @ quad @ y + const  subject to  A_ub @ y <= b_ub.
@@ -557,6 +562,8 @@ class ControlConfig:
     invisible at problem scales but keeps actively pinned predicates
     boolean-true when the plan is re-simulated through the plant recursion,
     whose rounding differs from the stacked prediction.
+    The config holds read-only copies of the caller's ``u_min``, ``u_max``
+    and ``input_penalty`` arrays, so it never changes once made.
     """
 
     horizon: int
@@ -565,6 +572,10 @@ class ControlConfig:
     input_penalty: np.ndarray | None = None
     budget_total: float | None = None
     constraint_margin: float = 1e-9
+
+    def __post_init__(self) -> None:
+        for name in ("u_min", "u_max", "input_penalty"):
+            object.__setattr__(self, name, _owned(getattr(self, name)))
 
     def bounds(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         lo = np.broadcast_to(np.asarray(self.u_min, dtype=float), (m,)).copy()
@@ -611,8 +622,9 @@ class CompiledRun:
     ``input_kinds``: the box rows, whose bounds are ``box_b``, then with a
     budget one row summing every input; both arrays are read-only.
     ``templates`` memoizes the steps' problems short of their right-hand
-    sides, per step shape (see :func:`build_problem`).
-    Its ``config`` and ``x0`` hold read-only copies of the caller's arrays.
+    sides, per step shape (see :func:`build_problem`); ``mpc.run`` keeps one
+    compiled run per ``RunConfig``, so a later run on it builds only new shapes.
+    Its ``x0`` is a read-only copy of the caller's; its ``config`` owns its arrays.
     """
 
     phi: Formula
@@ -635,11 +647,6 @@ class CompiledRun:
     templates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def _owned(v):
-    """A read-only copy of an array-like value; None and numbers as they are."""
-    return v if v is None or np.isscalar(v) else _frozen(np.array(v, dtype=float))
-
-
 def compile_run(phi: Formula, system, table: PredicateTable, config: ControlConfig,
                 schedule: Schedule | None = None) -> CompiledRun:
     """Validate a positive-normal-form formula and compute what no step changes.
@@ -657,8 +664,6 @@ def compile_run(phi: Formula, system, table: PredicateTable, config: ControlConf
             raise ValueError(f"{name} is {empty:g}, which leaves no plan")
     grid = system.grid
     validate_windows(phi, grid)
-    config = replace(config, u_min=_owned(config.u_min), u_max=_owned(config.u_max),
-                     input_penalty=_owned(config.input_penalty))
     theta = unwrap(phi)
     branches = tuple(map(tuple, _dnf(theta)))
     h_d = discrete_length(theta, grid)

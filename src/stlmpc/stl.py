@@ -213,6 +213,7 @@ class And:
     children: tuple["Formula", ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "children", tuple(self.children))
         if len(self.children) < 2:
             raise ValueError("conjunction needs at least two children")
 
@@ -222,6 +223,7 @@ class Or:
     children: tuple["Formula", ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "children", tuple(self.children))
         if len(self.children) < 2:
             raise ValueError("disjunction needs at least two children")
 

@@ -251,7 +251,6 @@ class TestStepDecision:
             return replace(sol, status=statuses[branch])
 
         monkeypatch.setattr(mpc, "solve", solve)
-        mpc._runs.clear()
         return seen
 
     @pytest.mark.parametrize("case", sorted(TABLE))
@@ -268,7 +267,6 @@ class TestStepDecision:
             run(*self.scenario())
 
     def test_plan_serves_the_steps_it_covers(self):
-        mpc._runs.clear()
         trace = run(*self.scenario(steps=7, resolve_each_step=False))
         assert trace.statuses == ("optimal", "planned", "planned", "optimal", "planned",
                                   "planned", "optimal", "final")
@@ -284,7 +282,6 @@ class TestCompileOnce:
             return stack(*args, **kwargs)
 
         monkeypatch.setattr(qp_builder, "stack_dynamics", counting)
-        mpc._runs.clear()       # an earlier test may have compiled this scenario
         phi, table = parse("G[0,inf](F[0,2](x1 >= 0.5))")
         cfg = RunConfig(control=ControlConfig(horizon=3, u_min=0, u_max=1), sim_steps=4)
         trace = run(scalar_system(), phi, table, cfg)
@@ -308,9 +305,12 @@ def same_trace(a: Trace, b: Trace) -> bool:
             and a.readout == b.readout)
 
 
+REUSE_TEXT = "G[0,inf](F[12,48](x1 >= 1) & G[0,24](x1 <= 4))"
+
+
 def reuse_scenario():
     system = LtiSystem(TANK_A, TANK_B, np.array([0.5, 0.1]), SamplingGrid(12.0))
-    phi, table = parse("G[0,inf](F[12,48](x1 >= 1) & G[0,24](x1 <= 4))", n_states=2)
+    phi, table = parse(REUSE_TEXT, n_states=2)
     control = ControlConfig(horizon=6, u_min=0, u_max=6, budget_total=30.0)
     return system, phi, table, RunConfig(control=control, sim_steps=14)
 
@@ -320,110 +320,123 @@ def with_control(config: RunConfig, **change) -> RunConfig:
 
 
 class TestCompileReuse:
-    """``mpc.run`` keeps compiled runs by the value of their compile inputs."""
+    """``mpc.run`` keeps the compiled run of the last plant, formula and table
+    on the ``RunConfig`` it ran with, and matches them by identity."""
 
     NOISE = NoiseModel("gaussian", 0.05, seed=3)
 
-    def test_repeated_runs_match_a_cold_compile(self):
+    @staticmethod
+    def count(monkeypatch):
+        """Count the calls of the compile steps ``mpc.run`` makes, by name."""
+        calls = {}
+        for name in ("compile_run", "to_pnf", "compute_schedule"):
+            def counting(*args, _real=getattr(mpc, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(mpc, name, counting)
+        return calls
+
+    def test_repeated_runs_match_a_cold_compile(self, monkeypatch):
         cfg = cli.ScenarioConfig.from_file(cli.preset_path("two_tank_phi3_noisy"))
         args = (cfg.system, cfg.formula, cfg.table, cfg.run_config)
-        mpc._runs.clear()
+        calls = self.count(monkeypatch)
         first = run(*args, replace(cfg.noise, seed=5))
         run(*args, replace(cfg.noise, seed=6))
         second = run(*args, replace(cfg.noise, seed=5))
-        assert len(mpc._runs) == 1
-        mpc._runs.clear()
-        cold = run(*args, replace(cfg.noise, seed=5))
+        assert calls == {"compile_run": 1, "to_pnf": 1, "compute_schedule": 1}
+        cold = run(*args[:3], replace(cfg.run_config), replace(cfg.noise, seed=5))
+        assert calls == {"compile_run": 2, "to_pnf": 2, "compute_schedule": 2}
         assert same_trace(first, second) and same_trace(second, cold)
 
     @pytest.mark.parametrize("change", [
-        "horizon", "u_max", "table_offset", "x0", "input_penalty", "constraint_margin",
-        "budget_total"])
-    def test_any_changed_input_compiles_anew(self, change):
+        "equal", "horizon", "u_max", "input_penalty", "constraint_margin", "budget_total",
+        "x0", "table_offset", "formula"])
+    def test_any_changed_input_compiles_anew(self, change, monkeypatch):
+        # a new config compiles anew; so does another plant, formula or table on
+        # the same config, and it replaces the config's kept run
         system, phi, table, config = reuse_scenario()
-        if change == "table_offset":
-            table = PredicateTable(table.C, table.c + 0.25, table.names)
-        elif change == "x0":
-            system = LtiSystem(system.A, system.B, np.array([0.6, 0.1]), system.grid)
+        other = [system, phi, table, config]
+        if change == "x0":
+            other[0] = LtiSystem(system.A, system.B, np.array([0.6, 0.1]), system.grid)
+        elif change == "table_offset":
+            other[2] = PredicateTable(table.C, table.c + 0.25, table.names)
+        elif change == "formula":
+            other[1:3] = parse(REUSE_TEXT, n_states=2)
         else:
-            value = {"horizon": 7, "u_max": 5.0, "input_penalty": 0.01 * np.eye(1),
-                     "constraint_margin": 0.05, "budget_total": 25.0}[change]
-            config = with_control(config, **{change: value})
-        mpc._runs.clear()
-        base = reuse_scenario()
-        run(*base, self.NOISE)
-        warm = run(system, phi, table, config, self.NOISE)
-        assert len(mpc._runs) == 2
-        mpc._runs.clear()
-        assert same_trace(warm, run(system, phi, table, config, self.NOISE))
+            value = {"equal": config.control.horizon, "horizon": 7, "u_max": 5.0,
+                     "input_penalty": 0.01 * np.eye(1), "constraint_margin": 0.05,
+                     "budget_total": 25.0}[change]
+            other[3] = with_control(config, **{"horizon" if change == "equal" else change: value})
+        calls = self.count(monkeypatch)
+        run(system, phi, table, config, self.NOISE)
+        warm = run(*other, self.NOISE)
+        assert all(a is b for a, b in zip(other[3]._kept, other[:3]))
+        again = run(system, phi, table, config, self.NOISE)
+        assert all(a is b for a, b in zip(config._kept, (system, phi, table)))
+        assert calls["compile_run"] == (3 if other[3] is config else 2)
+        assert same_trace(warm, run(*other[:3], replace(other[3]), self.NOISE))
+        assert same_trace(again, run(system, phi, table, replace(config), self.NOISE))
 
     def test_editing_a_callers_array_cannot_reach_a_kept_run(self):
         system, phi, table, config = reuse_scenario()
-
-        def arrays(penalty, u_max):
-            return with_control(config, input_penalty=penalty, u_max=u_max)
-
         penalty, u_max = 0.01 * np.eye(1), np.array([6.0])
-        mpc._runs.clear()
-        # two steps keep a run of the original values with only its first templates
-        run(system, phi, table, replace(arrays(penalty, u_max), sim_steps=2), self.NOISE)
-        original = arrays(penalty.copy(), u_max.copy())
+        config = with_control(config, input_penalty=penalty, u_max=u_max)
+        control = config.control
+        first = run(system, phi, table, config, self.NOISE)
         penalty *= 50.0
         u_max[:] = 4.0
-        edited = run(system, phi, table, arrays(penalty, u_max), self.NOISE)
-        # the kept run builds its remaining templates from its own copies
-        again = run(system, phi, table, original, self.NOISE)
-        assert len(mpc._runs) == 2
-        for kept in mpc._runs.values():
-            held = (kept.config.input_penalty, kept.config.u_max)
-            assert held[0] is not penalty and held[1] is not u_max
-            assert not any(a.flags.writeable for a in held)
-        mpc._runs.clear()
-        assert same_trace(again, run(system, phi, table, original, self.NOISE))
-        mpc._runs.clear()
-        assert same_trace(edited, run(system, phi, table, arrays(penalty.copy(), u_max.copy()),
-                                      self.NOISE))
-        assert not same_trace(again, edited)
+        assert np.array_equal(control.input_penalty, 0.01 * np.eye(1))
+        assert np.array_equal(control.u_max, [6.0])
+        for held in (control.input_penalty, control.u_max):
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 1.0
+        assert config._kept[-1].config is control
+        assert same_trace(first, run(system, phi, table, config, self.NOISE))
+        edited = run(system, phi, table, with_control(config, input_penalty=penalty,
+                                                      u_max=u_max), self.NOISE)
+        assert not same_trace(first, edited)
+
+    @pytest.mark.parametrize("text", ["G[0,inf](G[0,2](x1 <= 1) & F[0,2](x1 >= 0.5))",
+                                      TestStepDecision.TEXT])
+    def test_list_children_run_as_a_tuple(self, text):
+        phi, table = parse(text)
+        listed = replace(phi, child=type(phi.child)(children=list(phi.child.children)))
+        assert listed == phi and hash(listed) == hash(phi)
+        system, _, _, config = TestStepDecision.scenario(steps=4)
+        assert same_trace(run(system, listed, table, config),
+                          run(system, phi, table, replace(config)))
 
     def test_templates_per_step_shape(self):
         # an all-time formula has (h_d - 1) + delta step shapes, one template each
         cfg = cli.ScenarioConfig.from_file(cli.preset_path("two_tank_phi3_noisy"))
-        mpc._runs.clear()
-        run(cfg.system, cfg.formula, cfg.table, replace(cfg.run_config, sim_steps=120),
-            cfg.noise)
-        (kept,) = mpc._runs.values()
+        config = replace(cfg.run_config, sim_steps=120)
+        run(cfg.system, cfg.formula, cfg.table, config, cfg.noise)
+        kept = config._kept[-1]
         assert (kept.h_d, kept.schedule.delta) == (35, 11)
         assert len(kept.templates) == 45
         assert all(len(branches) == 1 for branches in kept.templates.values())
 
-    def test_kept_runs_are_bounded(self):
-        system, phi, table, config = reuse_scenario()
-        mpc._runs.clear()
-        for margin in range(mpc._KEPT_RUNS + 3):
-            run(system, phi, table, with_control(config, constraint_margin=0.01 * margin))
-        assert len(mpc._runs) == mpc._KEPT_RUNS
-
     def test_threads_share_the_kept_runs(self):
-        # more threads than cores and frequent switches, over more scenarios than
-        # are kept: every trace must still equal its cold, single-threaded run
+        # more threads than cores and frequent switches, over configs shared by
+        # several jobs and, on one config, two plants that keep replacing each
+        # other: every trace must still equal its cold, single-threaded run
         system, phi, table, config = reuse_scenario()
-        jobs = [(with_control(config, constraint_margin=0.01 * (i % (mpc._KEPT_RUNS + 2))),
-                 replace(self.NOISE, seed=i)) for i in range(24)]
-        mpc._runs.clear()
+        other = LtiSystem(system.A, system.B, np.array([0.6, 0.1]), system.grid)
+        configs = [with_control(config, constraint_margin=0.01 * i) for i in range(3)]
+        jobs = [(other if i % 6 == 5 else system, configs[i % 3], replace(self.NOISE, seed=i))
+                for i in range(24)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                threaded = list(pool.map(lambda job: run(system, phi, table, *job), jobs,
+                threaded = list(pool.map(lambda job: run(job[0], phi, table, *job[1:]), jobs,
                                          timeout=300))
         finally:
             sys.setswitchinterval(interval)
-        assert len(mpc._runs) == mpc._KEPT_RUNS
-        for kept in mpc._runs.values():
+        for kept in (c._kept[-1] for c in configs):
             assert len(kept.templates) <= kept.h_d - 1 + kept.schedule.delta
-        for job, trace in zip(jobs, threaded):
-            mpc._runs.clear()
-            assert same_trace(trace, run(system, phi, table, *job))
+        for (plant, cfg, noise), trace in zip(jobs, threaded):
+            assert same_trace(trace, run(plant, phi, table, replace(cfg), noise))
 
 
 NESTED = "G[0,inf](G[0,60](F[0,36](x1 >= 2)) & ((x1 <= 4) U[180,420] F[0,24](x2 <= 2.5)))"

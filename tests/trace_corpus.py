@@ -14,9 +14,11 @@ missing on either side, and exits 1 if there is any.  Each digest covers
 the states, inputs, noises, statuses and objectives of one ``mpc.run`` and
 its six readouts at ``%.17g``, and the same five arrays after a
 ``cli.emit_trace`` then ``cli.read_trace`` round trip, so it covers the
-trace reader too.  The corpus is run twice in one process: the ``cold``
-pass meets each scenario for the first time, the ``warm`` pass repeats it,
-so a cache kept between runs is covered both ways.  BLAS runs on one thread.
+trace reader too.  The corpus is built once and run twice in one process:
+the ``cold`` pass meets each scenario for the first time, the ``warm`` pass
+repeats it with the same ``RunConfig`` objects, so it meets the compiled runs
+``mpc.run`` kept on them, and reuse is covered both ways.  BLAS runs on one
+thread.
 
 The corpus: the five noise-free presets; the three noisy presets at noise
 seeds 0-15; ``two_tank_phi3`` under an input penalty of 0.01 I;
@@ -244,10 +246,11 @@ def parse_digests():
 
 def digests():
     """(pass, label, digest) of every run, cold pass first."""
+    runs = list(corpus())
     with tempfile.TemporaryDirectory() as tmp:
         csv = Path(tmp) / "trace.csv"
         for pass_name in ("cold", "warm"):
-            for label, cfg, config, noise in corpus():
+            for label, cfg, config, noise in runs:
                 trace = mpc.run(cfg.system, cfg.formula, cfg.table, config, noise)
                 yield pass_name, label, digest(trace, csv)
             for label, d in monitor_digests():
