@@ -52,7 +52,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -80,6 +80,7 @@ from .stl import (
     SamplingGrid,
     collect_event_ops,
     discrete_length,
+    omega,
     to_pnf,
     unwrap,
     validate_windows,
@@ -155,11 +156,11 @@ class ScenarioConfig:
         if B.shape[0] == 1 and A.shape[0] > 1:
             B = B.T
         x0 = _parse_vector(sys_sec["x0"])
-        grid = SamplingGrid(float(sys_sec["sample_time"]))
+        grid = SamplingGrid(_seconds("sample_time", sys_sec["sample_time"]))
         system = LtiSystem(A, B, x0, grid)
 
         form_sec = cp["formula"]
-        event_time = form_sec.getfloat("event_time", fallback=None)
+        event_time = _seconds("event_time", form_sec.get("event_time"))
         formula, table = parse(form_sec["text"], n_states=system.n, event_time=event_time)
         formula, table = to_pnf(formula, table)
         validate_windows(formula, grid)
@@ -179,8 +180,8 @@ class ScenarioConfig:
 
         sim = cp["simulation"] if cp.has_section("simulation") else {}
         # a formula without temporal operators still needs one step
-        duration = float(sim.get("duration", max(h_d, 1) * grid.T))
-        sim_steps = int(duration / grid.T + 1e-9)
+        duration = _seconds("duration", sim.get("duration"))
+        sim_steps = max(h_d, 1) if duration is None else omega(0.0, duration, grid)[-1]
         noise_kind = sim.get("noise", "none").strip()
         noise = NoiseModel(
             kind=noise_kind,
@@ -215,6 +216,13 @@ def _as_bool(key: str, text: str) -> bool:
         raise ValueError(f"{key} = {text.strip()!r} is not a boolean; use one of "
                          "1/0, yes/no, true/false, on/off")
     return value
+
+
+def _seconds(key: str, text: str | None) -> float | None:
+    """A time key's finite, non-negative number of seconds; None without the key."""
+    if text is not None and not 0 <= float(text) < math.inf:
+        raise ValueError(f"{key} = {text} is not a finite, non-negative number of seconds")
+    return None if text is None else float(text)
 
 
 def _as_penalty(text: str | None, m: int) -> np.ndarray | None:
@@ -392,13 +400,16 @@ def check_scenario(config_path: str | Path) -> int:
     else:
         print("witness schedule: not needed (no eventually/until operators)")
     # compile the first step the closed loop solves: event-triggered formulas
-    # idle until the event step, so the history is that of a run stopped there
+    # idle until the event step, with zero input and no noise, as `run` does
     history, k0 = {}, compiled.k_event
     if k0 is not None:
         print(f"first solved step: k = {k0} (event)")
         if k0:
-            idle = run(cfg.system, cfg.formula, cfg.table, replace(cfg.run_config, sim_steps=k0))
-            history = dict(k0=k0, state_history=idle.states, input_history=idle.inputs)
+            system, states = cfg.system, [cfg.system.x0]
+            for _ in range(k0):
+                states.append(system.step(states[-1], np.zeros(system.m), np.zeros(system.n)))
+            history = dict(k0=k0, state_history=np.array(states),
+                           input_history=np.zeros((k0, system.m)))
     if cfg.run_config.objective == "sr-baseline":
         problems = [build_sr_baseline(compiled, **history)]
     else:

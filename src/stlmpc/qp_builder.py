@@ -729,7 +729,6 @@ def _predict(run: CompiledRun, k0: int, state_history: np.ndarray | None) -> _St
     state_history = np.atleast_2d(np.asarray(state_history, dtype=float))
     if state_history.shape[0] != k0 + 1:
         raise ValueError(f"state_history must hold x(0..{k0}), got {state_history.shape[0]} rows")
-    x_now = state_history[k0]
 
     N, h_d, dyn, table = run.config.horizon, run.h_d, run.dyn, run.table
     k_l, k_h = (max(0, k0 - h_d + 1), k0 + N - h_d) if run.k_event is None else (run.k_event,) * 2
@@ -738,14 +737,11 @@ def _predict(run: CompiledRun, k0: int, state_history: np.ndarray | None) -> _St
                          f"step {k0}")
     t_lo = min(k_l, k0)
 
-    # past/current entries are recorded constants, future entries depend on u_st;
-    # the past block takes one C @ x(k) per recorded step, like table.z (a single
-    # matrix product over all steps would round differently)
+    # past/current entries are recorded constants, future entries depend on u_st
     n_past = (k0 + 1 - t_lo) * table.size
     z_const = np.empty(n_past + N * table.size)
-    z_const[:n_past] = (np.matmul(table.C, state_history[t_lo:k0 + 1, :, None])[:, :, 0]
-                        + table.c).reshape(-1)
-    z_const[n_past:] = dyn.H1 @ x_now + dyn.offset
+    z_const[:n_past] = table.z(state_history[t_lo:k0 + 1]).reshape(-1)
+    z_const[n_past:] = dyn.H1 @ state_history[k0] + dyn.offset
     return _Step(k0, np.arange(k_l, k_h + 1), t_lo, n_past, z_const)
 
 

@@ -558,7 +558,6 @@ def robustness_degree_axis(sig: Signal, f: Formula, k: int, table: PredicateTabl
     z = sig.predicate_values(table)
     if not reads:
         raise ValueError("min() arg is an empty sequence")
-    # every anchor reads the leaves' windows in order; Python's min keeps the
-    # first of equal minima
+    # every anchor reads the leaves' windows in order, and the first of equal minima counts
     steps = np.add.outer(np.arange(lo, lo + n), [o for _, offs in reads for o in offs])
-    return min(z[steps, [pid for pid, offs in reads for _ in offs]].ravel().tolist())
+    return _first_min(z[steps, [pid for pid, offs in reads for _ in offs]].ravel())

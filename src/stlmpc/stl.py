@@ -72,8 +72,8 @@ class SamplingGrid:
     T: float
 
     def __post_init__(self) -> None:
-        if not self.T > 0:
-            raise ValueError(f"sampling period must be positive, got {self.T}")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"sampling period must be positive and finite, got {self.T}")
 
 
 # Relative slack when mapping continuous interval bounds onto the grid, so
@@ -83,7 +83,7 @@ _GRID_EPS = 1e-9
 
 def omega(a: float, b: float, grid: SamplingGrid) -> range:
     """Indices k with a <= k*T <= b (possibly empty, never negative)."""
-    if a < 0 or b < a:
+    if not 0 <= a <= b < math.inf:
         raise ValueError(f"invalid interval [{a}, {b}]")
     lo = max(0, math.ceil(a / grid.T - _GRID_EPS))
     hi = math.floor(b / grid.T + _GRID_EPS)
@@ -146,11 +146,9 @@ class PredicateTable:
         return self._C.shape[1]
 
     def z(self, x: np.ndarray) -> np.ndarray:
-        """Predicate vector at one state (or a (K+1, n) stack of states)."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return self._C @ x + self._c
-        return x @ self._C.T + self._c
+        """Predicate vector at one state, or one row per state of a stack: each state
+        takes its own ``C @ x(k) + c``, so a sample reads the same alone or in any stack."""
+        return np.matmul(self._C, np.asarray(x, dtype=float)[..., None])[..., 0] + self._c
 
     def row(self, pred_id: int) -> tuple[np.ndarray, float]:
         return self._C[pred_id], float(self._c[pred_id])
@@ -162,18 +160,12 @@ class PredicateTable:
             return int(nz[0])
         return None
 
-    def find(self, row: Sequence[float], offset: float) -> int | None:
+    def extended(self, row: Sequence[float], offset: float, name: str) -> tuple["PredicateTable", int]:
+        """Table with one more predicate, and its id (this table if already present)."""
         key = (tuple(float(v) for v in row), float(offset))
         for i in range(self.size):
             if (tuple(self._C[i]), float(self._c[i])) == key:
-                return i
-        return None
-
-    def extended(self, row: Sequence[float], offset: float, name: str) -> tuple["PredicateTable", int]:
-        """Table with one more predicate (or this table if already present)."""
-        existing = self.find(row, offset)
-        if existing is not None:
-            return self, existing
+                return self, i
         rows = np.vstack([self._C, np.asarray(row, dtype=float)])
         offs = np.append(self._c, float(offset))
         return PredicateTable(rows, offs, self._names + (name,)), self.size
@@ -434,7 +426,7 @@ def validate_windows(f: Formula, grid: SamplingGrid) -> None:
 
 def event_index(f: OneTime, grid: SamplingGrid) -> int:
     """Sample index of the event instant."""
-    ks = omega(f.event_time, f.event_time, grid)
+    ks = omega(f.event_time, f.event_time, grid) if math.isfinite(f.event_time) else ()
     if len(ks) != 1:
         raise EmptyWindowError(
             f"event time {f.event_time} is not a sampling instant of T={grid.T}")

@@ -145,8 +145,8 @@ def _predict(run: CompiledRun, k0: int, state_history: np.ndarray | None) -> _Pr
     cols = _Layout(min(k_l, k0), k0 + N, table.size)
 
     # past/current entries are recorded constants, future entries depend on u_st;
-    # the past block takes one C @ x(k) per recorded step, like table.z (a single
-    # matrix product over all steps would round differently)
+    # the past block takes its own C @ x(k) per recorded step, the rule table.z
+    # follows, so the oracle does not read the library's predicate values
     n_past = (k0 + 1 - cols.t_lo) * table.size
     z_const = np.empty(cols.n_cols)
     z_const[:n_past] = (np.matmul(table.C, state_history[cols.t_lo:k0 + 1, :, None])[:, :, 0]

@@ -7,6 +7,7 @@ import re
 import tempfile
 import textwrap
 import warnings
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from stlmpc import (
     cli,
     collect_event_ops,
     compute_schedule,
+    mpc,
     run,
 )
 from stlmpc.cli import (
@@ -461,6 +463,35 @@ class TestScenarioConfig:
         with pytest.raises(FileNotFoundError):
             ScenarioConfig.from_file("/nonexistent/scenario.ini")
 
+    def test_one_row_b_is_a_column(self, tmp_path):
+        path = preset_copy(tmp_path, lambda text: text.replace("b = 0.281; 0.0296",
+                                                               "b = 0.281 0.0296"))
+        edited = ScenarioConfig.from_file(path).system.B
+        np.testing.assert_array_equal(edited, np.array([[0.281], [0.0296]]))
+        np.testing.assert_array_equal(
+            edited, ScenarioConfig.from_file(preset_path("two_tank_phi2")).system.B)
+
+    @pytest.mark.parametrize("text, penalty", [
+        ("0.5", [[0.5, 0.0], [0.0, 0.5]]),
+        ("1 0.25; 0.25 2", [[1.0, 0.25], [0.25, 2.0]]),
+    ])
+    def test_input_penalty_is_a_scalar_or_a_matrix(self, text, penalty, tmp_path, capsys,
+                                                   monkeypatch):
+        # two inputs: a one-row b of a one-state plant stays a row
+        monkeypatch.chdir(tmp_path)
+        path = write_mini(tmp_path)
+        path.write_text(path.read_text().replace("b = 1\n", "b = 1 0.5\n").replace(
+            "u_max = 1\n", f"u_max = 1\ninput_penalty = {text}\n"))
+        cfg = ScenarioConfig.from_file(path)
+        assert cfg.system.m == 2
+        np.testing.assert_array_equal(cfg.control.input_penalty, penalty)
+        assert main(["check", str(path)]) == 0
+        assert "branch 0: QP with" in capsys.readouterr().out
+        assert main(["run", str(path)]) == 0
+        assert "satisfied = true" in capsys.readouterr().out
+        assert np.array_equal(read_trace(tmp_path / "mini.csv")[1],
+                              run(cfg.system, cfg.formula, cfg.table, cfg.run_config).inputs)
+
     def test_presets_resolve(self):
         for name in ("two_tank_phi1", "two_tank_phi2", "two_tank_phi3",
                      "example2_dasr", "example2_sr",
@@ -490,6 +521,55 @@ class TestScenarioConfig:
         for word in ("onn", "yse", "2", "enabled"):
             with pytest.raises(ValueError, match=f"{key} = '{word}' is not a boolean"):
                 load(word)
+
+
+# what `check` prints for each preset
+CHECK_OUTPUT = {
+    "example2_dasr": (
+        "formula length: h_d = 37 steps (444 s)\n"
+        "prediction horizon: N = 37\n"
+        "witness schedule: not needed (no eventually/until operators)\n"
+        "first solved step: k = 0 (event)\n"
+        "branch 0: LP with 38 variables, 91 inequalities, 511 nonzeros\n"),
+    "example2_sr": (
+        "formula length: h_d = 37 steps (444 s)\n"
+        "prediction horizon: N = 37\n"
+        "witness schedule: not needed (no eventually/until operators)\n"
+        "first solved step: k = 0 (event)\n"
+        "branch 0: LP with 38 variables, 89 inequalities, 468 nonzeros\n"),
+    "two_tank_phi1": (
+        "formula length: h_d = 20 steps (240 s)\n"
+        "prediction horizon: N = 20\n"
+        "witness schedule: delta = 11, eta = 11, baselines = [10]\n"
+        "first solved step: k = 10 (event)\n"
+        "branch 0: LP with 20 variables, 41 inequalities, 51 nonzeros\n"),
+    "two_tank_phi1_noisy": (
+        "formula length: h_d = 20 steps (240 s)\n"
+        "prediction horizon: N = 20\n"
+        "witness schedule: delta = 11, eta = 11, baselines = [10]\n"
+        "first solved step: k = 10 (event)\n"
+        "branch 0: LP with 20 variables, 41 inequalities, 51 nonzeros\n"),
+    "two_tank_phi2": (
+        "formula length: h_d = 20 steps (240 s)\n"
+        "prediction horizon: N = 20\n"
+        "witness schedule: delta = 11, eta = 11, baselines = [10]\n"
+        "branch 0: LP with 20 variables, 51 inequalities, 105 nonzeros\n"),
+    "two_tank_phi2_noisy": (
+        "formula length: h_d = 20 steps (240 s)\n"
+        "prediction horizon: N = 20\n"
+        "witness schedule: delta = 11, eta = 11, baselines = [10]\n"
+        "branch 0: LP with 20 variables, 51 inequalities, 105 nonzeros\n"),
+    "two_tank_phi3": (
+        "formula length: h_d = 35 steps (420 s)\n"
+        "prediction horizon: N = 35\n"
+        "witness schedule: delta = 11, eta = 5, baselines = [10, 15]\n"
+        "branch 0: LP with 36 variables, 89 inequalities, 242 nonzeros\n"),
+    "two_tank_phi3_noisy": (
+        "formula length: h_d = 35 steps (420 s)\n"
+        "prediction horizon: N = 35\n"
+        "witness schedule: delta = 11, eta = 5, baselines = [10, 15]\n"
+        "branch 0: LP with 36 variables, 89 inequalities, 242 nonzeros\n"),
+}
 
 
 def preset_copy(tmp_path: Path, edit) -> Path:
@@ -568,6 +648,13 @@ class TestSchema:
             assert str(path) in err and section in err and key in err
         assert not (tmp_path / "two_tank_phi2_trace.csv").exists()
 
+    def test_default_section_is_an_error(self, tmp_path, capsys):
+        path = preset_copy(tmp_path, lambda text: "[DEFAULT]\nhorizon = 20\n" + text)
+        with pytest.raises(configparser.Error, match=r"unknown section \[DEFAULT\]"):
+            ScenarioConfig.from_file(path)
+        assert main(["check", str(path)]) == 2
+        assert "unknown section [DEFAULT]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", sorted(NAN))
     def test_nan_number_is_an_error(self, key, tmp_path, capsys, monkeypatch):
         # a scenario error, so check rejects it too and no run is attempted
@@ -596,6 +683,20 @@ class TestSchema:
             assert main([command, str(path)]) == 2
             assert key in capsys.readouterr().err
         assert not (tmp_path / "two_tank_phi2_trace.csv").exists()
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "-12"])
+    @pytest.mark.parametrize("key", ["sample_time", "event_time", "duration"])
+    def test_time_that_is_not_a_finite_number_of_seconds_is_an_error(
+            self, key, value, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "edited.ini"
+        path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}",
+                               preset_path("two_tank_phi1").read_text(), flags=re.M))
+        for command in ("check", "run"):
+            assert main([command, str(path)]) == 2
+            assert (f"{key} = {value} is not a finite, non-negative number of seconds"
+                    in capsys.readouterr().err)
+        assert not (tmp_path / "two_tank_phi1_trace.csv").exists()
 
     def test_infinite_budget_runs(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -630,6 +731,19 @@ class TestCommands:
         assert "satisfied = true" in out
         assert (tmp_path / "mini.csv").exists()
 
+    def test_failed_run_exits_one(self, tmp_path, capsys, monkeypatch):
+        # no input in [0, 1] lifts x1 to 5, and relaxing is off
+        monkeypatch.chdir(tmp_path)
+        path = write_mini(tmp_path)
+        path.write_text(path.read_text().replace("x1 >= 0", "x1 >= 5").replace(
+            "u_max = 1\n", "u_max = 1\nslack = off\n"))
+        assert main(["check", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: all branches infeasible at step 0 and slack relaxation is off\n")
+        assert not (tmp_path / "mini.csv").exists()
+
     def test_identical_config_identical_artifacts(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = write_mini(tmp_path)
@@ -661,6 +775,34 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "branch 0:" in out
         assert ("first solved step" in out) == preset.startswith(("two_tank_phi1", "example2"))
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_check_compiles_once(self, preset, capsys, monkeypatch):
+        # an event-triggered scenario's idle history is rolled forward, not run
+        compiled, histories = [], []
+        for module in (cli, mpc):
+            def counted(*args, _compile=module.compile_run, **kwargs):
+                compiled.append(_compile(*args, **kwargs))
+                return compiled[-1]
+            monkeypatch.setattr(module, "compile_run", counted)
+        for name in ("build_problem", "build_sr_baseline"):
+            def record(run, _build=getattr(cli, name), **history):
+                histories.append(history)
+                return _build(run, **history)
+            monkeypatch.setattr(cli, name, record)
+        assert main(["check", preset]) == 0
+        assert capsys.readouterr().out == CHECK_OUTPUT[preset]
+        assert len(compiled) == 1
+        [history] = histories
+        k0 = compiled[0].k_event
+        if k0:
+            cfg = ScenarioConfig.from_file(preset_path(preset))
+            idle = run(cfg.system, cfg.formula, cfg.table, replace(cfg.run_config, sim_steps=k0))
+            np.testing.assert_array_equal(history["state_history"], idle.states, strict=True)
+            assert history["input_history"].shape == (k0, cfg.system.m)
+            assert not history["input_history"].any()
+        else:
+            assert history == {}
 
     @pytest.mark.parametrize("preset", PRESETS)
     def test_check_counts_nonzeros(self, preset, capsys, monkeypatch):

@@ -40,11 +40,14 @@ GRID1 = SamplingGrid(1.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # prints one hash of states, inputs and statuses per closed-loop run: the LPs
-# of two presets, then their QPs under an input penalty of 0.01 I at seed 0
+# of two presets, then their QPs under an input penalty of 0.01 I at seed 0;
+# last, one hash of the six readouts of a 3001-sample recording on a table
+# that is not axis-aligned
 TRACE_HASHES = """
 import dataclasses, hashlib
 import numpy as np
-from stlmpc import cli, mpc
+from stlmpc import (PredicateTable, SamplingGrid, Signal, cli, collect_event_ops,
+                    compute_schedule, mpc, parse)
 for penalty in (None, 0.01):
     for name in ("two_tank_phi3", "two_tank_phi3_noisy"):
         cfg = cli.ScenarioConfig.from_file(cli.preset_path(name))
@@ -60,6 +63,13 @@ for penalty in (None, 0.01):
             digest = hashlib.sha256(trace.states.tobytes() + trace.inputs.tobytes()
                                     + " ".join(trace.statuses).encode()).hexdigest()
             print(name, penalty, seed, digest)
+phi, _ = parse("G[0,inf](F[0,24](x1 >= 2) U[180,420] (x2 <= 2.5))")
+table = PredicateTable([[0.8, 0.3], [-0.2, -0.9]], [-2.0, 2.5])
+states = np.cumsum(np.random.default_rng(5).normal(scale=0.4, size=(3001, 2)), axis=0)
+grid = SamplingGrid(12.0)
+readout = mpc.readouts(Signal(states, grid), phi, table,
+                       compute_schedule(collect_event_ops(phi), grid))
+print("readouts", hashlib.sha256(repr(readout).encode()).hexdigest())
 """
 
 
@@ -130,7 +140,7 @@ class TestDeterminismAndRecording:
             return out.stdout.splitlines()
 
         one = hashes(1)
-        assert len(one) == 7
+        assert len(one) == 8
         assert one == hashes(2)
 
     def test_recursion_replay(self, tank):

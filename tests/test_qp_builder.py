@@ -17,6 +17,7 @@ from stlmpc import (
     Pred,
     PredicateTable,
     SamplingGrid,
+    Signal,
     Until,
     add_slack_relaxation,
     build_E_always,
@@ -611,6 +612,57 @@ class TestSrBaseline:
             with pytest.raises(ValueError, match=message):
                 build(compile_run(phi, two_tank_system(), table, config), k0=k0,
                       state_history=history)
+
+
+class TestOneValuePerSample:
+    """A predicate sample reads the same bits wherever it is computed: alone,
+    in a stack or any prefix of it, on a signal and in the builder's
+    recorded block, also when the table is not axis-aligned."""
+
+    @staticmethod
+    def _case(rng):
+        n, size, K = rng.integers(1, 5), rng.integers(1, 7), rng.integers(1, 61)
+        rows = rng.normal(size=(size, n)) * (rng.random((size, n)) > 0.25)
+        rows[:, rng.integers(n)] += 0.3        # no row is a unit axis
+        states = rng.normal(scale=3.0, size=(K, n))
+        states[rng.random((K, n)) < 0.15] = 0.0
+        states[rng.random((K, n)) < 0.15] = -0.0
+        offsets = rng.normal(size=size)
+        for i in range(size):
+            if rng.random() < 0.5:              # a sample on the threshold
+                x = states[rng.integers(K)]
+                offsets[i] = -np.matmul(rows, x[:, None])[i, 0]
+        return PredicateTable(rows, offsets), states
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_rule_reads_the_same_bits(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            table, states = self._case(rng)
+            K, size = states.shape[0], table.size
+            assert all(table.unit_axis(i) is None for i in range(size))
+            whole = table.z(states)
+            assert whole.shape == (K, size)
+            for k in range(K):
+                np.testing.assert_array_equal(table.z(states[k]), whole[k], strict=True)
+            for j in range(1, K):
+                np.testing.assert_array_equal(table.z(states[:j]), whole[:j], strict=True)
+            np.testing.assert_array_equal(
+                Signal(states, GRID1).predicate_values(table), whole, strict=True)
+
+            # the builder's recorded samples, of windows up to 10 steps long
+            widths = rng.integers(0, 11, size=size)
+            terms = [Always(Pred(i), 0.0, float(w)) for i, w in enumerate(widths)]
+            phi = AllTime(terms[0] if size == 1 else And(tuple(terms)))
+            system = LtiSystem(rng.normal(size=(table.n_states,) * 2),
+                               rng.normal(size=(table.n_states, 1)), states[0], GRID1)
+            run = compile_run(phi, system, table, ControlConfig(horizon=max(widths.max(), 1)))
+            for k0 in sorted({0, K // 2, K - 1}):
+                debug = build_problem(run, k0=k0, state_history=states[:k0 + 1])[0].debug
+                t_lo = debug["t_lo"]
+                recorded = debug["z_const"][:(k0 + 1 - t_lo) * size]
+                np.testing.assert_array_equal(recorded, whole[t_lo:k0 + 1].reshape(-1),
+                                              strict=True)
 
 
 class TestInputBudget:

@@ -1,6 +1,7 @@
 """Syntax, time discretization, formula lengths, and normal-form rewriting."""
 
 import dataclasses
+import math
 import random
 import re
 
@@ -122,6 +123,31 @@ class TestParse:
         assert isinstance(f.children[0], Eventually)
         assert isinstance(f.children[1], Until)
 
+    # one row per `raise ParseError` in the parser: (text, message, column)
+    PARSE_ERRORS = [
+        ("G[0,5](x1 >> 1)", "unexpected character '>'", 10),
+        ("x1 >=", "unexpected end of input", 5),
+        ("G[0,5 (x1 >= 0)", "expected ']', found '('", 6),
+        ("x1 >= 0 x2 >= 1", "unexpected token 'x2'", 8),
+        ("F[x1,2](x1 >= 0)", "expected a number", 2),
+        ("F[0,inf](x1 >= 0)", "unbounded interval is only allowed in the root G[0,inf] wrapper",
+         4),
+        ("F[0,x1](x1 >= 0)", "expected a number", 4),
+        ("F[-1,2](x1 >= 0)", "interval bounds must be non-negative", 2),
+        ("F[3,2](x1 >= 0)", "interval bounds out of order: [3.0, 2.0]", 2),
+        ("x1 >= 0 & )", "unexpected token ')'", 10),
+        ("x0 >= 1", "state indices are 1-based", 0),
+        ("x1 & x2", "expected '>=' or '<='", 3),
+        ("x1 >= x2", "expected a number", 6),
+    ]
+
+    @pytest.mark.parametrize("text, message, column", PARSE_ERRORS)
+    def test_parse_error(self, text, message, column):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.pos == column
+        assert str(err.value) == f"{message} at column {column}\n  {text}\n  {' ' * column}^"
+
     def test_syntax_error_reports_position(self):
         with pytest.raises(ParseError) as err:
             parse("G[0,5](x1 >> 1)")
@@ -152,6 +178,17 @@ class TestOmega:
 
     def test_empty_window(self):
         assert list(omega(5, 7, GRID12)) == []
+
+    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (math.inf, math.inf), (math.nan, 1.0),
+                                      (0.0, math.nan), (-1.0, 1.0), (2.0, 1.0)])
+    def test_invalid_or_non_finite_interval_is_rejected(self, a, b):
+        with pytest.raises(ValueError, match=re.escape(f"invalid interval [{a}, {b}]")):
+            omega(a, b, GRID1)
+
+    @pytest.mark.parametrize("T", [math.inf, math.nan, 0.0, -1.0])
+    def test_sampling_period_is_positive_and_finite(self, T):
+        with pytest.raises(ValueError, match="sampling period must be positive and finite"):
+            SamplingGrid(T)
 
     @given(st.floats(0, 50), st.floats(0, 50), st.floats(0, 50),
            st.sampled_from([0.5, 1.0, 2.0, 12.0]))
@@ -271,6 +308,12 @@ class TestValidation:
     def test_event_off_grid_is_fatal(self):
         f, _ = parse("event => F[0,24](x1 >= 0)", event_time=5.0)
         with pytest.raises(EmptyWindowError):
+            validate_windows(f, GRID12)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_event_time_is_fatal(self, t):
+        f, _ = parse("event => F[0,24](x1 >= 0)", event_time=t)
+        with pytest.raises(EmptyWindowError, match=f"event time {t} is not a sampling instant"):
             validate_windows(f, GRID12)
 
     def test_empty_window_is_the_same_error_everywhere(self):
