@@ -52,7 +52,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -150,60 +150,74 @@ class ScenarioConfig:
             raise FileNotFoundError(f"config file not found: {path}")
         _check_keys(cp, path)
 
-        sys_sec = cp["system"]
-        A = _parse_matrix(sys_sec["a"])
-        B = _parse_matrix(sys_sec["b"])
+        def number(section: str, key: str, convert=float, default=...):
+            """``convert`` of the key's text, ``default`` without the key (required without
+            one); a text that does not convert is an error naming the file, section and key."""
+            if default is not ... and not cp.has_option(section, key):
+                return default
+            try:
+                return convert(cp[section][key])
+            except ValueError as exc:
+                raise ValueError(f"{path}: [{section}] {key} = {cp[section][key]}: {exc}") from None
+
+        def seconds(section: str, key: str, default=None) -> float | None:
+            """A time key's finite, non-negative number of seconds, ``default`` without it."""
+            value = number(section, key, float, default)
+            if value is not None and not 0 <= value < math.inf:
+                raise ValueError(f"{key} = {cp.get(section, key)} is not a finite, "
+                                 "non-negative number of seconds")
+            return value
+
+        A = number("system", "a", _parse_matrix)
+        B = number("system", "b", _parse_matrix)
         if B.shape[0] == 1 and A.shape[0] > 1:
             B = B.T
-        x0 = _parse_vector(sys_sec["x0"])
-        grid = SamplingGrid(_seconds("sample_time", sys_sec["sample_time"]))
+        x0 = number("system", "x0", _parse_vector)
+        grid = SamplingGrid(seconds("system", "sample_time", ...))
         system = LtiSystem(A, B, x0, grid)
 
-        form_sec = cp["formula"]
-        event_time = _seconds("event_time", form_sec.get("event_time"))
-        formula, table = parse(form_sec["text"], n_states=system.n, event_time=event_time)
+        event_time = seconds("formula", "event_time")
+        formula, table = parse(cp["formula"]["text"], n_states=system.n, event_time=event_time)
         formula, table = to_pnf(formula, table)
         validate_windows(formula, grid)
         h_d = discrete_length(unwrap(formula), grid)
 
-        ctrl = cp["control"] if cp.has_section("control") else {}
-        horizon = int(ctrl.get("horizon", max(h_d, 1)))
-        budget_total = ctrl.get("budget")
         control = ControlConfig(
-            horizon=horizon,
-            u_min=float(ctrl.get("u_min", -math.inf)),
-            u_max=float(ctrl.get("u_max", math.inf)),
-            input_penalty=_as_penalty(ctrl.get("input_penalty"), system.m),
-            budget_total=float(budget_total) if budget_total is not None else None,
-            constraint_margin=float(ctrl.get("constraint_margin", 1e-9)),
+            horizon=number("control", "horizon", int, max(h_d, 1)),
+            u_min=number("control", "u_min", float, -math.inf),
+            u_max=number("control", "u_max", float, math.inf),
+            input_penalty=number("control", "input_penalty",
+                                 lambda text: _as_penalty(text, system.m), None),
+            budget_total=number("control", "budget", float, None),
+            constraint_margin=number("control", "constraint_margin", float, 1e-9),
         )
 
-        sim = cp["simulation"] if cp.has_section("simulation") else {}
         # a formula without temporal operators still needs one step
-        duration = _seconds("duration", sim.get("duration"))
+        duration = seconds("simulation", "duration")
         sim_steps = max(h_d, 1) if duration is None else omega(0.0, duration, grid)[-1]
-        noise_kind = sim.get("noise", "none").strip()
+        noise_kind = cp.get("simulation", "noise", fallback="none").strip()
         noise = NoiseModel(
             kind=noise_kind,
-            std=_parse_vector(sim.get("noise_std", "0")) if noise_kind != "none" else 0.0,
-            seed=int(sim.get("seed", 0)),
+            std=(number("simulation", "noise_std", _parse_vector, np.zeros(1))
+                 if noise_kind != "none" else 0.0),
+            seed=number("simulation", "seed", int, 0),
         )
         noise.check(system.n)
 
         run_config = RunConfig(
             control=control,
             sim_steps=sim_steps,
-            slack_enabled=_as_bool("slack", ctrl.get("slack", "on")),
-            objective=ctrl.get("objective", "dsasr").strip(),
-            resolve_each_step=_as_bool("resolve_each_step", ctrl.get("resolve_each_step", "yes")),
+            slack_enabled=_as_bool("slack", cp.get("control", "slack", fallback="on")),
+            objective=cp.get("control", "objective", fallback="dsasr").strip(),
+            resolve_each_step=_as_bool("resolve_each_step",
+                                       cp.get("control", "resolve_each_step", fallback="yes")),
         )
 
-        out = cp["output"] if cp.has_section("output") else {}
-        default_trace = Path(path).stem + "_trace.csv"
         return cls(system=system, formula=formula, table=table, control=control,
                    run_config=run_config, noise=noise,
-                   trace_path=out.get("trace", default_trace),
-                   plot_script=_as_bool("plot_script", out.get("plot_script", "no")))
+                   trace_path=cp.get("output", "trace", fallback=Path(path).stem + "_trace.csv"),
+                   plot_script=_as_bool("plot_script",
+                                        cp.get("output", "plot_script", fallback="no")))
 
 
 _BOOLEANS = {"1": True, "yes": True, "true": True, "on": True,
@@ -218,20 +232,9 @@ def _as_bool(key: str, text: str) -> bool:
     return value
 
 
-def _seconds(key: str, text: str | None) -> float | None:
-    """A time key's finite, non-negative number of seconds; None without the key."""
-    if text is not None and not 0 <= float(text) < math.inf:
-        raise ValueError(f"{key} = {text} is not a finite, non-negative number of seconds")
-    return None if text is None else float(text)
-
-
-def _as_penalty(text: str | None, m: int) -> np.ndarray | None:
-    if text is None:
-        return None
+def _as_penalty(text: str, m: int) -> np.ndarray:
     mat = _parse_matrix(text)
-    if mat.size == 1:
-        return float(mat.reshape(-1)[0]) * np.eye(m)
-    return mat
+    return mat.item() * np.eye(m) if mat.size == 1 else mat
 
 
 def preset_path(name: str) -> Path:
@@ -259,22 +262,19 @@ def emit_trace(trace: Trace, path: str | Path, plot_script: bool = False) -> Non
     path = Path(path)
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)
-    n = trace.states.shape[1]
-    m = trace.inputs.shape[1]
+    n, m = trace.states.shape[1], trace.inputs.shape[1]
     header = (["k", "t"] + [f"x{i+1}" for i in range(n)] + [f"u{j+1}" for j in range(m)]
               + [f"v{i+1}" for i in range(n)] + ["status", "objective"])
+    row = ",".join(["%d"] + [_FLOAT_FMT] * (1 + 2 * n + m) + ["%s", _FLOAT_FMT])
+    values = np.hstack((trace.states, trace.inputs, trace.noises)).tolist()
+    objectives = trace.objectives.tolist()
     lines = [",".join(header)]
-    for k in range(trace.states.shape[0]):
-        row = [str(k), _FLOAT_FMT % (k * trace.grid.T)]
-        row += [_FLOAT_FMT % v for v in trace.states[k]]
-        row += [_FLOAT_FMT % v for v in trace.inputs[k]]
-        row += [_FLOAT_FMT % v for v in trace.noises[k]]
-        if not _UNREADABLE.isdisjoint(trace.statuses[k]):
-            raise ValueError(f"status {trace.statuses[k]!r} at step {k} holds ',', '#' or a "
+    for k, vals in enumerate(values):
+        status = trace.statuses[k]
+        if not _UNREADABLE.isdisjoint(status):
+            raise ValueError(f"status {status!r} at step {k} holds ',', '#' or a "
                              "line break, which would not read back")
-        row.append(trace.statuses[k])
-        row.append(_FLOAT_FMT % trace.objectives[k])
-        lines.append(",".join(row))
+        lines.append(row % (k, k * trace.grid.T, *vals, status, objectives[k]))
     lines.extend(_summary_lines(trace.snr_db, trace.readout))
     path.write_text("\n".join(lines) + "\n")
     if plot_script:
@@ -293,14 +293,7 @@ def _readout_lines(r: RobustnessReadout) -> list[str]:
             return "true" if v else "false"
         return _FLOAT_FMT % v
 
-    return [
-        f"# satisfied = {fmt(r.satisfied)}",
-        f"# sr = {fmt(r.sr)}",
-        f"# dasr = {fmt(r.dasr)}",
-        f"# dsasr = {fmt(r.dsasr)}",
-        f"# prd = {fmt(r.prd)}",
-        f"# rd = {fmt(r.rd)}",
-    ]
+    return [f"# {name} = {fmt(v)}" for name, v in asdict(r).items()]
 
 
 def _emit_plot_script(csv_path: Path, n: int, m: int) -> None:

@@ -292,7 +292,7 @@ def readouts(sig: Signal, phi: Formula, table: PredicateTable,
     """
     grid = sig.grid
     try:
-        _anchors(sig, 0, phi)
+        _anchors(phi, 0, sig.last_index, grid)
     except SignalTooShortError:
         return RobustnessReadout()
     z = sig.predicate_values(table)

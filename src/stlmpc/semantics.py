@@ -139,29 +139,31 @@ class RobustnessReadout:
 K1Provider = Union[Schedule, Callable[[int, int], int]]
 
 
-def _root(f: Formula, k: int, last: int, grid: SamplingGrid) -> tuple[Formula, int, int]:
-    """Unwrapped formula, first anchor and anchor count of an evaluation at k.
+def _root(f: Formula, k: int, last: int | None, grid: SamplingGrid) -> tuple[Formula, int, int]:
+    """Unwrapped formula, first anchor and anchor count of an evaluation at k >= 0.
 
-    All-time wrappers are anchored at every step from k on whose evaluation
-    window ends by ``last``; one-time wrappers at the event instant.
+    All-time wrappers are anchored at every step from k on whose evaluation window
+    ends by ``last``; one-time wrappers at their event instant, which must not precede k.
     """
+    if k < 0:
+        raise ValueError(f"negative evaluation index {k}")
     if isinstance(f, AllTime):
         return f.child, k, last - discrete_length(f.child, grid) + 1 - k
     if isinstance(f, OneTime):
-        return f.child, event_index(f, grid), 1
+        ke = event_index(f, grid)
+        if ke < k:
+            raise ValueError(f"event index {ke} lies before evaluation index {k}")
+        return f.child, ke, 1
     return f, k, 1
 
 
-def _anchors(sig: Signal, k: int, f: Formula) -> tuple[Formula, int, int]:
-    """:func:`_root` of an evaluation at k, checked to lie within the signal."""
-    if k < 0:
-        raise ValueError(f"negative evaluation index {k}")
-    g, lo, n = _root(f, k, sig.last_index, sig.grid)
-    reach = lo + discrete_length(g, sig.grid)
-    if reach > sig.last_index:
+def _anchors(f: Formula, k: int, last: int, grid: SamplingGrid) -> tuple[Formula, int, int]:
+    """:func:`_root` of an evaluation at k, checked to read no step after ``last``."""
+    g, lo, n = _root(f, k, last, grid)
+    reach = lo + discrete_length(g, grid)
+    if reach > last:
         raise SignalTooShortError(
-            f"evaluating at k={k} needs samples up to k={reach}, "
-            f"signal ends at k={sig.last_index}")
+            f"evaluating at k={k} needs samples up to k={reach}, signal ends at k={last}")
     return g, lo, n
 
 
@@ -347,36 +349,43 @@ def _eval(g: Formula, lo: int, n: int, z: np.ndarray, grid: SamplingGrid,
     raise TypeError(f"not a formula node: {g!r}")
 
 
+def _values(sig: Signal, k: int, f: Formula, table: PredicateTable, sem: _Semantics) -> np.ndarray:
+    """Values of f's unwrapped formula at every anchor of an evaluation at k."""
+    g, lo, n = _anchors(f, k, sig.last_index, sig.grid)
+    return _eval(g, lo, n, sig.predicate_values(table), sig.grid, sem, (0,) if g is not f else ())
+
+
+def _average(sig: Signal, k: int, f: Formula, table: PredicateTable, sem: _Semantics) -> float:
+    """Mean of the values over an all-time formula's anchors, else the one value."""
+    with np.errstate(all="ignore"):
+        vals = _values(sig, k, f, table, sem)
+        return _sum([vals]) / vals.size if isinstance(f, AllTime) else float(vals[0])
+
+
 def eval_bool(sig: Signal, k: int, f: Formula, table: PredicateTable) -> bool:
     """Satisfaction of f by the signal at step k.
 
-    All-time wrappers are checked at every step whose evaluation window the
-    signal still covers; one-time wrappers are checked at the event instant.
-    Every node is evaluated, so an empty window or a node that is not a
-    formula raises even where a short-circuiting and/or would not reach it
-    (:func:`~stlmpc.stl.validate_windows` rejects such formulas up front).
+    All-time wrappers are checked at every step from k on whose evaluation
+    window the signal still covers; one-time wrappers at the event instant.
+    Every readout raises ``ValueError`` for a negative k, then for a one-time
+    event before k, then :class:`SignalTooShortError` for a signal that ends
+    before the formula's reach.  Every node is evaluated, so an empty window
+    or a node that is not a formula raises even where and/or would not reach
+    it (:func:`~stlmpc.stl.validate_windows` rejects such formulas up front).
     """
-    g, lo, n = _anchors(sig, k, f)
-    z = sig.predicate_values(table)
-    if isinstance(f, OneTime) and lo < k:
-        raise ValueError(f"event index {lo} lies before evaluation index {k}")
-    return bool(_eval(g, lo, n, z, sig.grid, _BOOL).all())
+    return bool(_values(sig, k, f, table, _BOOL).all())
 
 
 def eval_sr(sig: Signal, k: int, f: Formula, table: PredicateTable) -> float:
-    """Min/max quantitative semantics; positive values certify satisfaction."""
-    g, lo, n = _anchors(sig, k, f)
-    z = sig.predicate_values(table)
-    return _first_min(_eval(g, lo, n, z, sig.grid, _SR))
+    """Min/max quantitative semantics, anchored and checked like :func:`eval_bool`;
+    positive values certify satisfaction."""
+    return _first_min(_values(sig, k, f, table, _SR))
 
 
 def eval_dasr(sig: Signal, k: int, f: Formula, table: PredicateTable) -> float:
-    """Averaged semantics: always-windows and until left operands use means."""
-    g, lo, n = _anchors(sig, k, f)
-    z = sig.predicate_values(table)
-    with np.errstate(all="ignore"):
-        vals = _eval(g, lo, n, z, sig.grid, _DASR)
-        return _sum([vals]) / n if isinstance(f, AllTime) else float(vals[0])
+    """Averaged semantics, anchored and checked like :func:`eval_bool`:
+    always-windows and until left operands use means."""
+    return _average(sig, k, f, table, _DASR)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +424,8 @@ def eval_dsasr(sig: Signal, k: int, f: Formula, table: PredicateTable,
     ``schedule`` is either a :class:`~stlmpc.scheduling.Schedule` or a
     callable ``(op_index, k) -> k1`` where op_index enumerates the formula's
     eventually/until positions in document order.  Each supplied k1 must lie
-    in the operator's window anchored at the evaluation step.
+    in the operator's window anchored at the evaluation step.  A missing
+    schedule raises first, then the anchors are checked like :func:`eval_bool`'s.
 
     Each node is evaluated once, over the contiguous span of anchors its
     parent reads, so a callable is consulted once at every anchor of each
@@ -427,15 +437,10 @@ def eval_dsasr(sig: Signal, k: int, f: Formula, table: PredicateTable,
     node's own witnesses are all consulted before any is checked against
     its window.
     """
-    g, lo, n = _anchors(sig, k, f)
-    z = sig.predicate_values(table)
     paths = _op_paths(f)
     if schedule is None and paths:
         raise ValueError("formula contains eventually/until operators but no schedule given")
-    with np.errstate(all="ignore"):
-        vals = _eval(g, lo, n, z, sig.grid, _dsasr(sig.grid, schedule, paths),
-                     (0,) if g is not f else ())
-        return _sum([vals]) / n if isinstance(f, AllTime) else float(vals[0])
+    return _average(sig, k, f, table, _dsasr(sig.grid, schedule, paths))
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +497,13 @@ def domain_of_influence(f: Formula, k: int, pred_id: int, grid: SamplingGrid,
     Computed structurally from the operator windows: always/eventually expose
     their whole window, the until left operand is exposed from the anchor to
     the window end, and boolean connectives take unions.  ``horizon`` (the
-    last signal index) is required for all-time formulas.
+    last signal index) is required for all-time formulas.  The anchors are
+    checked like :func:`eval_bool`'s, the horizon standing for the signal's end.
     """
     if pred_id not in predicate_ids(f):
         raise ValueError(f"predicate id {pred_id} does not occur in the formula")
+    if horizon is not None:
+        _anchors(f, k, horizon, grid)
     domain = _domains(f, k, grid, horizon).get(pred_id)
     return () if domain is None else tuple(domain.tolist())
 
@@ -507,7 +515,7 @@ def prd(sig: Signal, f: Formula, k: int, table: PredicateTable,
     When the formula is satisfied, sums all non-negative predicate margins
     over each predicate's domain of influence; otherwise sums the negative
     margins.  Requires a negation-free formula (run :func:`stlmpc.stl.to_pnf`
-    first).
+    first); then anchored and checked like :func:`eval_bool`.
     """
     grid = grid or sig.grid
     if any(isinstance(node, Not) for node in iter_nodes(f)):
@@ -532,7 +540,7 @@ def robustness_degree_axis(sig: Signal, f: Formula, k: int, table: PredicateTabl
     Supported only for conjunctions of always-operators over predicates whose
     normals are axis-aligned with magnitude one; there the sup-metric distance
     to the boundary reduces to the signed minimum predicate margin over the
-    influential instants.
+    influential instants.  The anchors are checked like :func:`eval_bool`'s, then the fragment.
     """
     grid = grid or sig.grid
 
@@ -549,15 +557,13 @@ def robustness_degree_axis(sig: Signal, f: Formula, k: int, table: PredicateTabl
         raise ValueError(
             f"unsupported formula shape for the axis-aligned robustness degree: {type(g).__name__}")
 
-    g, lo, n = _root(f, k, sig.last_index, grid)
-    reads = leaves(g) if n > 0 else []
+    g, lo, n = _anchors(f, k, sig.last_index, grid)
+    reads = leaves(g)
     for pid in {pid for pid, _ in reads}:
         if table.unit_axis(pid) is None:
             raise ValueError(f"predicate {table.names[pid]!r} is not axis-aligned with unit normal")
 
     z = sig.predicate_values(table)
-    if not reads:
-        raise ValueError("min() arg is an empty sequence")
     # every anchor reads the leaves' windows in order, and the first of equal minima counts
     steps = np.add.outer(np.arange(lo, lo + n), [o for _, offs in reads for o in offs])
     return _first_min(z[steps, [pid for pid, offs in reads for _ in offs]].ravel())

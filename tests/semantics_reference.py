@@ -48,19 +48,24 @@ def _window(node, k: int, grid: SamplingGrid) -> range:
     return range(k + base.start, k + base.stop)
 
 
-def _check_horizon(sig: Signal, k: int, f: Formula) -> None:
+def _check_horizon(f: Formula, k: int, last: int | None, grid: SamplingGrid) -> None:
+    """The anchor rule, in its order: a negative k, a one-time event before k,
+    then (unless ``last`` is None) a formula that reads past step ``last``."""
     if k < 0:
         raise ValueError(f"negative evaluation index {k}")
+    if isinstance(f, OneTime) and event_index(f, grid) < k:
+        raise ValueError(f"event index {event_index(f, grid)} lies before evaluation index {k}")
+    if last is None:
+        return
     if isinstance(f, AllTime):
-        need = discrete_length(f.child, sig.grid)
+        need = discrete_length(f.child, grid)
     elif isinstance(f, OneTime):
-        need = event_index(f, sig.grid) - k + discrete_length(f.child, sig.grid)
+        need = event_index(f, grid) - k + discrete_length(f.child, grid)
     else:
-        need = discrete_length(f, sig.grid)
-    if k + need > sig.last_index:
+        need = discrete_length(f, grid)
+    if k + need > last:
         raise SignalTooShortError(
-            f"evaluating at k={k} needs samples up to k={k + need}, "
-            f"signal ends at k={sig.last_index}")
+            f"evaluating at k={k} needs samples up to k={k + need}, signal ends at k={last}")
 
 
 def _op_paths(f: Formula) -> dict[tuple, int]:
@@ -80,6 +85,8 @@ def _op_paths(f: Formula) -> dict[tuple, int]:
         elif isinstance(g, Until):
             walk(g.left, path + (0,))
             walk(g.right, path + (1,))
+        elif not isinstance(g, (Pred, TrueNode)):
+            raise TypeError(f"not a formula node: {g!r}")
 
     walk(f, ())
     return table
@@ -93,7 +100,7 @@ def _mean(values, count: int) -> float:
 
 
 def eval_bool(sig: Signal, k: int, f: Formula, table: PredicateTable) -> bool:
-    _check_horizon(sig, k, f)
+    _check_horizon(f, k, sig.last_index, sig.grid)
     z = sig.predicate_values(table)
     grid = sig.grid
 
@@ -123,15 +130,12 @@ def eval_bool(sig: Signal, k: int, f: Formula, table: PredicateTable) -> bool:
         hd = discrete_length(f.child, grid)
         return all(rec(f.child, kk) for kk in range(k, sig.last_index - hd + 1))
     if isinstance(f, OneTime):
-        ke = event_index(f, grid)
-        if ke < k:
-            raise ValueError(f"event index {ke} lies before evaluation index {k}")
-        return rec(f.child, ke)
+        return rec(f.child, event_index(f, grid))
     return rec(f, k)
 
 
 def eval_sr(sig: Signal, k: int, f: Formula, table: PredicateTable) -> float:
-    _check_horizon(sig, k, f)
+    _check_horizon(f, k, sig.last_index, sig.grid)
     z = sig.predicate_values(table)
     grid = sig.grid
 
@@ -168,7 +172,7 @@ def eval_sr(sig: Signal, k: int, f: Formula, table: PredicateTable) -> float:
 
 
 def eval_dasr(sig: Signal, k: int, f: Formula, table: PredicateTable) -> float:
-    _check_horizon(sig, k, f)
+    _check_horizon(f, k, sig.last_index, sig.grid)
     z = sig.predicate_values(table)
     grid = sig.grid
 
@@ -206,13 +210,13 @@ def eval_dasr(sig: Signal, k: int, f: Formula, table: PredicateTable) -> float:
 
 
 def eval_dsasr(sig: Signal, k: int, f: Formula, table: PredicateTable, schedule) -> float:
-    _check_horizon(sig, k, f)
-    z = sig.predicate_values(table)
-    grid = sig.grid
     paths = _op_paths(f)
     k1_of = schedule.k1_at if hasattr(schedule, "k1_at") else schedule
     if k1_of is None and paths:
         raise ValueError("formula contains eventually/until operators but no schedule given")
+    _check_horizon(f, k, sig.last_index, sig.grid)
+    z = sig.predicate_values(table)
+    grid = sig.grid
 
     def pick_k1(g, kk: int, path: tuple) -> int:
         k1 = int(k1_of(paths[path], kk))
@@ -259,6 +263,9 @@ def domain_of_influence(f: Formula, k: int, pred_id: int, grid: SamplingGrid,
                         horizon: int | None = None) -> tuple[int, ...]:
     if pred_id not in predicate_ids(f):
         raise ValueError(f"predicate id {pred_id} does not occur in the formula")
+    if isinstance(f, AllTime) and horizon is None:
+        raise ValueError("all-time formulas need an explicit horizon")
+    _check_horizon(f, k, horizon, grid)
 
     def rec(g: Formula, kk: int) -> set[int]:
         if isinstance(g, TrueNode):
@@ -288,8 +295,6 @@ def domain_of_influence(f: Formula, k: int, pred_id: int, grid: SamplingGrid,
         raise TypeError(f"not a formula node: {g!r}")
 
     if isinstance(f, AllTime):
-        if horizon is None:
-            raise ValueError("all-time formulas need an explicit horizon")
         hd = discrete_length(f.child, grid)
         out: set[int] = set()
         for kk in range(k, horizon - hd + 1):
@@ -323,6 +328,7 @@ def prd(sig: Signal, f: Formula, k: int, table: PredicateTable,
 def robustness_degree_axis(sig: Signal, f: Formula, k: int, table: PredicateTable,
                            grid: SamplingGrid | None = None) -> float:
     grid = grid or sig.grid
+    _check_horizon(f, k, sig.last_index, grid)
 
     def gather(g: Formula, kk: int) -> list[tuple[int, int]]:
         if isinstance(g, Pred):

@@ -698,6 +698,25 @@ class TestSchema:
                     in capsys.readouterr().err)
         assert not (tmp_path / "two_tank_phi1_trace.csv").exists()
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("system", "sample_time", "abc"), ("control", "u_max", "abc"),
+        ("system", "x0", "0 zero"), ("control", "horizon", "2.5"),
+        ("simulation", "seed", "x")])
+    def test_number_that_does_not_parse_names_file_section_and_key(
+            self, section, key, value, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        text = preset_path("two_tank_phi1").read_text()
+        if key == "seed":
+            text = text.replace("noise = none", "noise = none\nseed = 0")
+        path = tmp_path / "edited.ini"
+        path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: [{section}] {key} = {value}: ")):
+            ScenarioConfig.from_file(path)
+        for command in ("check", "run"):
+            assert main([command, str(path)]) == 2
+            assert f"{path}: [{section}] {key} = {value}: " in capsys.readouterr().err
+        assert not (tmp_path / "two_tank_phi1_trace.csv").exists()
+
     def test_infinite_budget_runs(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         path = preset_copy(tmp_path, lambda text: text.replace("slack = on",

@@ -579,6 +579,41 @@ class TestErrorParity:
         f = OneTime(Always(Pred(0), 0.0, 1.0), 1.0)
         _parity("eval_bool", sig(*([1.0] * 8)), 2, f, ID1)
 
+    # G[0,inf](G[0,3](x1 >= 0)) and event => G[0,3](x1 >= 0) with the event at step 2
+    ANCHORED = {"all-time": AllTime(Always(Pred(0), 0.0, 3.0)),
+                "one-time": OneTime(Always(Pred(0), 0.0, 3.0), 2.0)}
+
+    @pytest.mark.parametrize("case, samples, k, error, text", [
+        ("all-time", 8, -1, ValueError, "negative evaluation index -1"),
+        ("one-time", 8, -3, ValueError, "negative evaluation index -3"),
+        ("one-time", 8, 3, ValueError, "event index 2 lies before evaluation index 3"),
+        ("one-time", 8, 4, ValueError, "event index 2 lies before evaluation index 4"),
+        # the order: a negative k, an event before k, a short signal
+        ("one-time", 2, -1, ValueError, "negative evaluation index -1"),
+        ("one-time", 2, 3, ValueError, "event index 2 lies before evaluation index 3"),
+        ("all-time", 3, 0, SignalTooShortError,
+         "evaluating at k=0 needs samples up to k=3, signal ends at k=2"),
+        ("one-time", 3, 0, SignalTooShortError,
+         "evaluating at k=0 needs samples up to k=5, signal ends at k=2"),
+    ])
+    def test_every_readout_takes_its_anchors_by_one_rule(self, case, samples, k, error, text):
+        f, s = self.ANCHORED[case], sig(*([1.0] * samples))
+        calls = {"eval_bool": (s, k, f, ID1), "eval_sr": (s, k, f, ID1),
+                 "eval_dasr": (s, k, f, ID1), "eval_dsasr": (s, k, f, ID1, None),
+                 "prd": (s, f, k, ID1), "robustness_degree_axis": (s, f, k, ID1),
+                 "domain_of_influence": (f, k, 0, GRID1, s.last_index)}
+        for call, args in calls.items():
+            assert _outcome(getattr(semantics, call), *args) == ("raised", error, text), call
+            assert _outcome(getattr(oracle, call), *args) == ("raised", error, text), call
+
+    def test_domains_without_a_horizon_take_the_anchor_rule(self):
+        f = self.ANCHORED["one-time"]
+        for k, text in ((-1, "negative evaluation index -1"),
+                        (3, "event index 2 lies before evaluation index 3")):
+            for fn in (domain_of_influence, oracle.domain_of_influence):
+                assert _outcome(fn, f, k, 0, GRID1) == ("raised", ValueError, text)
+        assert domain_of_influence(f, 2, 0, GRID1) == (2, 3, 4, 5)
+
     @pytest.mark.parametrize("f, k1", [
         (Eventually(Pred(0), 1.0, 2.0), lambda i, k: k + 3),
         # misses the windows first at anchor 2, for operator 0

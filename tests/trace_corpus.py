@@ -39,7 +39,12 @@ with ``-0.0`` samples and samples on the predicate thresholds (``+zeros``), and
 with NaN samples besides (``+nan``).  A readout of an all-time formula is a
 mean or minimum over up to 3000 anchors, which can absorb a last-bit change
 at one anchor; ``tests/test_semantics.py::TestLongSignals`` compares the
-evaluators with the reference anchor by anchor.
+evaluators with the reference anchor by anchor.  Every ``monitor@`` digest
+above is taken at step 0, so for each all-time formula and recording the pass
+also prints one ``monitor@...@k1,500`` digest of the six readout functions
+called directly at steps 1 and 500 (each value at ``%.17g``, or the type and
+text of what it raises, as ``robustness_degree_axis`` does outside its
+fragment).
 
 Each pass also prints one ``read@3001[+edit]`` digest of the five arrays
 ``cli.read_trace`` returns for the 3001-sample ``+nan`` recording written by
@@ -205,6 +210,17 @@ def read_digests(csv: Path):
         yield f"read@{MONITOR_SAMPLES[-1]}{name}", h.hexdigest()
 
 
+def _update_calls(h, calls) -> None:
+    """Add the value of each call, or the type and text of what it raises."""
+    for call in calls:
+        try:
+            v = call()
+        except ValueError as exc:
+            h.update(f"{type(exc).__name__}: {exc}".encode())
+        else:
+            h.update((repr(v) if isinstance(v, bool) else "%.17g" % v).encode())
+
+
 def monitor_digests():
     """(label, digest) of the readouts of every monitored recording."""
     cfgs = [cli.ScenarioConfig.from_file(cli.preset_path(name)) for name in MONITOR]
@@ -217,10 +233,22 @@ def monitor_digests():
             for name, phi, table in formulas:
                 windows = stl.collect_event_ops(stl.unwrap(phi))
                 sched = compute_schedule(windows, system.grid) if windows else None
-                r = mpc.readouts(semantics.Signal(states, system.grid), phi, table, sched)
+                sig = semantics.Signal(states, system.grid)
                 h = hashlib.sha256()
-                _update_readout(h, r)
+                _update_readout(h, mpc.readouts(sig, phi, table, sched))
                 yield f"monitor@{name}@{samples}{variant}", h.hexdigest()
+                if not isinstance(phi, stl.AllTime):
+                    continue
+                h = hashlib.sha256()
+                for k in (1, 500):
+                    _update_calls(h, (
+                        lambda: semantics.eval_bool(sig, k, phi, table),
+                        lambda: semantics.eval_sr(sig, k, phi, table),
+                        lambda: semantics.eval_dasr(sig, k, phi, table),
+                        lambda: semantics.eval_dsasr(sig, k, phi, table, sched),
+                        lambda: semantics.prd(sig, phi, k, table),
+                        lambda: semantics.robustness_degree_axis(sig, phi, k, table)))
+                yield f"monitor@{name}@{samples}{variant}@k1,500", h.hexdigest()
 
 
 def _parse_digest(text: str, event_time=None) -> str:
